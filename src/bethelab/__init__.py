@@ -3,7 +3,7 @@ trigonometric gl(N) spin chains: R-matrix algebra, Gauss coordinates,
 q-symmetrization, off-shell Bethe vectors and the Bethe-equation spectrum.
 """
 
-from .context import BetheParameterSet, DeformationContext, random_context, sample_annulus
+from .context import BetheParameterSet, DeformationContext, sample_annulus
 from .errors import (
     BetheLabError,
     CapacityError,
@@ -28,7 +28,6 @@ from .gauss import (
 )
 from .kernels import (
     EqualityReport,
-    KernelId,
     RationalFunction,
     bethe_residual,
     bethe_rhs,

@@ -19,6 +19,7 @@ Command-line flags override file values. Exit codes: 0 all checks passed,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import threading
@@ -32,20 +33,22 @@ import numpy as np
 
 from . import __version__
 from .context import BetheParameterSet, DeformationContext, sample_annulus
-from .errors import BetheLabError, CapacityError, ConfigError, DomainError
+from .errors import (BetheLabError, CapacityError, ConfigError, DomainError,
+                     SamplingExhaustedError)
 from .gauss import (CoordinateIdentity, coordinate_identity_residual,
                     gauss_decompose, normal_order_transfer_residual)
-from .kernels import (nesting_overlap, nesting_overlap_alt, partial_fraction_residual,
-                      same_type_weight, shift_weight, split_weight, string_overlap,
-                      top_split_weight, transfer_eigenvalue, transfer_eigenvalue_residue)
+from .kernels import (RationalFunction, nesting_overlap, nesting_overlap_alt,
+                      partial_fraction_residual, same_type_weight, shift_weight,
+                      split_weight, string_overlap, top_split_weight,
+                      transfer_eigenvalue, transfer_eigenvalue_residue)
 from .qsym import (cyclic_identity_sides, decomposition_sides, qsym_values,
                    shift_expansion_backward, shift_expansion_forward)
 from .repcore import (ChainSpec, monodromy, permutation_operator, r_matrix,
                       rll_residual, transfer, transfer_commutator_residual,
                       vacuum_data, vacuum_residuals, yang_baxter_residual, zero_modes)
 from .report import CheckRecord, Report, encode_complex, inputs_digest
-from .solver import (SolverOptions, admissible_sectors, solve_bethe,
-                     spectrum_reconcile)
+from .solver import (RECONCILE_DIM_CAP, SolverOptions, admissible_sectors,
+                     solve_bethe, spectrum_reconcile)
 from .vectors import is_admissible, modified_vector, unwanted_decomposition
 
 SUITES = ("yang-baxter", "rll", "gauss", "identities", "solve", "verify",
@@ -161,16 +164,17 @@ class Materialized:
         self._solve_lock = threading.Lock()
 
     def solved(self, chain_index: int, nbar: tuple[int, ...], opts: SolverOptions):
-        """Memoized solve_bethe; safe under the worker pool."""
+        """Memoized solve_bethe; each sector is solved once under the worker pool.
+
+        The lock spans the check and the solve, so two threads never solve one
+        sector. The solver is pure Python and holds the interpreter lock, so
+        serializing solves costs no parallelism.
+        """
         key = (chain_index, tuple(nbar))
         with self._solve_lock:
-            hit = self._solve_cache.get(key)
-        if hit is not None:
-            return hit
-        result = solve_bethe(self.chains[chain_index], nbar, opts)
-        with self._solve_lock:
-            self._solve_cache[key] = result
-        return result
+            if key not in self._solve_cache:
+                self._solve_cache[key] = solve_bethe(self.chains[chain_index], nbar, opts)
+            return self._solve_cache[key]
 
 
 def materialize(cfg: RunConfig) -> Materialized:
@@ -645,7 +649,7 @@ def suite_verify(mat: Materialized, cfg: RunConfig) -> list[Check]:
     checks = []
     opts = SolverOptions()
     for c, chain in enumerate(mat.chains):
-        can_diagonalize = chain.dim <= 256
+        can_diagonalize = chain.dim <= RECONCILE_DIM_CAP
         for nbar in mat.sectors:
             if not is_admissible(chain, nbar):
                 continue
@@ -662,7 +666,7 @@ def suite_verify(mat: Materialized, cfg: RunConfig) -> list[Check]:
                     if w.norm < 1e-12:
                         continue
                     for _ in range(20):
-                        t = complex(sample_annulus(rng, 1)[0])
+                        t = _sample_clear_of_poles(rng, lambdas, chain.ctx)
                         tau = transfer_eigenvalue(lambdas, sol.params, t, chain.ctx)
                         resid = np.linalg.norm(transfer(chain, t) @ w.vector
                                                - tau * w.vector) / w.norm
@@ -678,7 +682,7 @@ def suite_verify(mat: Materialized, cfg: RunConfig) -> list[Check]:
                     result = mat.solved(c, nbar, opts)
                     _, lambdas = vacuum_data(chain)
                     rng = chain.ctx.rng(f"verify-tau:{c}:{nbar}")
-                    t = complex(sample_annulus(rng, 1)[0])
+                    t = _sample_clear_of_poles(rng, lambdas, chain.ctx)
                     eigs = np.linalg.eigvals(transfer(chain, t))
                     worst = 0.0
                     for sol in result:
@@ -711,13 +715,28 @@ def suite_verify(mat: Materialized, cfg: RunConfig) -> list[Check]:
     return checks
 
 
+def _sample_clear_of_poles(rng, lambdas: list[RationalFunction],
+                           ctx: DeformationContext) -> complex:
+    """Annulus point t with min_l |q t - z_l/q| > pole_margin * max(|t|, |z_l|).
+
+    The vacuum eigenvalue lambda_2 has its poles exactly at the R-matrix poles
+    t = z_l / q^2 of the monodromy, so its pole distance is the one to keep
+    clear. Draws that are not rejected are the plain annulus draws.
+    """
+    for _ in range(100):
+        t = complex(sample_annulus(rng, 1)[0])
+        if lambdas[1].distance(t) > ctx.pole_margin:
+            return t
+    raise SamplingExhaustedError("could not sample clear of the R-matrix poles")
+
+
 def suite_spectrum(mat: Materialized, cfg: RunConfig) -> list[Check]:
     checks = []
     opts = SolverOptions()
     for c, chain in enumerate(mat.chains):
-        if chain.dim > 256:
-            raise CapacityError(
-                f"spectrum suite needs dimension <= 256, chain has {chain.dim}")
+        if chain.dim > RECONCILE_DIM_CAP:
+            raise CapacityError(f"spectrum suite needs dimension <= {RECONCILE_DIM_CAP}, "
+                                f"chain has {chain.dim}")
         inputs = _chain_inputs(chain)
 
         def spectrum_thunk(chain=chain, c=c):
@@ -743,7 +762,7 @@ def suite_offshell(mat: Materialized, cfg: RunConfig) -> list[Check]:
     for c, chain in enumerate(mat.chains):
         inputs = _chain_inputs(chain)
         well_posed = [n for n in range(1, min(chain.L, 4) + 1)
-                      if _weight_block_dim(chain.L, n) >= n]
+                      if math.comb(chain.L, n) >= n]
 
         def span_thunk(chain=chain, c=c, sizes=tuple(well_posed)):
             rng = chain.ctx.rng(f"offshell-span:{c}")
@@ -791,11 +810,6 @@ def suite_offshell(mat: Materialized, cfg: RunConfig) -> list[Check]:
                             "unwanted coefficients vanish at solver roots",
                             1e-8, inputs, vanishing_thunk))
     return checks
-
-
-def _weight_block_dim(L: int, n: int) -> int:
-    from math import comb
-    return comb(L, n)
 
 
 SUITE_BUILDERS = {

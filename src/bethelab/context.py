@@ -68,13 +68,6 @@ def sample_annulus(rng: np.random.Generator, n: int,
     return r * np.exp(1j * theta)
 
 
-def random_context(seed: int, **overrides) -> DeformationContext:
-    """Context with q drawn uniformly from the real interval [1.2, 1.8]."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, _label_entropy("q")]))
-    q = float(rng.uniform(1.2, 1.8))
-    return DeformationContext(q=q, seed=seed, **overrides)
-
-
 @dataclass(frozen=True)
 class BetheParameterSet:
     """Typed spectral parameters: values[a-1] holds the type-a entries t_1^a..t_{n_a}^a.
@@ -114,9 +107,6 @@ class BetheParameterSet:
     def value(self, a: int, j: int) -> complex:
         return self.values[a - 1][j - 1]
 
-    def all_values(self) -> tuple[complex, ...]:
-        return tuple(v for grp in self.values for v in grp)
-
     def min_relative_separation(self) -> float:
         """Smallest same-type relative gap (inf when fewer than two entries)."""
         best = np.inf
@@ -126,12 +116,6 @@ class BetheParameterSet:
                     sep = abs(grp[i] - grp[k]) / max(abs(grp[i]), abs(grp[k]))
                     best = min(best, sep)
         return best
-
-    def ensure_separated(self, margin: float) -> None:
-        if self.min_relative_separation() <= margin:
-            raise DomainError(
-                f"same-type parameters closer than margin {margin}"
-            )
 
     def replace_type(self, a: int, new_values) -> "BetheParameterSet":
         vals = list(self.values)

@@ -165,30 +165,22 @@ def coordinate_identity_residual(kind: CoordinateIdentity, indices: tuple[int, i
     i, j = indices
     qdiff = q - 1 / q
 
-    def S(idx, B):
-        A = zm.Fzero[idx]
-        return B @ A - (A @ B) / q
-
-    def Shat(idx, B):
-        A = zm.Ezero[idx]
-        return A @ B - q * (B @ A)
-
     if kind in (CoordinateIdentity.F_LOWERING, CoordinateIdentity.E_LOWERING,
                 CoordinateIdentity.E_ITERATED):
         if not (1 <= i < j - 1 and j <= N):
             raise DomainError(f"{kind.value} needs 1 <= i < j-1 <= {N - 1}, got {(i, j)}")
     if kind is CoordinateIdentity.F_LOWERING:
         lhs = qdiff * data.F[(j, i)]
-        rhs = S(i, data.F[(j, i + 1)])
+        rhs = screening(i, data.F[(j, i + 1)], zm)
         return _rel_norm(lhs, rhs)
     if kind is CoordinateIdentity.E_LOWERING:
         lhs = qdiff * data.E[(i, j)]
-        rhs = Shat(i, data.E[(i + 1, j)])
+        rhs = screening_dual(i, data.E[(i + 1, j)], zm)
         return _rel_norm(lhs, rhs)
     if kind is CoordinateIdentity.E_ITERATED:
         B = data.E[(j - 1, j)]
         for idx in range(j - 2, i - 1, -1):
-            B = Shat(idx, B)
+            B = screening_dual(idx, B, zm)
         lhs = data.E[(i, j)]
         rhs = qdiff ** (i + 1 - j) * B
         return _rel_norm(lhs, rhs)
@@ -196,7 +188,7 @@ def coordinate_identity_residual(kind: CoordinateIdentity, indices: tuple[int, i
         if not 1 <= i <= N - 2:
             raise DomainError(f"cartan-shift needs 1 <= i <= {N - 2}, got {i}")
         psi = data.psi(i + 1)
-        lhs = Shat(i, psi)
+        lhs = screening_dual(i, psi, zm)
         rhs = qdiff * psi @ data.E[(i, i + 1)]
         return _rel_norm(lhs, rhs)
     raise DomainError(f"unknown identity kind {kind}")

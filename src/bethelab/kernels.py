@@ -12,7 +12,6 @@ PoleError instead of returning garbage.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -328,17 +327,6 @@ class RationalFunction:
         return float(self.pole_distance(*args))
 
 
-def hyperplane_distance(*conditions: Callable[..., tuple[complex, float]]):
-    """Build a pole_distance callable from conditions returning (value, scale)."""
-    def dist(*args: complex) -> float:
-        best = math.inf
-        for cond in conditions:
-            val, scale = cond(*args)
-            best = min(best, abs(val) / max(scale, 1e-300))
-        return best
-    return dist
-
-
 @dataclass
 class EqualityReport:
     label: str
@@ -381,32 +369,3 @@ def rational_equal(f: RationalFunction, g: RationalFunction, ctx: DeformationCon
         if rel > ctx.tol_identity:
             report.passed = False
     return report.passed, report
-
-
-class KernelId(enum.Enum):
-    """Closed tag set; each tag names exactly one scalar kernel."""
-
-    TRANSFER_EIGENVALUE = "transfer_eigenvalue"
-    BETHE_RHS = "bethe_rhs"
-    PAIR_WEIGHT = "same_type_weight"
-    NESTING_OVERLAP = "nesting_overlap"
-    STRING_OVERLAP = "string_overlap"
-    SPLIT_WEIGHT = "split_weight"
-    TOP_SPLIT_WEIGHT = "top_split_weight"
-    SHIFT_WEIGHT = "shift_weight"
-
-    @property
-    def implementation(self) -> Callable:
-        return _KERNEL_TABLE[self]
-
-
-_KERNEL_TABLE = {
-    KernelId.TRANSFER_EIGENVALUE: transfer_eigenvalue,
-    KernelId.BETHE_RHS: bethe_rhs,
-    KernelId.PAIR_WEIGHT: same_type_weight,
-    KernelId.NESTING_OVERLAP: nesting_overlap,
-    KernelId.STRING_OVERLAP: string_overlap,
-    KernelId.SPLIT_WEIGHT: split_weight,
-    KernelId.TOP_SPLIT_WEIGHT: top_split_weight,
-    KernelId.SHIFT_WEIGHT: shift_weight,
-}

@@ -10,8 +10,11 @@ Conventions fixed here and locked by tests:
     for i > j and the t -> infinity / t -> 0 limits are block upper/lower
     triangular.
 
-The two spectral-limit operators are built from the limiting R-matrix
-coefficients in closed form, never by large-argument evaluation.
+The R-matrix entries are laid out in one place, from a coefficient triple
+(b, cu, cv): `r_matrix` takes the triple at spectral points (u, v), and the
+monodromy contracts that same layout into its block grid one site at a time.
+The two spectral-limit operators pass their limiting triples in closed form
+to the same contraction, never by large-argument evaluation.
 """
 from __future__ import annotations
 
@@ -83,18 +86,26 @@ class BlockLOperator:
         """Block T_{i,j} (1-based auxiliary indices)."""
         return self.blocks[i - 1, j - 1]
 
-    def as_matrix(self) -> np.ndarray:
-        """Operator on aux (x) quantum, shape (N*dim, N*dim)."""
-        N, d = self.N, self.dim
-        return self.blocks.transpose(0, 2, 1, 3).reshape(N * d, N * d)
-
     def transfer(self) -> np.ndarray:
         return sum(self.blocks[i, i] for i in range(self.N))
 
 
 def r_matrix(u: complex, v: complex, N: int, ctx: DeformationContext) -> np.ndarray:
     """Trigonometric R-matrix on C^N (x) C^N at spectral points (u, v)."""
-    b, cu, cv = _r_coefficients(u, v, ctx)
+    return _r_from_coefficients(_r_coefficients(u, v, ctx), N)
+
+
+def _r_coefficients(u: complex, v: complex, ctx: DeformationContext):
+    q = ctx.q
+    den = q * u - v / q
+    if abs(den) <= ctx.pole_margin * max(abs(u), abs(v), 1e-300):
+        raise PoleError(f"R-matrix pole: |qu - v/q| = {abs(den):.3e}")
+    return (u - v) / den, (q - 1 / q) * u / den, (q - 1 / q) * v / den
+
+
+def _r_from_coefficients(coeffs: tuple[complex, complex, complex], N: int) -> np.ndarray:
+    """The R-matrix entry layout for a coefficient triple (b, cu, cv)."""
+    b, cu, cv = coeffs
     R = np.zeros((N * N, N * N), dtype=complex)
     for i in range(N):
         R[i * N + i, i * N + i] = 1.0
@@ -108,61 +119,29 @@ def r_matrix(u: complex, v: complex, N: int, ctx: DeformationContext) -> np.ndar
     return R
 
 
-def _right_apply_site(X: np.ndarray, s: np.ndarray, N: int, L: int, site: int) -> np.ndarray:
-    """X @ (1 x ... x s x ... x 1) with s acting on the given site's column leg."""
-    d = N ** L
-    pre = N ** (site - 1)
-    post = N ** (L - site)
-    Xr = X.reshape(d, pre, N, post)
-    return np.einsum("dpmo,mn->dpno", Xr, s, optimize=True).reshape(d, d)
-
-
-def _site_block(k: int, j: int, N: int, b: complex, cu: complex, cv: complex) -> np.ndarray:
-    """Auxiliary-space block (k, j) of one R factor as an operator on its site."""
-    s = np.zeros((N, N), dtype=complex)
-    if k == j:
-        s[:, :] = 0.0
-        for m in range(N):
-            s[m, m] = 1.0 if m == k else b
-    elif k < j:
-        s[j, k] = cu
-    else:
-        s[j, k] = cv
-    return s
-
-
 def _product_with_coefficients(chain: ChainSpec,
                                coeffs: list[tuple[complex, complex, complex]],
                                point: complex | None, source: str) -> BlockLOperator:
-    """K_aux . R_{a,L} ... R_{a,1} accumulated block by block.
+    """K_aux . R_{a,L} ... R_{a,1}, contracted into the block grid site by site.
 
-    Each R factor touches only its own site, so right-multiplication costs
-    d^2 N^2 per block instead of a dense product on aux (x) quantum.
+    Each R factor touches only the auxiliary leg and its own site's column
+    leg, so one factor costs nnz(R) slice updates of d^2 entries each.
+    Only the nonzero entries of R are accumulated, which keeps the exact
+    zeros of the zero-mode limits.
     """
     N, L, d = chain.N, chain.L, chain.dim
     blocks = np.zeros((N, N, d, d), dtype=complex)
     for i in range(N):
         blocks[i, i] = chain.kappa[i] * np.eye(d)
     for site in range(L, 0, -1):
-        b, cu, cv = coeffs[site - 1]
-        new = np.zeros_like(blocks)
-        for j in range(N):
-            for k in range(N):
-                s = _site_block(k, j, N, b, cu, cv)
-                if not np.any(s):
-                    continue
-                for i in range(N):
-                    new[i, j] += _right_apply_site(blocks[i, k], s, N, L, site)
-        blocks = new
+        R = _r_from_coefficients(coeffs[site - 1], N).reshape(N, N, N, N)
+        grid = (N, N, d, N ** (site - 1), N, N ** (L - site))
+        X = blocks.reshape(grid)
+        out = np.zeros(grid, dtype=complex)
+        for k, m, j, n in zip(*np.nonzero(R)):
+            out[:, j, :, :, n] += R[k, m, j, n] * X[:, k, :, :, m]
+        blocks = out.reshape(N, N, d, d)
     return BlockLOperator(point=point, blocks=blocks, source=source)
-
-
-def _r_coefficients(u: complex, v: complex, ctx: DeformationContext):
-    q = ctx.q
-    den = q * u - v / q
-    if abs(den) <= ctx.pole_margin * max(abs(u), abs(v), 1e-300):
-        raise PoleError(f"R-matrix pole: |qu - v/q| = {abs(den):.3e}")
-    return (u - v) / den, (q - 1 / q) * u / den, (q - 1 / q) * v / den
 
 
 def monodromy(chain: ChainSpec, t: complex) -> BlockLOperator:

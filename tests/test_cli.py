@@ -1,8 +1,10 @@
 """Command-line interface and report-format tests."""
 import json
+import time
 
 import pytest
 
+from bethelab import DeformationContext, cli, sample_annulus
 from bethelab.cli import run_command
 from bethelab.report import report_fingerprint
 
@@ -64,6 +66,37 @@ def test_verify_one_magnon_chain(tmp_path, capsys):
     onshell = [c for c in report.checks if c.check_id.endswith("on-shell")]
     assert len(onshell) == 1
     assert onshell[0].residual <= 1e-8
+
+
+def test_verify_samples_clear_of_r_matrix_poles(tmp_path, capsys):
+    # z_1 = q^2 t0 puts the first on-shell sample point t0 on the R-matrix
+    # pole t = z_1 / q^2; the check must draw again instead of failing
+    q, seed = 1.45, 11
+    t0 = complex(sample_annulus(DeformationContext(q=q, seed=seed).rng("verify:0:(1,)"), 1)[0])
+    cfg = tmp_path / "pole.cfg"
+    cfg.write_text(f"N = 2\nL = 2\nq = {q}\nz = {q * q * t0!r}, 0.6+0.4j\n"
+                   f"kappa = 1.2, 0.8\nseed = {seed}\nsectors = 1\n")
+    code, report = run(["verify", "--config", str(cfg)])
+    assert code == 0
+    assert all(not c.error for c in report.checks)
+
+
+def test_each_sector_solved_once_under_the_pool(tmp_path, monkeypatch, capsys):
+    solved = []
+    original = cli.solve_bethe
+
+    def counting(chain, nbar, opts=None):
+        solved.append(tuple(nbar))
+        time.sleep(0.05)  # widen the window in which a second thread could start
+        return original(chain, nbar, opts)
+
+    monkeypatch.setattr(cli, "solve_bethe", counting)
+    monkeypatch.setenv("BETHELAB_WORKERS", "4")
+    cfg = tmp_path / "pool.cfg"
+    cfg.write_text("N = 2\nL = 2\nseed = 5\nsuites = solve, verify\n")
+    code, report = run(["all", "--config", str(cfg)])
+    assert code == 0
+    assert sorted(solved) == [(0,), (1,), (2,)]
 
 
 def test_report_is_deterministic(tmp_path, capsys):

@@ -114,8 +114,9 @@ def test_empty_chain_monodromy(ctx):
     assert np.allclose(transfer(chain, 0.9), sum(chain.kappa) * np.eye(1))
 
 
-def test_monodromy_matches_slow_assembly(ctx, rng):
-    chain = make_chain(2, 2, ctx, rng)
+@pytest.mark.parametrize("N,L", [(2, 2), (3, 2), (2, 3)])
+def test_monodromy_matches_slow_assembly(ctx, rng, N, L):
+    chain = make_chain(N, L, ctx, rng)
     t = 1.4 + 0.8j
     fast = monodromy(chain, t).blocks
     slow = slow_monodromy(chain, t)
