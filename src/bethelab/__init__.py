@@ -54,10 +54,13 @@ from .qsym import (
 from .repcore import (
     BlockLOperator,
     ChainSpec,
+    apply_monodromy,
+    entry_apply,
     monodromy,
     r_matrix,
     rll_residual,
     transfer,
+    transfer_apply,
     transfer_commutator_residual,
     vacuum_data,
     vacuum_residuals,
@@ -80,6 +83,7 @@ from .vectors import (
     modified_vector,
     nested_vector,
     on_shell_residual,
+    on_shell_residuals,
     unwanted_closed_form,
     unwanted_decomposition,
 )

@@ -1,4 +1,4 @@
-"""Dense tensor algebra: trigonometric R-matrix, inhomogeneous monodromy,
+"""Tensor algebra: trigonometric R-matrix, inhomogeneous monodromy,
 transfer matrices and vacuum data on fundamental evaluation chains.
 
 Conventions fixed here and locked by tests:
@@ -11,10 +11,13 @@ Conventions fixed here and locked by tests:
     triangular.
 
 The R-matrix entries are laid out in one place, from a coefficient triple
-(b, cu, cv): `r_matrix` takes the triple at spectral points (u, v), and the
-monodromy contracts that same layout into its block grid one site at a time.
-The two spectral-limit operators pass their limiting triples in closed form
-to the same contraction, never by large-argument evaluation.
+(b, cu, cv): `r_matrix` takes the triple at spectral points (u, v). The
+monodromy has one matrix-free kernel, `apply_monodromy`, which applies that
+same layout site by site to a batch of aux (x) quantum vectors; `transfer_apply`
+and `entry_apply` are T(t) v and T_{i,j}(t) v through it. Dense block grids
+(`monodromy`, `transfer`, `zero_modes`) are the kernel applied to the
+aux (x) identity basis. The two spectral-limit operators pass their limiting
+triples in closed form to the same kernel, never by large-argument evaluation.
 """
 from __future__ import annotations
 
@@ -119,40 +122,85 @@ def _r_from_coefficients(coeffs: tuple[complex, complex, complex], N: int) -> np
     return R
 
 
-def _product_with_coefficients(chain: ChainSpec,
-                               coeffs: list[tuple[complex, complex, complex]],
-                               point: complex | None, source: str) -> BlockLOperator:
-    """K_aux . R_{a,L} ... R_{a,1}, contracted into the block grid site by site.
+def apply_monodromy(chain: ChainSpec, coeffs: list[tuple[complex, complex, complex]],
+                    X: np.ndarray) -> np.ndarray:
+    """K_aux . R_{a,L} ... R_{a,1} applied to a batch of aux (x) quantum vectors.
 
-    Each R factor touches only the auxiliary leg and its own site's column
-    leg, so one factor costs nnz(R) slice updates of d^2 entries each.
-    Only the nonzero entries of R are accumulated, which keeps the exact
-    zeros of the zero-mode limits.
+    `X` is laid out batch-last as (N, dim, B); `coeffs` holds one R-matrix
+    coefficient triple per site. The factors act one site at a time, R_{a,1}
+    first: each touches only the auxiliary leg and its own site's leg, so it
+    costs nnz(R) slice updates of dim * B / N entries. Only the nonzero
+    entries of R are accumulated, which keeps the exact zeros of the
+    zero-mode limits.
     """
     N, L, d = chain.N, chain.L, chain.dim
-    blocks = np.zeros((N, N, d, d), dtype=complex)
-    for i in range(N):
-        blocks[i, i] = chain.kappa[i] * np.eye(d)
-    for site in range(L, 0, -1):
+    B = X.shape[-1]
+    for site in range(1, L + 1):
         R = _r_from_coefficients(coeffs[site - 1], N).reshape(N, N, N, N)
-        grid = (N, N, d, N ** (site - 1), N, N ** (L - site))
-        X = blocks.reshape(grid)
-        out = np.zeros(grid, dtype=complex)
-        for k, m, j, n in zip(*np.nonzero(R)):
-            out[:, j, :, :, n] += R[k, m, j, n] * X[:, k, :, :, m]
-        blocks = out.reshape(N, N, d, d)
+        X = _apply_site(R, X.reshape(N, N ** (site - 1), N, N ** (L - site) * B))
+    return np.asarray(chain.kappa)[:, None, None] * X.reshape(N, d, B)
+
+
+def _apply_site(R: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """out[k, :, m] = sum R[k, m, j, n] X[j, :, n] over the nonzeros of R.
+
+    A separate frame, so the input of each site is released as soon as the
+    next one is built: a dense build holds two working grids, not three.
+    """
+    out = np.zeros(X.shape, dtype=complex)
+    for k, m, j, n in zip(*np.nonzero(R)):
+        out[k, :, m] += R[k, m, j, n] * X[j, :, n]
+    return out
+
+
+def _point_coefficients(chain: ChainSpec, t: complex) -> list[tuple[complex, complex, complex]]:
+    return [_r_coefficients(t, zl, chain.ctx) for zl in chain.z]
+
+
+def _zero_mode_coefficients(q: complex) -> tuple[tuple[complex, complex, complex], ...]:
+    """Per-site coefficient triples of the t -> infinity and t -> 0 limits."""
+    return (1 / q, (q - 1 / q) / q, 0.0), (q + 0j, 0.0, 1 - q * q)
+
+
+def _block_grid(chain: ChainSpec, coeffs: list[tuple[complex, complex, complex]],
+                point: complex | None, source: str) -> BlockLOperator:
+    """Dense block grid: the monodromy kernel applied to the aux (x) identity
+    basis X[j, :, j, :] = I_dim."""
+    N, d = chain.N, chain.dim
+    # the basis is passed without a name here, so the kernel can drop it
+    # after the first site
+    Y = apply_monodromy(chain, coeffs, np.eye(N * d, dtype=complex).reshape(N, d, N * d))
+    blocks = np.ascontiguousarray(Y.reshape(N, d, N, d).transpose(0, 2, 1, 3))
     return BlockLOperator(point=point, blocks=blocks, source=source)
 
 
 def monodromy(chain: ChainSpec, t: complex) -> BlockLOperator:
     """Blockwise monodromy T(t); raises PoleError near R-matrix poles."""
-    coeffs = [_r_coefficients(t, zl, chain.ctx) for zl in chain.z]
-    return _product_with_coefficients(chain, coeffs, t, "finite")
+    return _block_grid(chain, _point_coefficients(chain, t), t, "finite")
 
 
 def transfer(chain: ChainSpec, t: complex) -> np.ndarray:
     """Trace of the monodromy over the auxiliary space."""
     return monodromy(chain, t).transfer()
+
+
+def transfer_apply(chain: ChainSpec, t: complex, v: np.ndarray) -> np.ndarray:
+    """T(t) v = sum_j <j| T(t) |j> v, without building the block grid."""
+    N = chain.N
+    X = np.zeros((N, chain.dim, N), dtype=complex)
+    for j in range(N):
+        X[j, :, j] = v
+    Y = apply_monodromy(chain, _point_coefficients(chain, t), X)
+    return sum(Y[j, :, j] for j in range(N))
+
+
+def entry_apply(chain: ChainSpec, t: complex, i: int, j: int, v: np.ndarray) -> np.ndarray:
+    """T_{i,j}(t) v (1-based auxiliary indices) for v of shape (dim,) or
+    (dim, B), without building the block grid."""
+    X = np.zeros((chain.N,) + v.shape, dtype=complex)
+    X[j - 1] = v
+    Y = apply_monodromy(chain, _point_coefficients(chain, t), X.reshape(chain.N, chain.dim, -1))
+    return Y[i - 1].reshape(v.shape)
 
 
 def zero_modes(chain: ChainSpec) -> tuple[BlockLOperator, BlockLOperator]:
@@ -162,12 +210,9 @@ def zero_modes(chain: ChainSpec) -> tuple[BlockLOperator, BlockLOperator]:
     with invertible diagonal blocks; no relation between the two diagonals is
     imposed (the twist keeps the zero modes free).
     """
-    q = chain.ctx.q
-    plus = _product_with_coefficients(
-        chain, [(1 / q, (q - 1 / q) / q, 0.0)] * chain.L, None, "plus-limit")
-    minus = _product_with_coefficients(
-        chain, [(q + 0j, 0.0, 1 - q * q)] * chain.L, None, "minus-limit")
-    return plus, minus
+    plus, minus = _zero_mode_coefficients(chain.ctx.q)
+    return (_block_grid(chain, [plus] * chain.L, None, "plus-limit"),
+            _block_grid(chain, [minus] * chain.L, None, "minus-limit"))
 
 
 def vacuum_data(chain: ChainSpec) -> tuple[np.ndarray, list[RationalFunction]]:
@@ -200,19 +245,38 @@ def vacuum_data(chain: ChainSpec) -> tuple[np.ndarray, list[RationalFunction]]:
 
 
 def rll_residual(chain: ChainSpec, u: complex, v: complex) -> float:
-    """Relative norm of the exchange relation R (T x 1)(1 x T) = (1 x T)(T x 1) R."""
+    """Relative norm of the exchange relation R (T x 1)(1 x T) = (1 x T)(T x 1) R.
+
+    With p = (i, k), q and r = (j, l) aux-pair indices, both sides are
+    accumulated one column r at a time, summing over the nonzeros of R:
+
+        lhs[p, r] = sum_q R[p, q] T(u)_{q // N, r // N} T(v)_{q % N, r % N}
+        rhs[p, r] = sum_q T(v)_{p % N, q % N} T(u)_{p // N, q // N} R[q, r]
+
+    so no (N^2, N^2, dim, dim) product is ever held. Each column's products
+    are batched matmuls: N^2 + nnz(R) BLAS calls in all rather than one per
+    block product, since every return from BLAS waits for the GIL while
+    other checks run on the pool.
+    """
     N, d = chain.N, chain.dim
     Tu = monodromy(chain, u).blocks
     Tv = monodromy(chain, v).blocks
     R = r_matrix(u, v, N, chain.ctx)
-    left_prod = np.einsum("ijab,klbc->ikjlac", Tu, Tv, optimize=True)
-    right_prod = np.einsum("klab,ijbc->ikjlac", Tv, Tu, optimize=True)
-    left_prod = left_prod.reshape(N * N, N * N, d, d)
-    right_prod = right_prod.reshape(N * N, N * N, d, d)
-    lhs = np.einsum("pq,qrac->prac", R, left_prod, optimize=True)
-    rhs = np.einsum("pqac,qr->prac", right_prod, R, optimize=True)
-    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
-    return float(np.linalg.norm(lhs - rhs) / scale)
+    lhs_sq = rhs_sq = diff_sq = 0.0
+    for r in range(N * N):
+        j, l = divmod(r, N)
+        left = np.matmul(Tu[:, None, j], Tv[None, :, l]).reshape(N * N, d, d)
+        lhs = np.tensordot(R, left, axes=1)
+        rhs = np.zeros((N * N, d, d), dtype=complex)
+        for q in np.flatnonzero(R[:, r]):
+            right = np.matmul(Tv[None, :, q % N], Tu[:, None, q // N])
+            rhs += R[q, r] * right.reshape(N * N, d, d)
+        lhs_sq += np.vdot(lhs, lhs).real
+        rhs_sq += np.vdot(rhs, rhs).real
+        lhs -= rhs
+        diff_sq += np.vdot(lhs, lhs).real
+    scale = max(np.sqrt(lhs_sq), np.sqrt(rhs_sq), 1e-300)
+    return float(np.sqrt(diff_sq) / scale)
 
 
 def yang_baxter_residual(u: complex, v: complex, w: complex, N: int,

@@ -16,6 +16,7 @@ vector, not equality.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .context import BetheParameterSet
 from .errors import DegenerateVectorError, DomainError, IllPosedDecompositionError, PoleError
 from .kernels import bethe_residual, same_type_weight, transfer_eigenvalue
-from .repcore import ChainSpec, monodromy, transfer, vacuum_data
+from .repcore import ChainSpec, entry_apply, transfer_apply, vacuum_data
 
 RANK_DEFICIENCY_TOL = 1e-8
 
@@ -89,37 +90,30 @@ def nested_vector(chain: ChainSpec, params: BetheParameterSet) -> BetheVector:
 
 
 def _nested(chain: ChainSpec, params: BetheParameterSet) -> np.ndarray:
-    N, L = chain.N, chain.L
-    omega = np.zeros(chain.dim, dtype=complex)
-    omega[0] = 1.0
-    nbar = params.nbar
+    N = chain.N
     if params.total == 0:
+        omega = np.zeros(chain.dim, dtype=complex)
+        omega[0] = 1.0
         return omega
-    n1 = nbar[0]
-    creators = [monodromy(chain, t) for t in params.type_values(1)]
+    n1 = params.nbar[0]
+    roots = params.type_values(1)
     if N == 2:
-        vec = omega
-        for pos in range(n1 - 1, -1, -1):
-            vec = creators[pos].entry(1, 2) @ vec
-        return vec
-    aux_chain = ChainSpec(N=N - 1, L=n1, z=params.type_values(1),
-                          kappa=chain.kappa[1:], ctx=chain.ctx)
-    aux_params = BetheParameterSet(params.values[1:])
-    aux = _nested(aux_chain, aux_params)
-    out = np.zeros(chain.dim, dtype=complex)
+        aux = np.ones(1, dtype=complex)
+    else:
+        aux_chain = ChainSpec(N=N - 1, L=n1, z=roots, kappa=chain.kappa[1:], ctx=chain.ctx)
+        aux = _nested(aux_chain, BetheParameterSet(params.values[1:]))
+    idx = np.flatnonzero(np.abs(aux) > 0)
+    # column of the creation entry T_{1, col} at each position, per aux basis
+    # state: its base-(N-1) digit at that position (site 1 the slowest) plus 2
     base = N - 1
-    for idx in np.flatnonzero(np.abs(aux) > 0):
-        digits = []
-        x = int(idx)
-        for _ in range(n1):
-            digits.append(x % base)
-            x //= base
-        digits.reverse()  # site 1 first
-        vec = omega
-        for pos in range(n1 - 1, -1, -1):
-            vec = creators[pos].entry(1, digits[pos] + 2) @ vec
-        out += aux[idx] * vec
-    return out
+    cols = 2 + (idx[:, None] // base ** np.arange(n1 - 1, -1, -1)) % base
+    vecs = np.zeros((chain.dim, len(idx)), dtype=complex)
+    vecs[0] = 1.0
+    for pos in range(n1 - 1, -1, -1):
+        for col in np.unique(cols[:, pos]):
+            mask = cols[:, pos] == col
+            vecs[:, mask] = entry_apply(chain, roots[pos], 1, int(col), vecs[:, mask])
+    return vecs @ aux[idx]
 
 
 def modified_vector(chain: ChainSpec, params: BetheParameterSet) -> BetheVector:
@@ -134,18 +128,32 @@ def modified_vector(chain: ChainSpec, params: BetheParameterSet) -> BetheVector:
     return BetheVector(chain, params, pref * plain.vector, "modified")
 
 
-def on_shell_residual(chain: ChainSpec, params: BetheParameterSet,
-                      t: complex) -> tuple[float, complex]:
-    """Eigenvector residual ||T(t) w - tau w|| / ||w|| for the modified vector,
-    together with the eigenvalue candidate tau."""
+def on_shell_residuals(chain: ChainSpec, params: BetheParameterSet,
+                       points: Iterable[complex]) -> list[tuple[float, complex]]:
+    """Eigenvector residual ||T(t) w - tau w|| / ||w|| of the modified vector
+    at each point t, together with the eigenvalue candidate tau(t).
+
+    The vector is built once; `points` is consumed only after it is found
+    non-degenerate, so a lazily drawn sequence draws nothing for a vanishing
+    vector.
+    """
     w = modified_vector(chain, params)
     if w.norm < 1e-12:
         raise DegenerateVectorError(
             f"vanishing vector in sector {params.nbar} (L={chain.L})")
     _, lambdas = vacuum_data(chain)
-    tau = transfer_eigenvalue(lambdas, params, t, chain.ctx)
-    resid = np.linalg.norm(transfer(chain, t) @ w.vector - tau * w.vector) / w.norm
-    return float(resid), tau
+    out = []
+    for t in points:
+        tau = transfer_eigenvalue(lambdas, params, t, chain.ctx)
+        resid = np.linalg.norm(transfer_apply(chain, t, w.vector) - tau * w.vector) / w.norm
+        out.append((float(resid), tau))
+    return out
+
+
+def on_shell_residual(chain: ChainSpec, params: BetheParameterSet,
+                      t: complex) -> tuple[float, complex]:
+    """`on_shell_residuals` at the single point t."""
+    return on_shell_residuals(chain, params, (t,))[0]
 
 
 @dataclass(frozen=True)
@@ -204,22 +212,17 @@ def unwanted_decomposition(chain: ChainSpec, params: BetheParameterSet,
     _, lambdas = vacuum_data(chain)
     w = nested_vector(chain, params)
     tau = transfer_eigenvalue(lambdas, params, t, chain.ctx)
-    r = transfer(chain, t) @ w.vector - tau * w.vector
+    Tw = transfer_apply(chain, t, w.vector)
+    r = Tw - tau * w.vector
 
-    omega = np.zeros(chain.dim, dtype=complex)
-    omega[0] = 1.0
+    # column m: T_{1,2}(t) prod_{j != m} T_{1,2}(t_j) Omega, highest j acting first
     roots = params.type_values(1)
-    creators = [monodromy(chain, u).entry(1, 2) for u in roots]
-    creator_t = monodromy(chain, t).entry(1, 2)
-    basis = []
-    for m in range(n):
-        vec = omega
-        for pos in range(n - 1, -1, -1):
-            if pos == m:
-                continue
-            vec = creators[pos] @ vec
-        basis.append(creator_t @ vec)
-    A = np.stack(basis, axis=1)
+    A = np.zeros((chain.dim, n), dtype=complex)
+    A[0] = 1.0
+    for pos in range(n - 1, -1, -1):
+        others = np.arange(n) != pos
+        A[:, others] = entry_apply(chain, roots[pos], 1, 2, A[:, others])
+    A = entry_apply(chain, t, 1, 2, A)
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[0] == 0 or sv[-1] / sv[0] < RANK_DEFICIENCY_TOL:
         raise IllPosedDecompositionError(
@@ -229,7 +232,7 @@ def unwanted_decomposition(chain: ChainSpec, params: BetheParameterSet,
     fit = float(np.linalg.norm(A @ coeff - r) / max(np.linalg.norm(r), 1e-300))
     residuals = tuple(bethe_residual(1, m, params, lambdas, chain.ctx)
                       for m in range(1, n + 1))
-    scale = float(np.linalg.norm(transfer(chain, t) @ w.vector) / max(w.norm, 1e-300))
+    scale = float(np.linalg.norm(Tw) / max(w.norm, 1e-300))
     return UnwantedReport(
         coefficients=tuple(complex(c) for c in coeff),
         closed_form=unwanted_closed_form(chain, params, t),

@@ -68,6 +68,16 @@ def test_verify_one_magnon_chain(tmp_path, capsys):
     assert onshell[0].residual <= 1e-8
 
 
+def test_verify_runs_at_the_dimension_cap(tmp_path, capsys):
+    # d = 2^12 = DIMENSION_CAP: the on-shell check applies T(t) to vectors,
+    # where one dense block grid would take 1.07 GB
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("N = 2\nL = 12\nsectors = 1\nseed = 7\n")
+    code, report = run(["verify", "--config", str(cfg)])
+    assert code == 0
+    assert report.summary()["passed"] == len(report.checks) == 2
+
+
 def test_verify_samples_clear_of_r_matrix_poles(tmp_path, capsys):
     # z_1 = q^2 t0 puts the first on-shell sample point t0 on the R-matrix
     # pole t = z_1 / q^2; the check must draw again instead of failing

@@ -11,18 +11,21 @@ from bethelab import (
     DeformationContext,
     DomainError,
     PoleError,
+    apply_monodromy,
+    entry_apply,
     monodromy,
     r_matrix,
     rll_residual,
     sample_annulus,
     transfer,
+    transfer_apply,
     transfer_commutator_residual,
     vacuum_data,
     vacuum_residuals,
     yang_baxter_residual,
     zero_modes,
 )
-from bethelab.repcore import permutation_operator
+from bethelab.repcore import _r_coefficients, _zero_mode_coefficients, permutation_operator
 
 from conftest import make_chain, separated_points
 
@@ -60,6 +63,25 @@ def slow_monodromy(chain, t):
     for site in range(L, 0, -1):
         full = full @ slow_embed(r_matrix(t, chain.z[site - 1], N, chain.ctx), N, L, site)
     return full.reshape(N, d, N, d).transpose(0, 2, 1, 3)
+
+
+def slow_rll_residual(chain, u, v):
+    """The exchange relation from four dense (N^2, N^2, d, d) products: the
+    reference for the blockwise accumulation in `rll_residual`."""
+    N, d = chain.N, chain.dim
+    Tu = monodromy(chain, u).blocks
+    Tv = monodromy(chain, v).blocks
+    R = r_matrix(u, v, N, chain.ctx)
+    left_prod = np.einsum("ijab,klbc->ikjlac", Tu, Tv).reshape(N * N, N * N, d, d)
+    right_prod = np.einsum("klab,ijbc->ikjlac", Tv, Tu).reshape(N * N, N * N, d, d)
+    lhs = np.einsum("pq,qrac->prac", R, left_prod)
+    rhs = np.einsum("pqac,qr->prac", right_prod, R)
+    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
+    return float(np.linalg.norm(lhs - rhs) / scale)
+
+
+def random_batch(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +145,40 @@ def test_monodromy_matches_slow_assembly(ctx, rng, N, L):
     assert np.max(np.abs(fast - slow)) < 1e-13
 
 
+@pytest.mark.parametrize("N,L", [(2, 0), (2, 3), (3, 2), (2, 8)])
+def test_apply_monodromy_matches_dense_blocks(ctx, rng, N, L):
+    chain = make_chain(N, L, ctx, rng)
+    d = chain.dim
+    t = 1.4 + 0.8j
+    coeffs = [_r_coefficients(t, zl, ctx) for zl in chain.z]
+    blocks = monodromy(chain, t).blocks
+    for B in (1, 3):
+        X = random_batch(rng, (N, d, B))
+        want = np.einsum("ijxy,jyb->ixb", blocks, X)
+        got = apply_monodromy(chain, coeffs, X)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+    v = random_batch(rng, d)
+    want = transfer(chain, t) @ v
+    assert np.max(np.abs(transfer_apply(chain, t, v) - want)) < 1e-13 * np.max(np.abs(want))
+    want = blocks[0, N - 1] @ v
+    got = entry_apply(chain, t, 1, N, v)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    # the closed-form limits keep the exact zeros of the zero-mode blocks:
+    # a batch on auxiliary row j lands exactly on zero in every row i with
+    # T_{i,j} = 0 (i > j for the plus limit, i < j for the minus limit)
+    limits = zip(_zero_mode_coefficients(ctx.q), zero_modes(chain), (np.greater, np.less))
+    for coeff, op, triangle_zero in limits:
+        for j in range(N):
+            X = np.zeros((N, d, 3), dtype=complex)
+            X[j] = random_batch(rng, (d, 3))
+            Y = apply_monodromy(chain, [coeff] * L, X)
+            for i in range(N):
+                assert np.all(Y[i] == 0) == np.all(op.blocks[i, j] == 0)
+                if triangle_zero(i, j):
+                    assert np.all(Y[i] == 0)
+
+
 def test_rank2_transfer_trace_against_direct_assembly(ctx, rng):
     chain = make_chain(2, 1, ctx, rng)
     t = 0.8 - 0.3j
@@ -138,6 +194,14 @@ def test_rll_relation(ctx, rng, N, L):
     for _ in range(3):
         u, v = sample_annulus(rng, 2)
         assert rll_residual(chain, u, v) < 1e-10
+
+
+@pytest.mark.parametrize("N,L", [(2, 3), (3, 2)])
+def test_rll_residual_matches_dense_products(ctx, rng, N, L):
+    chain = make_chain(N, L, ctx, rng)
+    for _ in range(3):
+        u, v = sample_annulus(rng, 2)
+        assert abs(rll_residual(chain, u, v) - slow_rll_residual(chain, u, v)) < 1e-14
 
 
 def test_transfer_commutes(ctx, rng):
