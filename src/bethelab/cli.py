@@ -22,7 +22,6 @@ import argparse
 import math
 import os
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -36,7 +35,7 @@ from .context import BetheParameterSet, DeformationContext, sample_annulus
 from .errors import (BetheLabError, CapacityError, ConfigError, DegenerateVectorError,
                      DomainError, SamplingExhaustedError)
 from .gauss import (CoordinateIdentity, coordinate_identity_residual,
-                    gauss_decompose, normal_order_transfer_residual)
+                    gauss_decompose, normal_order_transfer_residual, zero_mode_set)
 from .kernels import (RationalFunction, nesting_overlap, nesting_overlap_alt,
                       partial_fraction_residual, same_type_weight, shift_weight,
                       split_weight, string_overlap, top_split_weight,
@@ -47,8 +46,8 @@ from .repcore import (ChainSpec, monodromy, permutation_operator, r_matrix,
                       rll_residual, transfer, transfer_commutator_residual,
                       vacuum_data, vacuum_residuals, yang_baxter_residual, zero_modes)
 from .report import CheckRecord, Report, encode_complex, inputs_digest
-from .solver import (RECONCILE_DIM_CAP, SolverOptions, admissible_sectors,
-                     solve_bethe, spectrum_reconcile)
+from .solver import (RECONCILE_DIM_CAP, SolveResult, admissible_sectors, solve_bethe,
+                     spectrum_reconcile)
 from .vectors import is_admissible, on_shell_residuals, unwanted_decomposition
 
 SUITES = ("yang-baxter", "rll", "gauss", "identities", "solve", "verify",
@@ -159,23 +158,6 @@ class Materialized:
     chains: list[ChainSpec]
     sectors: list[tuple[int, ...]]
 
-    def __post_init__(self):
-        self._solve_cache: dict = {}
-        self._solve_lock = threading.Lock()
-
-    def solved(self, chain_index: int, nbar: tuple[int, ...], opts: SolverOptions):
-        """Memoized solve_bethe; each sector is solved once under the worker pool.
-
-        The lock spans the check and the solve, so two threads never solve one
-        sector. The solver is pure Python and holds the interpreter lock, so
-        serializing solves costs no parallelism.
-        """
-        key = (chain_index, tuple(nbar))
-        with self._solve_lock:
-            if key not in self._solve_cache:
-                self._solve_cache[key] = solve_bethe(self.chains[chain_index], nbar, opts)
-            return self._solve_cache[key]
-
 
 def materialize(cfg: RunConfig) -> Materialized:
     seed_rng = np.random.default_rng(
@@ -196,7 +178,7 @@ def materialize(cfg: RunConfig) -> Materialized:
     for c in range(cfg.chains):
         rng = ctx.rng(f"chain:{c}")
         if cfg.z_spec == "random":
-            z = _sample_distinct(rng, cfg.L)
+            z = _separated(rng, cfg.L)
         else:
             z = tuple(_parse_complex(s) for s in cfg.z_spec.split(",") if s.strip())
         if cfg.kappa_spec == "random":
@@ -226,22 +208,11 @@ def materialize(cfg: RunConfig) -> Materialized:
     return Materialized(ctx=ctx, chains=chains, sectors=sectors)
 
 
-def _sample_distinct(rng: np.random.Generator, count: int,
-                     min_sep: float = 0.05) -> tuple[complex, ...]:
-    out: list[complex] = []
-    guard = 0
-    while len(out) < count:
-        cand = complex(sample_annulus(rng, 1)[0])
-        if all(abs(cand - v) / max(abs(cand), abs(v)) > min_sep for v in out):
-            out.append(cand)
-        guard += 1
-        if guard > 100 * max(count, 1):
-            raise ConfigError("failed to sample distinct inhomogeneities")
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # checks
+
+
+Sector = tuple[ChainSpec, tuple[int, ...]]
 
 
 @dataclass
@@ -250,24 +221,40 @@ class Check:
     anchor: str
     tolerance: float
     inputs: dict
-    thunk: Callable[[], float]
+    thunk: Callable[..., float]  # called with the solve results of `sectors`, in order
+    sectors: tuple[Sector, ...] = ()
 
 
 def _run_checks(checks: list[Check], workers: int) -> list[CheckRecord]:
+    """Solve each declared sector once, then run the checks on the pool; a
+    failed solve fails the checks that declared its sector. No check's wall
+    time includes a solve."""
+    solved: dict[Sector, SolveResult | BetheLabError] = {}
+    for check in checks:
+        for chain, nbar in check.sectors:
+            if (chain, nbar) not in solved:
+                try:
+                    solved[chain, nbar] = solve_bethe(chain, nbar)
+                except BetheLabError as exc:
+                    solved[chain, nbar] = exc
+
     def run_one(check: Check) -> CheckRecord:
         start = time.perf_counter()
-        error = ""
-        try:
-            residual = float(check.thunk())
-        except BetheLabError as exc:
-            residual = float("inf")
-            error = f"{type(exc).__name__}: {exc}"
+        results = [solved[key] for key in check.sectors]
+        error = next((r for r in results if isinstance(r, BetheLabError)), None)
+        residual = float("inf")
+        if error is None:
+            try:
+                residual = float(check.thunk(*results))
+            except BetheLabError as exc:
+                error = exc
         wall = time.perf_counter() - start
         return CheckRecord(
             check_id=check.check_id, anchor=check.anchor,
             inputs=inputs_digest(check.inputs), residual=residual,
             tolerance=check.tolerance, passed=residual <= check.tolerance,
-            wall_time=wall, error=error)
+            wall_time=wall,
+            error="" if error is None else f"{type(error).__name__}: {error}")
 
     if workers <= 1 or len(checks) <= 1:
         return [run_one(c) for c in checks]
@@ -455,11 +442,13 @@ def suite_gauss(mat: Materialized, cfg: RunConfig) -> list[Check]:
 
             def identity_thunk(chain=chain, kind=kind, pairs=pairs, c=c):
                 rng = chain.ctx.rng(f"gauss-{kind.value}:{c}")
+                zm = zero_mode_set(chain)
                 worst = 0.0
                 for _ in range(5):
                     t = complex(sample_annulus(rng, 1)[0])
+                    data = gauss_decompose(monodromy(chain, t))
                     for ij in pairs:
-                        worst = max(worst, coordinate_identity_residual(kind, ij, t, chain))
+                        worst = max(worst, coordinate_identity_residual(kind, ij, data, zm))
                 return worst
 
             checks.append(Check(f"{base}/{kind.value}", anchor,
@@ -614,11 +603,16 @@ def _sample_function(*t: complex) -> complex:
 
 
 def _separated(rng, n: int, min_sep: float = 0.05) -> list[complex]:
+    """n annulus points whose pairwise relative distances exceed min_sep."""
     vals: list[complex] = []
-    while len(vals) < n:
+    for _ in range(100 * max(n, 1)):
+        if len(vals) == n:
+            break
         cand = complex(sample_annulus(rng, 1)[0])
         if all(abs(cand - v) / max(abs(cand), abs(v)) > min_sep for v in vals):
             vals.append(cand)
+    if len(vals) < n:
+        raise SamplingExhaustedError(f"could not sample {n} separated points")
     return vals
 
 
@@ -626,28 +620,24 @@ def _separated(rng, n: int, min_sep: float = 0.05) -> list[complex]:
 
 
 def suite_solve(mat: Materialized, cfg: RunConfig) -> list[Check]:
+    def solve_thunk(result):
+        return max((s.max_residual for s in result), default=0.0)
+
     checks = []
-    opts = SolverOptions()
     for c, chain in enumerate(mat.chains):
         for nbar in mat.sectors:
             if not is_admissible(chain, nbar):
                 continue
             inputs = {**_chain_inputs(chain), "sector": list(nbar)}
-
-            def solve_thunk(chain=chain, nbar=nbar, c=c):
-                result = mat.solved(c, nbar, opts)
-                return max((s.max_residual for s in result), default=0.0)
-
             sector_id = "-".join(map(str, nbar))
             checks.append(Check(f"solve/chain{c}/sector{sector_id}",
                                 "Bethe residuals vanish at every returned root set",
-                                1e-10, inputs, solve_thunk))
+                                1e-10, inputs, solve_thunk, ((chain, nbar),)))
     return checks
 
 
 def suite_verify(mat: Materialized, cfg: RunConfig) -> list[Check]:
     checks = []
-    opts = SolverOptions()
     for c, chain in enumerate(mat.chains):
         can_diagonalize = chain.dim <= RECONCILE_DIM_CAP
         for nbar in mat.sectors:
@@ -655,9 +645,9 @@ def suite_verify(mat: Materialized, cfg: RunConfig) -> list[Check]:
                 continue
             inputs = {**_chain_inputs(chain), "sector": list(nbar)}
             sector_id = "-".join(map(str, nbar))
+            sector = ((chain, nbar),)
 
-            def onshell_thunk(chain=chain, nbar=nbar, c=c):
-                result = mat.solved(c, nbar, opts)
+            def onshell_thunk(result, chain=chain, nbar=nbar, c=c):
                 _, lambdas = vacuum_data(chain)
                 rng = chain.ctx.rng(f"verify:{c}:{nbar}")
                 worst = 0.0
@@ -673,11 +663,10 @@ def suite_verify(mat: Materialized, cfg: RunConfig) -> list[Check]:
 
             checks.append(Check(f"verify/chain{c}/sector{sector_id}/on-shell",
                                 "T(t) w = tau(t) w at solver roots",
-                                1e-8, inputs, onshell_thunk))
+                                1e-8, inputs, onshell_thunk, sector))
 
             if can_diagonalize:
-                def tau_match_thunk(chain=chain, nbar=nbar, c=c):
-                    result = mat.solved(c, nbar, opts)
+                def tau_match_thunk(result, chain=chain, nbar=nbar, c=c):
                     _, lambdas = vacuum_data(chain)
                     rng = chain.ctx.rng(f"verify-tau:{c}:{nbar}")
                     t = _sample_clear_of_poles(rng, lambdas, chain.ctx)
@@ -691,12 +680,11 @@ def suite_verify(mat: Materialized, cfg: RunConfig) -> list[Check]:
 
                 checks.append(Check(f"verify/chain{c}/sector{sector_id}/tau-in-spectrum",
                                     "tau(t) matches a dense transfer eigenvalue",
-                                    1e-8, inputs, tau_match_thunk))
+                                    1e-8, inputs, tau_match_thunk, sector))
 
-            def residue_thunk(chain=chain, nbar=nbar, c=c):
+            def residue_thunk(result, chain=chain, nbar=nbar):
                 if sum(nbar) == 0:
                     return 0.0
-                result = mat.solved(c, nbar, opts)
                 _, lambdas = vacuum_data(chain)
                 worst = 0.0
                 for sol in result:
@@ -709,7 +697,7 @@ def suite_verify(mat: Materialized, cfg: RunConfig) -> list[Check]:
 
             checks.append(Check(f"verify/chain{c}/sector{sector_id}/residue",
                                 "eigenvalue residue at each root vanishes on shell",
-                                1e-8, inputs, residue_thunk))
+                                1e-8, inputs, residue_thunk, sector))
     return checks
 
 
@@ -730,16 +718,15 @@ def _sample_clear_of_poles(rng, lambdas: list[RationalFunction],
 
 def suite_spectrum(mat: Materialized, cfg: RunConfig) -> list[Check]:
     checks = []
-    opts = SolverOptions()
     for c, chain in enumerate(mat.chains):
         if chain.dim > RECONCILE_DIM_CAP:
             raise CapacityError(f"spectrum suite needs dimension <= {RECONCILE_DIM_CAP}, "
                                 f"chain has {chain.dim}")
         inputs = _chain_inputs(chain)
+        nbars = tuple(admissible_sectors(chain))
 
-        def spectrum_thunk(chain=chain, c=c):
-            sols = {nbar: mat.solved(c, nbar, opts).solutions
-                    for nbar in admissible_sectors(chain)}
+        def spectrum_thunk(*results, chain=chain, c=c, nbars=nbars):
+            sols = {nbar: result.solutions for nbar, result in zip(nbars, results)}
             rng = chain.ctx.rng(f"spectrum:{c}")
             t = complex(sample_annulus(rng, 1)[0])
             rep = spectrum_reconcile(chain, sols, t)
@@ -748,7 +735,8 @@ def suite_spectrum(mat: Materialized, cfg: RunConfig) -> list[Check]:
 
         checks.append(Check(f"spectrum/chain{c}",
                             "every dense eigenvalue matched exactly once",
-                            0.5, inputs, spectrum_thunk))
+                            0.5, inputs, spectrum_thunk,
+                            tuple((chain, nbar) for nbar in nbars)))
     return checks
 
 
@@ -756,46 +744,29 @@ def suite_offshell(mat: Materialized, cfg: RunConfig) -> list[Check]:
     if any(chain.N != 2 for chain in mat.chains):
         raise ConfigError("offshell suite requires N = 2")
     checks = []
-    opts = SolverOptions()
     for c, chain in enumerate(mat.chains):
         inputs = _chain_inputs(chain)
-        well_posed = [n for n in range(1, min(chain.L, 4) + 1)
-                      if math.comb(chain.L, n) >= n]
+        sizes = tuple(n for n in range(1, min(chain.L, 4) + 1)
+                      if math.comb(chain.L, n) >= n)
 
-        def span_thunk(chain=chain, c=c, sizes=tuple(well_posed)):
-            rng = chain.ctx.rng(f"offshell-span:{c}")
-            worst = 0.0
-            for n in sizes:
-                params = BetheParameterSet((tuple(_separated(rng, n)),))
-                t = complex(sample_annulus(rng, 1)[0])
-                rep = unwanted_decomposition(chain, params, t)
-                worst = max(worst, rep.fit_residual)
-            return worst
+        checks.append(Check(
+            f"offshell/chain{c}/span",
+            "unwanted remainder lies in the candidate span", 1e-8, inputs,
+            _offshell_thunk(chain, f"offshell-span:{c}", sizes,
+                            lambda rep: [rep.fit_residual])))
 
-        checks.append(Check(f"offshell/chain{c}/span",
-                            "unwanted remainder lies in the candidate span",
-                            1e-8, inputs, span_thunk))
+        checks.append(Check(
+            f"offshell/chain{c}/closed-form",
+            "unwanted coefficients match the closed form", 1e-8, inputs,
+            _offshell_thunk(chain, f"offshell-closed:{c}", sizes,
+                            lambda rep: [abs(got - want) / max(abs(want), 1e-300)
+                                         for got, want in zip(rep.coefficients,
+                                                              rep.closed_form)])))
 
-        def closed_form_thunk(chain=chain, c=c, sizes=tuple(well_posed)):
-            rng = chain.ctx.rng(f"offshell-closed:{c}")
-            worst = 0.0
-            for n in sizes:
-                params = BetheParameterSet((tuple(_separated(rng, n)),))
-                t = complex(sample_annulus(rng, 1)[0])
-                rep = unwanted_decomposition(chain, params, t)
-                for got, want in zip(rep.coefficients, rep.closed_form):
-                    worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
-            return worst
-
-        checks.append(Check(f"offshell/chain{c}/closed-form",
-                            "unwanted coefficients match the closed form",
-                            1e-8, inputs, closed_form_thunk))
-
-        def vanishing_thunk(chain=chain, c=c, sizes=tuple(well_posed)):
+        def vanishing_thunk(*results, chain=chain, c=c):
             rng = chain.ctx.rng(f"offshell-vanish:{c}")
             worst = 0.0
-            for n in sizes:
-                result = mat.solved(c, (n,), opts)
+            for result in results:
                 for sol in result:
                     t = complex(sample_annulus(rng, 1)[0])
                     rep = unwanted_decomposition(chain, sol.params, t)
@@ -806,8 +777,24 @@ def suite_offshell(mat: Materialized, cfg: RunConfig) -> list[Check]:
 
         checks.append(Check(f"offshell/chain{c}/on-shell-vanishing",
                             "unwanted coefficients vanish at solver roots",
-                            1e-8, inputs, vanishing_thunk))
+                            1e-8, inputs, vanishing_thunk,
+                            tuple((chain, (n,)) for n in sizes)))
     return checks
+
+
+def _offshell_thunk(chain: ChainSpec, stream: str, sizes: tuple[int, ...],
+                    metric: Callable) -> Callable[[], float]:
+    """Worst `metric` value over unwanted-term decompositions at random
+    off-shell roots, one root count per entry of `sizes`, drawn from `stream`."""
+    def thunk():
+        rng = chain.ctx.rng(stream)
+        worst = 0.0
+        for n in sizes:
+            params = BetheParameterSet((tuple(_separated(rng, n)),))
+            t = complex(sample_annulus(rng, 1)[0])
+            worst = max([worst, *metric(unwanted_decomposition(chain, params, t))])
+        return worst
+    return thunk
 
 
 SUITE_BUILDERS = {
@@ -843,6 +830,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _worker_count(text: str) -> int:
+    """Pool width from BETHELAB_WORKERS: a positive integer, 4 when unset or empty."""
+    if not text:
+        return 4
+    if not text.strip().isdigit() or int(text) < 1:
+        raise ConfigError(f"BETHELAB_WORKERS must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def run_command(argv: list[str]) -> tuple[int, Report | None]:
     parser = _build_parser()
     try:
@@ -851,17 +847,18 @@ def run_command(argv: list[str]) -> tuple[int, Report | None]:
         return int(exc.code or 0), None
     try:
         cfg = build_config(args)
+        workers = _worker_count(os.environ.get("BETHELAB_WORKERS", ""))
         mat = materialize(cfg)
         suite_names = cfg.suites if args.command == "all" else (args.command,)
         checks: list[Check] = []
         for name in suite_names:
             checks.extend(SUITE_BUILDERS[name](mat, cfg))
-    except (ConfigError, CapacityError, DomainError, OSError) as exc:
+    except (ConfigError, CapacityError, DomainError, SamplingExhaustedError,
+            OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2, None
 
-    workers = int(os.environ.get("BETHELAB_WORKERS", "4") or "4")
-    records = _run_checks(checks, max(1, workers))
+    records = _run_checks(checks, workers)
 
     report = Report(
         command=args.command, seed=cfg.seed, version=__version__,

@@ -69,7 +69,8 @@ def gauss_decompose(Lop: BlockLOperator) -> GaussData:
 
     At stage b: k_b is the current (b,b) block, F_{b,a} = L'_{a,b} k_b^{-1},
     E_{a,b} = k_b^{-1} L'_{b,a}, then the Schur update removes the rank-one
-    (in block sense) contribution from all remaining entries.
+    (in block sense) contribution from all remaining entries. F and E are
+    solves against k_b: an explicit inverse loses digits when k_b is ill-conditioned.
     """
     N = Lop.N
     work = {(a, b): Lop.blocks[a - 1, b - 1].copy()
@@ -86,10 +87,9 @@ def gauss_decompose(Lop: BlockLOperator) -> GaussData:
                 f"diagonal coordinate {b} singular at t={Lop.point} (cond={cond:.2e})")
         k[b - 1] = kb
         conds[b - 1] = cond
-        kb_inv = np.linalg.inv(kb)
         for a in range(1, b):
-            F[(b, a)] = work[(a, b)] @ kb_inv
-            E[(a, b)] = kb_inv @ work[(b, a)]
+            F[(b, a)] = np.linalg.solve(kb.T, work[(a, b)].T).T
+            E[(a, b)] = np.linalg.solve(kb, work[(b, a)])
         for a in range(1, b):
             for c in range(1, b):
                 work[(a, c)] = work[(a, c)] - F[(b, a)] @ kb @ E[(c, b)]
@@ -152,16 +152,15 @@ def _rel_norm(lhs: np.ndarray, rhs: np.ndarray) -> float:
 
 
 def coordinate_identity_residual(kind: CoordinateIdentity, indices: tuple[int, int],
-                                 t: complex, chain: ChainSpec) -> float:
-    """Relative operator-norm residual of one coordinate identity at point t.
+                                 data: GaussData, zm: ZeroModeSet) -> float:
+    """Relative operator-norm residual of one coordinate identity between the
+    Gauss coordinates `data` at one point and the zero modes `zm` of its chain.
 
     indices is (i, j); F_LOWERING / E_LOWERING / E_ITERATED need i < j - 1,
     CARTAN_SHIFT uses only i (j ignored) and needs i <= N - 2.
     """
-    q = chain.ctx.q
-    N = chain.N
-    zm = zero_mode_set(chain)
-    data = gauss_decompose(monodromy(chain, t))
+    q = zm.q
+    N = data.N
     i, j = indices
     qdiff = q - 1 / q
 

@@ -15,10 +15,6 @@ def encode_complex(v: complex) -> list[float]:
     return [v.real, v.imag]
 
 
-def decode_complex(pair) -> complex:
-    return complex(pair[0], pair[1])
-
-
 def inputs_digest(payload: Any) -> str:
     text = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(text.encode()).hexdigest()[:12]

@@ -109,6 +109,53 @@ def test_each_sector_solved_once_under_the_pool(tmp_path, monkeypatch, capsys):
     assert sorted(solved) == [(0,), (1,), (2,)]
 
 
+def test_check_wall_times_exclude_solving(tmp_path, monkeypatch, capsys):
+    original = cli.solve_bethe
+
+    def slow(chain, nbar, opts=None):
+        time.sleep(0.5)
+        return original(chain, nbar, opts)
+
+    monkeypatch.setattr(cli, "solve_bethe", slow)
+    monkeypatch.setenv("BETHELAB_WORKERS", "4")
+    cfg = tmp_path / "stage.cfg"
+    cfg.write_text("N = 2\nL = 2\nseed = 5\nsuites = solve, verify\n")
+    code, report = run(["all", "--config", str(cfg)])
+    assert code == 0
+    assert all(c.wall_time < 0.25 for c in report.checks)
+
+
+def test_failed_solve_fails_the_checks_that_read_it(tmp_path, capsys):
+    cfg = tmp_path / "nine.cfg"
+    cfg.write_text("N = 2\nL = 9\nsectors = 9\nseed = 7\n")
+    code, report = run(["verify", "--config", str(cfg)])
+    assert code == 1
+    assert len(report.checks) == 2
+    for check in report.checks:
+        assert not check.passed
+        assert check.error == "CapacityError: sector size 9 exceeds cap 8"
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_worker_count_exits_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("BETHELAB_WORKERS", value)
+    code, report = run(["yang-baxter"])
+    assert code == 2
+    assert report is None
+    assert "configuration error" in capsys.readouterr().err
+    assert cli._worker_count("") == 4
+
+
+def test_gauss_reconstruction_at_an_ill_conditioned_coordinate(tmp_path, capsys):
+    # at seed 22 a sampled point has cond(k_2) ~ 2e5; products with an explicit
+    # inverse of k_2 reconstruct to 1.9e-10 here, above the 1e-10 tolerance
+    cfg = tmp_path / "g22.cfg"
+    cfg.write_text("N = 3\nL = 5\nseed = 22\n")
+    code, report = run(["gauss", "--config", str(cfg)])
+    assert code == 0
+    assert all(c.passed for c in report.checks)
+
+
 def test_report_is_deterministic(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

@@ -134,31 +134,36 @@ def test_zero_mode_factorizations(ctx, rng):
                                   CoordinateIdentity.E_LOWERING])
 def test_lowering_identities_rank3(ctx, rng, kind):
     chain = make_chain(3, 2, ctx, rng)
+    zm = zero_mode_set(chain)
     for _ in range(3):
         t = complex(sample_annulus(rng, 1)[0])
-        assert coordinate_identity_residual(kind, (1, 3), t, chain) < 1e-9
+        data = gauss_decompose(monodromy(chain, t))
+        assert coordinate_identity_residual(kind, (1, 3), data, zm) < 1e-9
 
 
 def test_iterated_dual_identity_rank4(ctx, rng):
     chain = make_chain(4, 2, ctx, rng)
     t = complex(sample_annulus(rng, 1)[0])
+    data, zm = gauss_decompose(monodromy(chain, t)), zero_mode_set(chain)
     assert coordinate_identity_residual(
-        CoordinateIdentity.E_ITERATED, (1, 4), t, chain) < 1e-9
+        CoordinateIdentity.E_ITERATED, (1, 4), data, zm) < 1e-9
     assert coordinate_identity_residual(
-        CoordinateIdentity.E_ITERATED, (2, 4), t, chain) < 1e-9
+        CoordinateIdentity.E_ITERATED, (2, 4), data, zm) < 1e-9
 
 
 def test_cartan_shift_identity(ctx, rng):
     chain = make_chain(3, 2, ctx, rng)
     t = complex(sample_annulus(rng, 1)[0])
+    data, zm = gauss_decompose(monodromy(chain, t)), zero_mode_set(chain)
     assert coordinate_identity_residual(
-        CoordinateIdentity.CARTAN_SHIFT, (1, 0), t, chain) < 1e-9
+        CoordinateIdentity.CARTAN_SHIFT, (1, 0), data, zm) < 1e-9
 
 
 def test_identity_index_validation(ctx, rng):
     chain = make_chain(2, 1, ctx, rng)
+    data, zm = gauss_decompose(monodromy(chain, 1.3)), zero_mode_set(chain)
     with pytest.raises(DomainError):
-        coordinate_identity_residual(CoordinateIdentity.F_LOWERING, (1, 2), 1.3, chain)
+        coordinate_identity_residual(CoordinateIdentity.F_LOWERING, (1, 2), data, zm)
 
 
 # ---------------------------------------------------------------------------
