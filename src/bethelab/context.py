@@ -24,7 +24,7 @@ def _label_entropy(label: str) -> int:
 
 @dataclass(frozen=True)
 class DeformationContext:
-    """Deformation parameter q together with tolerances and RNG policy.
+    """Deformation parameter q together with the identity tolerance and RNG policy.
 
     q must be generic: nonzero and q^(2k) != 1 for k up to 2*MAX_RANK, so that
     no denominator of the trigonometric kernels can degenerate identically.
@@ -32,7 +32,6 @@ class DeformationContext:
 
     q: complex
     tol_identity: float = 1e-10
-    tol_operator: float = 1e-10
     n_samples: int = 25
     seed: int = 0
     pole_margin: float = 1e-3
@@ -44,10 +43,8 @@ class DeformationContext:
         for k in range(1, 2 * MAX_RANK + 1):
             if abs(q ** (2 * k) - 1.0) < 1e-9:
                 raise DomainError(f"q^{2 * k} is numerically a root of unity; q={q}")
-        for name in ("tol_identity", "tol_operator"):
-            tol = getattr(self, name)
-            if not 0 < tol < 1e-3:
-                raise DomainError(f"{name} must lie in (0, 1e-3), got {tol}")
+        if not 0 < self.tol_identity < 1e-3:
+            raise DomainError(f"tol_identity must lie in (0, 1e-3), got {self.tol_identity}")
         if self.n_samples < 1:
             raise DomainError("n_samples must be positive")
         if self.pole_margin <= 0:

@@ -66,13 +66,7 @@ def composed_action_weight(perm: Sequence[int], values: Sequence[complex],
 
 def qsym_values(fn: Callable[..., complex], values: Sequence[complex], q: complex) -> complex:
     """Group average of a plain callable over all permutations of `values`."""
-    n = len(values)
-    if n > FACTORIAL_CAP:
-        raise CapacityError(f"symmetrization capped at {FACTORIAL_CAP} variables")
-    tot = 0.0 + 0j
-    for perm in itertools.permutations(range(n)):
-        tot += sym_weight(perm, values, q) * fn(*[values[p] for p in perm])
-    return tot / math.factorial(n)
+    return partial_qsym_values(fn, values, q, range(len(values)))
 
 
 def partial_qsym_values(fn: Callable[..., complex], values: Sequence[complex], q: complex,

@@ -44,7 +44,6 @@ class BetheSolution:
     params: BetheParameterSet
     residuals: tuple[float, ...]
     jacobian_condition: float
-    admissible: bool
     multiplicity_key: tuple[tuple[tuple[float, float], ...], ...]
 
     @property
@@ -104,7 +103,7 @@ def solve_bethe(chain: ChainSpec, nbar, opts: SolverOptions | None = None) -> So
         raise CapacityError(f"sector size {M} exceeds cap {EXCITATION_CAP}")
     if M == 0:
         empty = BetheParameterSet(tuple(() for _ in nbar))
-        sol = BetheSolution(empty, (), 1.0, True, _canonical_key([[] for _ in nbar]))
+        sol = BetheSolution(empty, (), 1.0, _canonical_key([[] for _ in nbar]))
         return SolveResult([sol], attempts=0, converged=1)
 
     _, lambdas = vacuum_data(chain)
@@ -152,8 +151,7 @@ def solve_bethe(chain: ChainSpec, nbar, opts: SolverOptions | None = None) -> So
         if any(_same_solution(groups, g, opts.dedup_tol) for g, _ in kept):
             continue
         params = BetheParameterSet(tuple(tuple(g) for g in groups))
-        sol = BetheSolution(params, tuple(res_mags), cond, True,
-                            _canonical_key(groups))
+        sol = BetheSolution(params, tuple(res_mags), cond, _canonical_key(groups))
         kept.append((groups, sol))
 
     result.solutions = sorted((s for _, s in kept), key=lambda s: s.multiplicity_key)
@@ -257,7 +255,6 @@ class ReconcileReport:
     duplicates: int
     unmatched_eigenvalues: list[complex] = field(default_factory=list)
     ambiguous: bool = False
-    sector_table: dict = field(default_factory=dict)
 
     @property
     def complete(self) -> bool:
@@ -270,8 +267,9 @@ def spectrum_reconcile(chain: ChainSpec, solutions_by_sector: dict,
     """Match every Bethe eigenvalue candidate against the dense spectrum.
 
     Each candidate claims the nearest unclaimed eigenvalue within match_tol
-    (relative); the report carries per-sector bookkeeping and flags ambiguity
-    when the dense spectrum itself has near-degenerate pairs at the tolerance.
+    (relative), sectors taken in sorted order; the report counts matches and
+    duplicates and flags ambiguity when the dense spectrum itself has
+    near-degenerate pairs at the tolerance.
     """
     if chain.dim > RECONCILE_DIM_CAP:
         raise CapacityError(f"reconciliation capped at dimension {RECONCILE_DIM_CAP}")
@@ -288,9 +286,7 @@ def spectrum_reconcile(chain: ChainSpec, solutions_by_sector: dict,
     duplicates = 0
     matched = 0
     bethe_count = 0
-    table = {}
-    for nbar, sols in sorted(solutions_by_sector.items()):
-        sector_matches = []
+    for _, sols in sorted(solutions_by_sector.items()):
         for sol in sols:
             bethe_count += 1
             tau = transfer_eigenvalue(lambdas, sol.params, t_probe, chain.ctx)
@@ -308,10 +304,8 @@ def spectrum_reconcile(chain: ChainSpec, solutions_by_sector: dict,
             if hit is not None:
                 claimed.add(hit)
                 matched += 1
-                sector_matches.append((sol.multiplicity_key, float(rel[hit])))
-        table[nbar] = {"solutions": len(sols), "matched": len(sector_matches)}
     unmatched = [complex(eigs[i]) for i in range(len(eigs)) if i not in claimed]
     return ReconcileReport(
         t_probe=t_probe, matched=matched, total_states=len(eigs),
         bethe_count=bethe_count, duplicates=duplicates,
-        unmatched_eigenvalues=unmatched, ambiguous=ambiguous, sector_table=table)
+        unmatched_eigenvalues=unmatched, ambiguous=ambiguous)

@@ -34,7 +34,6 @@ class BetheVector:
     chain: ChainSpec
     params: BetheParameterSet
     vector: np.ndarray
-    form: str  # "plain" or "modified"
 
     @property
     def norm(self) -> float:
@@ -83,10 +82,10 @@ def nested_vector(chain: ChainSpec, params: BetheParameterSet) -> BetheVector:
     if not is_admissible(chain, nbar):
         warnings.warn(f"inadmissible sector {nbar} for L={chain.L}: vector vanishes",
                       stacklevel=2)
-        return BetheVector(chain, params, np.zeros(chain.dim, dtype=complex), "plain")
+        return BetheVector(chain, params, np.zeros(chain.dim, dtype=complex))
     _check_parameters_clear_of_poles(chain, params)
     vec = _nested(chain, params)
-    return BetheVector(chain, params, vec, "plain")
+    return BetheVector(chain, params, vec)
 
 
 def _nested(chain: ChainSpec, params: BetheParameterSet) -> np.ndarray:
@@ -125,7 +124,7 @@ def modified_vector(chain: ChainSpec, params: BetheParameterSet) -> BetheVector:
     for a in range(2, chain.N + 1):
         for t in params.type_values(a - 1):
             pref *= lambdas[a - 1](t)
-    return BetheVector(chain, params, pref * plain.vector, "modified")
+    return BetheVector(chain, params, pref * plain.vector)
 
 
 def on_shell_residuals(chain: ChainSpec, params: BetheParameterSet,
@@ -167,7 +166,6 @@ class UnwantedReport:
     remainder_norm: float
     bethe_residuals: tuple[complex, ...]
     scale: float
-    basis_condition: float
 
 
 def unwanted_closed_form(chain: ChainSpec, params: BetheParameterSet,
@@ -240,5 +238,4 @@ def unwanted_decomposition(chain: ChainSpec, params: BetheParameterSet,
         remainder_norm=float(np.linalg.norm(r) / max(w.norm, 1e-300)),
         bethe_residuals=residuals,
         scale=scale,
-        basis_condition=float(sv[0] / sv[-1]),
     )

@@ -1,11 +1,13 @@
 """Command-line interface and report-format tests."""
 import json
+import math
 import time
 
 import pytest
 
 from bethelab import DeformationContext, cli, sample_annulus
 from bethelab.cli import run_command
+from bethelab.errors import DomainError
 from bethelab.report import report_fingerprint
 
 
@@ -38,6 +40,17 @@ def test_capacity_cap_named_on_exit_2(tmp_path, capsys):
     code, _ = run(["rll", "--config", str(cfg)])
     assert code == 2
     assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["sector = 1", "tol_operator = 1e-10"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, line):
+    # `sector` is a typo of `sectors`; `tol_operator` was an option no check read
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(f"N = 2\nL = 3\nseed = 3\n{line}\n")
+    code, report = run(["verify", "--config", str(cfg)])
+    assert code == 2
+    assert report is None
+    assert repr(line.split()[0]) in capsys.readouterr().err
 
 
 def test_offshell_requires_rank2(tmp_path, capsys):
@@ -202,3 +215,47 @@ def test_explicit_chain_values_round_trip(tmp_path, capsys):
     chain = report.materialized["chains"][0]
     assert chain["z"] == [[1.1, 0.0], [0.6, 0.4]]
     assert chain["kappa"] == [[1.2, 0.0], [0.8, 0.0]]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_residual_fails_the_check(tmp_path, capsys):
+    # twists of order 1e200 overflow the dense monodromy products, so every
+    # exchange and commutator draw is NaN; a running max(0.0, nan) read 0.0
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("N = 2\nL = 2\nkappa = 1e200, 2e200\nseed = 3\n")
+    code, report = run(["rll", "--config", str(cfg)])
+    assert code == 1
+    by_id = {c.check_id: c for c in report.checks}
+    for name in ("exchange", "transfer-commute"):
+        check = by_id[f"rll/chain0/{name}"]
+        assert not check.passed
+        assert math.isnan(check.residual)
+
+
+def _yields_nothing():
+    yield from ()
+
+
+def _yields_a_nan():
+    yield from (1e-12, math.nan, 0.0)
+
+
+def _raises_partway():
+    yield 1e-12
+    raise DomainError("draw left the domain")
+
+
+@pytest.mark.parametrize("thunk, residual, error", [
+    (_yields_nothing, 0.0, ""),
+    (_yields_a_nan, math.nan, ""),
+    (_raises_partway, math.inf, "DomainError: draw left the domain"),
+], ids=["nothing", "nan", "raises"])
+def test_run_checks_reduces_yielded_residuals(thunk, residual, error):
+    check = cli.Check("probe", "anchor", 1e-10, {}, thunk)
+    [record] = cli._run_checks([check], workers=1)
+    assert record.error == error
+    assert record.passed == (residual <= 1e-10)
+    if math.isnan(residual):
+        assert math.isnan(record.residual)
+    else:
+        assert record.residual == residual

@@ -23,7 +23,6 @@ def test_empty_sector_single_solution(ctx, rng):
     result = solve_bethe(chain, (0,))
     assert len(result) == 1
     assert result.solutions[0].params.total == 0
-    assert result.solutions[0].admissible
 
 
 def test_one_magnon_closed_form(ctx, rng):
