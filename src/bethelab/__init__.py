@@ -54,8 +54,12 @@ from .qsym import (
 from .repcore import (
     BlockLOperator,
     ChainSpec,
+    GradedLOperator,
+    GradedOperator,
     apply_monodromy,
     entry_apply,
+    graded_monodromy,
+    graded_zero_modes,
     monodromy,
     r_matrix,
     rll_residual,
@@ -65,6 +69,7 @@ from .repcore import (
     vacuum_data,
     vacuum_residuals,
     yang_baxter_residual,
+    zero_mode_residuals,
     zero_modes,
 )
 from .solver import (

@@ -47,9 +47,10 @@ from .kernels import (RationalFunction, nesting_overlap, nesting_overlap_alt,
                       transfer_eigenvalue, transfer_eigenvalue_residue)
 from .qsym import (cyclic_identity_sides, decomposition_sides, qsym_values,
                    shift_expansion_backward, shift_expansion_forward)
-from .repcore import (ChainSpec, monodromy, permutation_operator, r_matrix,
+from .repcore import (ChainSpec, graded_monodromy, permutation_operator, r_matrix,
                       rll_residual, transfer, transfer_commutator_residual,
-                      vacuum_data, vacuum_residuals, yang_baxter_residual, zero_modes)
+                      vacuum_data, vacuum_residuals, yang_baxter_residual,
+                      zero_mode_residuals)
 from .report import CheckRecord, Report, encode_complex, inputs_digest
 from .solver import (RECONCILE_DIM_CAP, SolveResult, admissible_sectors, solve_bethe,
                      spectrum_reconcile)
@@ -350,9 +351,10 @@ def suite_rll(mat: Materialized, cfg: RunConfig) -> list[Check]:
 
         def rll_thunk(chain=chain, c=c):
             rng = chain.ctx.rng(f"rll:{c}")
+            probes = chain.ctx.rng(f"rll-probe:{c}")
             for _ in range(5):
                 u, v = sample_annulus(rng, 2)
-                yield rll_residual(chain, u, v)
+                yield rll_residual(chain, u, v, probes)
 
         checks.append(Check(f"{base}/exchange",
                             "R (T x 1)(1 x T) = (1 x T)(T x 1) R",
@@ -360,9 +362,10 @@ def suite_rll(mat: Materialized, cfg: RunConfig) -> list[Check]:
 
         def commut_thunk(chain=chain, c=c):
             rng = chain.ctx.rng(f"commut:{c}")
+            probes = chain.ctx.rng(f"commut-probe:{c}")
             for _ in range(10):
                 u, v = sample_annulus(rng, 2)
-                yield transfer_commutator_residual(chain, u, v)
+                yield transfer_commutator_residual(chain, u, v, probes)
 
         checks.append(Check(f"{base}/transfer-commute",
                             "[T(u), T(v)] = 0",
@@ -372,20 +375,14 @@ def suite_rll(mat: Materialized, cfg: RunConfig) -> list[Check]:
             rng = chain.ctx.rng(f"vacuum:{c}")
             for _ in range(20):
                 t = complex(sample_annulus(rng, 1)[0])
-                yield from vacuum_residuals(chain, t)
+                yield from vacuum_residuals(chain, t).values()
 
         checks.append(Check(f"{base}/vacuum",
                             "T_{i>j} Omega = 0 and T_{ii} Omega = lambda_i Omega",
                             1e-12, inputs, vacuum_thunk))
 
-        def zero_mode_thunk(chain=chain):
-            plus, minus = zero_modes(chain)
-            for i in range(1, chain.N + 1):
-                for j in range(1, chain.N + 1):
-                    if i > j:
-                        yield float(np.max(np.abs(plus.entry(i, j))))
-                    elif i < j:
-                        yield float(np.max(np.abs(minus.entry(i, j))))
+        def zero_mode_thunk(chain=chain, c=c):
+            yield from zero_mode_residuals(chain, chain.ctx.rng(f"zero-mode-probe:{c}"))
 
         checks.append(Check(f"{base}/zero-mode-triangular",
                             "L(inf) block upper / L(0) block lower triangular",
@@ -406,10 +403,8 @@ def suite_gauss(mat: Materialized, cfg: RunConfig) -> list[Check]:
             rng = chain.ctx.rng(f"gauss-recon:{c}")
             for _ in range(5):
                 t = complex(sample_annulus(rng, 1)[0])
-                T = monodromy(chain, t)
-                data = gauss_decompose(T)
-                diff = data.reconstruct() - T.blocks
-                yield float(np.linalg.norm(diff) / np.linalg.norm(T.blocks))
+                T = graded_monodromy(chain, t)
+                yield (gauss_decompose(T).reconstruct() - T).norm() / T.norm()
 
         checks.append(Check(f"{base}/reconstruction",
                             "L = (1 + F) . k . (1 + E)",
@@ -441,7 +436,7 @@ def suite_gauss(mat: Materialized, cfg: RunConfig) -> list[Check]:
                 zm = zero_mode_set(chain)
                 for _ in range(5):
                     t = complex(sample_annulus(rng, 1)[0])
-                    data = gauss_decompose(monodromy(chain, t))
+                    data = gauss_decompose(graded_monodromy(chain, t))
                     for ij in pairs:
                         yield coordinate_identity_residual(kind, ij, data, zm)
 

@@ -5,6 +5,11 @@ The factorization is (unit upper) . (diagonal) . (unit lower) in the block
 sense: L_{a,b} = F_{b,a} k_b + sum_{m>b} F_{m,a} k_m E_{b,m} for a < b, and
 symmetrically below the diagonal. Elimination runs from the bottom-right
 corner; operator order (F left, k middle, E right) is preserved throughout.
+
+Every coordinate keeps the weight grading of the block it comes from (k_b
+preserves weight; F_{b,a} and E_{a,b} shift it as L_{a,b} and L_{b,a} do), so
+the elimination, the zero modes, the screenings and the identities all run on
+`GradedOperator`s, one small matrix per weight.
 """
 from __future__ import annotations
 
@@ -14,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SingularCoordinateError
-from .repcore import BlockLOperator, ChainSpec, monodromy, transfer, zero_modes
+from .repcore import (ChainSpec, GradedLOperator, GradedOperator, graded_monodromy,
+                      graded_zero_modes, transfer)
 
 COND_CAP = 1e12
 
@@ -26,26 +32,25 @@ class GaussData:
 
     point: complex | None
     source: str
-    k: tuple[np.ndarray, ...]
-    F: dict[tuple[int, int], np.ndarray]
-    E: dict[tuple[int, int], np.ndarray]
+    k: tuple[GradedOperator, ...]
+    F: dict[tuple[int, int], GradedOperator]
+    E: dict[tuple[int, int], GradedOperator]
     cond: tuple[float, ...] = field(default_factory=tuple)
 
     @property
     def N(self) -> int:
         return len(self.k)
 
-    def psi(self, i: int) -> np.ndarray:
+    def psi(self, i: int) -> GradedOperator:
         """k_i(t) k_{i+1}(t)^{-1} (1-based, i <= N-1)."""
         if not 1 <= i <= self.N - 1:
             raise DomainError(f"psi index {i} outside 1..{self.N - 1}")
-        return self.k[i - 1] @ np.linalg.inv(self.k[i])
+        return self.k[i - 1].right_divide(self.k[i])
 
-    def reconstruct(self) -> np.ndarray:
+    def reconstruct(self) -> GradedLOperator:
         """Reassemble the full block grid from the coordinates."""
         N = self.N
-        d = self.k[0].shape[0]
-        out = np.zeros((N, N, d, d), dtype=complex)
+        out = {}
         for a in range(1, N + 1):
             for b in range(1, N + 1):
                 if a < b:
@@ -53,43 +58,43 @@ class GaussData:
                     for m in range(b + 1, N + 1):
                         acc = acc + self.F[(m, a)] @ self.k[m - 1] @ self.E[(b, m)]
                 elif a == b:
-                    acc = self.k[b - 1].copy()
+                    acc = self.k[b - 1]
                     for m in range(b + 1, N + 1):
                         acc = acc + self.F[(m, b)] @ self.k[m - 1] @ self.E[(b, m)]
                 else:
                     acc = self.k[a - 1] @ self.E[(b, a)]
                     for m in range(a + 1, N + 1):
                         acc = acc + self.F[(m, a)] @ self.k[m - 1] @ self.E[(b, m)]
-                out[a - 1, b - 1] = acc
-        return out
+                out[(a, b)] = acc
+        return GradedLOperator(point=self.point, entries=out, source=self.source)
 
 
-def gauss_decompose(Lop: BlockLOperator) -> GaussData:
-    """Non-commutative bottom-right elimination of a block grid.
+def gauss_decompose(Lop: GradedLOperator) -> GaussData:
+    """Non-commutative bottom-right elimination of a graded block grid.
 
     At stage b: k_b is the current (b,b) block, F_{b,a} = L'_{a,b} k_b^{-1},
     E_{a,b} = k_b^{-1} L'_{b,a}, then the Schur update removes the rank-one
     (in block sense) contribution from all remaining entries. F and E are
     solves against k_b: an explicit inverse loses digits when k_b is ill-conditioned.
+    Every step runs weight by weight.
     """
     N = Lop.N
-    work = {(a, b): Lop.blocks[a - 1, b - 1].copy()
-            for a in range(1, N + 1) for b in range(1, N + 1)}
-    k: list[np.ndarray] = [None] * N  # type: ignore[list-item]
-    F: dict[tuple[int, int], np.ndarray] = {}
-    E: dict[tuple[int, int], np.ndarray] = {}
+    work = dict(Lop.entries)
+    k: list[GradedOperator] = [None] * N  # type: ignore[list-item]
+    F: dict[tuple[int, int], GradedOperator] = {}
+    E: dict[tuple[int, int], GradedOperator] = {}
     conds: list[float] = [0.0] * N
     for b in range(N, 0, -1):
         kb = work[(b, b)]
-        cond = float(np.linalg.cond(kb))
+        cond = kb.cond()
         if not np.isfinite(cond) or cond > COND_CAP:
             raise SingularCoordinateError(
                 f"diagonal coordinate {b} singular at t={Lop.point} (cond={cond:.2e})")
         k[b - 1] = kb
         conds[b - 1] = cond
         for a in range(1, b):
-            F[(b, a)] = np.linalg.solve(kb.T, work[(a, b)].T).T
-            E[(a, b)] = np.linalg.solve(kb, work[(b, a)])
+            F[(b, a)] = work[(a, b)].right_divide(kb)
+            E[(a, b)] = work[(b, a)].left_divide(kb)
         for a in range(1, b):
             for c in range(1, b):
                 work[(a, c)] = work[(a, c)] - F[(b, a)] @ kb @ E[(c, b)]
@@ -105,33 +110,27 @@ class ZeroModeSet:
     L^0_{i+1,i} = -k^0_{i+1} E_i[0]."""
 
     q: complex
-    Fzero: dict[int, np.ndarray]
-    Ezero: dict[int, np.ndarray]
-    kzero_plus: tuple[np.ndarray, ...]
-    kzero_minus: tuple[np.ndarray, ...]
+    Fzero: dict[int, GradedOperator]
+    Ezero: dict[int, GradedOperator]
 
 
 def zero_mode_set(chain: ChainSpec) -> ZeroModeSet:
-    plus, minus = zero_modes(chain)
-    N = chain.N
+    plus, minus = graded_zero_modes(chain)
     Fz = {}
     Ez = {}
-    for i in range(1, N):
-        Fz[i] = plus.entry(i, i + 1) @ np.linalg.inv(plus.entry(i + 1, i + 1))
-        Ez[i] = -np.linalg.inv(minus.entry(i + 1, i + 1)) @ minus.entry(i + 1, i)
-    kp = tuple(plus.entry(i, i) for i in range(1, N + 1))
-    km = tuple(minus.entry(i, i) for i in range(1, N + 1))
-    return ZeroModeSet(q=chain.ctx.q, Fzero=Fz, Ezero=Ez,
-                       kzero_plus=kp, kzero_minus=km)
+    for i in range(1, chain.N):
+        Fz[i] = plus.entry(i, i + 1).right_divide(plus.entry(i + 1, i + 1))
+        Ez[i] = -minus.entry(i + 1, i).left_divide(minus.entry(i + 1, i + 1))
+    return ZeroModeSet(q=chain.ctx.q, Fzero=Fz, Ezero=Ez)
 
 
-def screening(i: int, B: np.ndarray, zm: ZeroModeSet) -> np.ndarray:
+def screening(i: int, B: GradedOperator, zm: ZeroModeSet) -> GradedOperator:
     """q-commutator with the lowering zero mode: B A - q^-1 A B, A = F_i[0]."""
     A = zm.Fzero[i]
     return B @ A - (A @ B) / zm.q
 
 
-def screening_dual(i: int, B: np.ndarray, zm: ZeroModeSet) -> np.ndarray:
+def screening_dual(i: int, B: GradedOperator, zm: ZeroModeSet) -> GradedOperator:
     """Dual q-commutator: A B - q B A with A = E_i[0]."""
     A = zm.Ezero[i]
     return A @ B - zm.q * (B @ A)
@@ -146,9 +145,11 @@ class CoordinateIdentity(enum.Enum):
     CARTAN_SHIFT = "cartan-shift"   # S^_i(psi_{i+1}) = (q - q^-1) psi_{i+1} E_{i,i+1}
 
 
-def _rel_norm(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
-    return float(np.linalg.norm(lhs - rhs) / scale)
+def _rel_norm(lhs, rhs, norm=GradedOperator.norm) -> float:
+    """||lhs - rhs|| / max(||lhs||, ||rhs||) for two graded operators, or for
+    two dense ones with norm=np.linalg.norm."""
+    scale = max(norm(lhs), norm(rhs), 1e-300)
+    return float(norm(lhs - rhs) / scale)
 
 
 def coordinate_identity_residual(kind: CoordinateIdentity, indices: tuple[int, int],
@@ -195,12 +196,14 @@ def coordinate_identity_residual(kind: CoordinateIdentity, indices: tuple[int, i
 
 def normal_order_transfer_residual(chain: ChainSpec, t: complex) -> float:
     """Residual of trace(T) against its Gauss-coordinate expansion
-    sum_i (k_i + sum_{j>i} F_{j,i} k_j E_{i,j})."""
-    data = gauss_decompose(monodromy(chain, t))
+    sum_i (k_i + sum_{j>i} F_{j,i} k_j E_{i,j}). The trace is the dense
+    `transfer`, an independent oracle for the graded coordinates."""
+    data = gauss_decompose(graded_monodromy(chain, t))
     N = chain.N
-    acc = sum(data.k[i - 1] for i in range(1, N + 1))
+    acc = data.k[0]
+    for i in range(2, N + 1):
+        acc = acc + data.k[i - 1]
     for i in range(1, N + 1):
         for j in range(i + 1, N + 1):
             acc = acc + data.F[(j, i)] @ data.k[j - 1] @ data.E[(i, j)]
-    tr = transfer(chain, t)
-    return _rel_norm(tr, acc)
+    return _rel_norm(transfer(chain, t), acc.dense(), np.linalg.norm)

@@ -18,9 +18,20 @@ and `entry_apply` are T(t) v and T_{i,j}(t) v through it. Dense block grids
 (`monodromy`, `transfer`, `zero_modes`) are the kernel applied to the
 aux (x) identity basis. The two spectral-limit operators pass their limiting
 triples in closed form to the same kernel, never by large-argument evaluation.
+
+Weight grading: every R-matrix factor keeps the colour counts of aux (x) site,
+so T_{i,j}(t) maps quantum weight nu to nu + e_j - e_i. Graded grids
+(`graded_monodromy`, `graded_zero_modes`) hold each T_{i,j} as one small
+matrix per weight, built by applying the kernel to one total weight
+W = nu + e_aux at a time, and never hold a dim x dim block.
+
+The operator checks (`rll_residual`, `transfer_commutator_residual`,
+`zero_mode_residuals`) test their identities on PROBES seeded random vectors
+instead of forming the operators (Freivalds-style verification).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +41,9 @@ from .errors import CapacityError, DomainError, PoleError
 from .kernels import RationalFunction
 
 DIMENSION_CAP = 4096
+
+# random probe vectors per operator-identity draw
+PROBES = 4
 
 
 @dataclass(frozen=True)
@@ -91,6 +105,151 @@ class BlockLOperator:
 
     def transfer(self) -> np.ndarray:
         return sum(self.blocks[i, i] for i in range(self.N))
+
+
+def occupancy(index: int, N: int, L: int) -> tuple[int, ...]:
+    """Color counts of a basis state (site 1 is the slowest index)."""
+    digits = []
+    x = index
+    for _ in range(L):
+        digits.append(x % N)
+        x //= N
+    return tuple(digits.count(c) for c in range(N))
+
+
+@functools.lru_cache(maxsize=None)
+def weight_basis(N: int, L: int) -> dict[tuple[int, ...], np.ndarray]:
+    """Quantum basis indices grouped by weight (their occupancy), ascending
+    within each weight. The index arrays are read-only: the cache shares them."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for index in range(N ** L):
+        groups.setdefault(occupancy(index, N, L), []).append(index)
+    out = {}
+    for nu, indices in sorted(groups.items()):
+        out[nu] = np.array(indices)
+        out[nu].setflags(write=False)
+    return out
+
+
+def _shifted(nu: tuple[int, ...], shift: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(a + b for a, b in zip(nu, shift))
+
+
+def _difference(nu: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(a - b for a, b in zip(nu, mu))
+
+
+@dataclass(frozen=True)
+class GradedOperator:
+    """Quantum-space operator that maps weight nu to nu + shift, stored as one
+    matrix per source weight nu: rows in the basis of nu + shift, columns in
+    the basis of nu, both ordered as in `weight_basis`. A missing block is zero.
+
+    Products, sums, scalar multiples, solves against weight-preserving
+    operators and norms all work block by block.
+    """
+
+    L: int
+    shift: tuple[int, ...]
+    blocks: dict[tuple[int, ...], np.ndarray]
+
+    @property
+    def N(self) -> int:
+        return len(self.shift)
+
+    def __matmul__(self, other: "GradedOperator") -> "GradedOperator":
+        blocks = {}
+        for nu, B in other.blocks.items():
+            A = self.blocks.get(_shifted(nu, other.shift))
+            if A is not None:
+                blocks[nu] = A @ B
+        return GradedOperator(self.L, _shifted(self.shift, other.shift), blocks)
+
+    def __add__(self, other: "GradedOperator") -> "GradedOperator":
+        return self._combine(other, 1.0)
+
+    def __sub__(self, other: "GradedOperator") -> "GradedOperator":
+        return self._combine(other, -1.0)
+
+    def _combine(self, other: "GradedOperator", sign: float) -> "GradedOperator":
+        if other.shift != self.shift:
+            raise DomainError(f"cannot add weight shifts {self.shift} and {other.shift}")
+        blocks = dict(self.blocks)
+        for nu, B in other.blocks.items():
+            blocks[nu] = blocks[nu] + sign * B if nu in blocks else sign * B
+        return GradedOperator(self.L, self.shift, blocks)
+
+    def __mul__(self, c: complex) -> "GradedOperator":
+        return GradedOperator(self.L, self.shift, {nu: c * M for nu, M in self.blocks.items()})
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "GradedOperator":
+        return self * -1.0
+
+    def __truediv__(self, c: complex) -> "GradedOperator":
+        return GradedOperator(self.L, self.shift, {nu: M / c for nu, M in self.blocks.items()})
+
+    def right_divide(self, K: "GradedOperator") -> "GradedOperator":
+        """self . K^{-1} for a weight-preserving K, by solves, not inverses."""
+        return GradedOperator(self.L, self.shift, {
+            nu: np.linalg.solve(K.blocks[nu].T, M.T).T for nu, M in self.blocks.items()})
+
+    def left_divide(self, K: "GradedOperator") -> "GradedOperator":
+        """K^{-1} . self for a weight-preserving K, by solves, not inverses."""
+        return GradedOperator(self.L, self.shift, {
+            nu: np.linalg.solve(K.blocks[_shifted(nu, self.shift)], M)
+            for nu, M in self.blocks.items()})
+
+    def cond(self) -> float:
+        """2-norm condition number: the largest singular value of any block
+        over the smallest of any block, which is the dense value."""
+        s = [np.linalg.svd(M, compute_uv=False) for M in self.blocks.values()]
+        hi = max(float(v[0]) for v in s)
+        lo = min(float(v[-1]) for v in s)
+        return hi / lo if lo > 0 else float("inf")
+
+    def norm(self) -> float:
+        """Frobenius norm."""
+        return float(np.sqrt(sum(np.vdot(M, M).real for M in self.blocks.values())))
+
+    def dense(self) -> np.ndarray:
+        basis = weight_basis(self.N, self.L)
+        out = np.zeros((self.N ** self.L,) * 2, dtype=complex)
+        for nu, M in self.blocks.items():
+            out[np.ix_(basis[_shifted(nu, self.shift)], basis[nu])] = M
+        return out
+
+
+@dataclass(frozen=True)
+class GradedLOperator:
+    """N x N grid of graded operators at one spectral point; entry (i, j)
+    (1-based) maps weight nu to nu + e_j - e_i."""
+
+    point: complex | None
+    entries: dict[tuple[int, int], GradedOperator]
+    source: str = "finite"
+
+    @property
+    def N(self) -> int:
+        return max(i for i, _ in self.entries)
+
+    def entry(self, i: int, j: int) -> GradedOperator:
+        return self.entries[(i, j)]
+
+    def __sub__(self, other: "GradedLOperator") -> "GradedLOperator":
+        return GradedLOperator(self.point, {
+            ij: op - other.entries[ij] for ij, op in self.entries.items()}, self.source)
+
+    def norm(self) -> float:
+        """Frobenius norm of the whole grid."""
+        return float(np.sqrt(sum(op.norm() ** 2 for op in self.entries.values())))
+
+    def dense(self) -> np.ndarray:
+        """The (N, N, dim, dim) block grid."""
+        N = self.N
+        return np.array([[self.entries[(i, j)].dense() for j in range(1, N + 1)]
+                         for i in range(1, N + 1)])
 
 
 def r_matrix(u: complex, v: complex, N: int, ctx: DeformationContext) -> np.ndarray:
@@ -174,9 +333,46 @@ def _block_grid(chain: ChainSpec, coeffs: list[tuple[complex, complex, complex]]
     return BlockLOperator(point=point, blocks=blocks, source=source)
 
 
+def _graded_grid(chain: ChainSpec, coeffs: list[tuple[complex, complex, complex]],
+                 point: complex | None, source: str) -> GradedLOperator:
+    """Graded block grid: the monodromy kernel applied to one total weight W at
+    a time. W's basis is e_b (x) |x> over every aux b and every quantum basis
+    state x of weight W - e_b; the kernel keeps W, so the rows of weight
+    W - e_a in aux a give T_{a,b} on the source weight W - e_b."""
+    N, L, d = chain.N, chain.L, chain.dim
+    basis = weight_basis(N, L)
+    unit = [tuple(int(a == b) for a in range(N)) for b in range(N)]
+    blocks: dict[tuple[int, int], dict] = {(i, j): {} for i in range(1, N + 1)
+                                            for j in range(1, N + 1)}
+    for W in sorted({_shifted(nu, e) for nu in basis for e in unit}):
+        parts = []  # (aux b, source weight W - e_b, its columns in W's basis)
+        start = 0
+        for b in range(N):
+            nu = _difference(W, unit[b])
+            if nu in basis:
+                parts.append((b, nu, np.arange(start, start + len(basis[nu]))))
+                start += len(basis[nu])
+        X = np.zeros((N, d, start), dtype=complex)
+        for b, nu, cols in parts:
+            X[b, basis[nu], cols] = 1.0
+        Y = apply_monodromy(chain, coeffs, X)
+        for a, target, _ in parts:
+            rows = Y[a, basis[target]]
+            for b, nu, cols in parts:
+                blocks[(a + 1, b + 1)][nu] = rows[:, cols]
+    entries = {(i, j): GradedOperator(L, _difference(unit[j - 1], unit[i - 1]), ops)
+               for (i, j), ops in blocks.items()}
+    return GradedLOperator(point=point, entries=entries, source=source)
+
+
 def monodromy(chain: ChainSpec, t: complex) -> BlockLOperator:
     """Blockwise monodromy T(t); raises PoleError near R-matrix poles."""
     return _block_grid(chain, _point_coefficients(chain, t), t, "finite")
+
+
+def graded_monodromy(chain: ChainSpec, t: complex) -> GradedLOperator:
+    """The monodromy T(t) as a graded grid; raises PoleError near R-matrix poles."""
+    return _graded_grid(chain, _point_coefficients(chain, t), t, "finite")
 
 
 def transfer(chain: ChainSpec, t: complex) -> np.ndarray:
@@ -215,6 +411,38 @@ def zero_modes(chain: ChainSpec) -> tuple[BlockLOperator, BlockLOperator]:
             _block_grid(chain, [minus] * chain.L, None, "minus-limit"))
 
 
+def graded_zero_modes(chain: ChainSpec) -> tuple[GradedLOperator, GradedLOperator]:
+    """`zero_modes` as graded grids."""
+    plus, minus = _zero_mode_coefficients(chain.ctx.q)
+    return (_graded_grid(chain, [plus] * chain.L, None, "plus-limit"),
+            _graded_grid(chain, [minus] * chain.L, None, "minus-limit"))
+
+
+def zero_mode_residuals(chain: ChainSpec, rng: np.random.Generator | None = None) -> list[float]:
+    """Largest entry of T_{i,j} X on PROBES random quantum vectors X, for every
+    block that a spectral limit keeps exactly zero: i > j at t -> infinity,
+    i < j at t -> 0. `rng` draws the probes (a fixed stream when None)."""
+    N, d = chain.N, chain.dim
+    X = np.zeros((N, d, N, PROBES), dtype=complex)
+    X[range(N), :, range(N)] = _probes(chain, rng, "zero-mode-probe", (N, d))
+    out = []
+    for coeff, zero in zip(_zero_mode_coefficients(chain.ctx.q), (np.greater, np.less)):
+        Y = apply_monodromy(chain, [coeff] * chain.L, X.reshape(N, d, N * PROBES))
+        Y = Y.reshape(N, d, N, PROBES)
+        out.extend(float(np.max(np.abs(Y[i, :, j])))
+                   for i in range(N) for j in range(N) if zero(i, j))
+    return out
+
+
+def _probes(chain: ChainSpec, rng: np.random.Generator | None, stream: str,
+            shape: tuple[int, ...]) -> np.ndarray:
+    """PROBES complex Gaussian vectors of `shape`, batch-last, drawn from `rng`
+    or, when it is None, from the chain context's `stream`."""
+    rng = chain.ctx.rng(stream) if rng is None else rng
+    shape = shape + (PROBES,)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def vacuum_data(chain: ChainSpec) -> tuple[np.ndarray, list[RationalFunction]]:
     """Reference vector e_1^(x)L and the N diagonal eigenvalue functions.
 
@@ -244,39 +472,32 @@ def vacuum_data(chain: ChainSpec) -> tuple[np.ndarray, list[RationalFunction]]:
     return omega, [make(i) for i in range(1, chain.N + 1)]
 
 
-def rll_residual(chain: ChainSpec, u: complex, v: complex) -> float:
-    """Relative norm of the exchange relation R (T x 1)(1 x T) = (1 x T)(T x 1) R.
+def rll_residual(chain: ChainSpec, u: complex, v: complex,
+                 rng: np.random.Generator | None = None) -> float:
+    """Relative norm of the exchange relation R (T(u) x 1)(1 x T(v)) =
+    (1 x T(v))(T(u) x 1) R on aux (x) aux (x) quantum, both sides applied to
+    PROBES random vectors drawn from `rng` (a fixed stream when None).
 
-    With p = (i, k), q and r = (j, l) aux-pair indices, both sides are
-    accumulated one column r at a time, summing over the nonzeros of R:
-
-        lhs[p, r] = sum_q R[p, q] T(u)_{q // N, r // N} T(v)_{q % N, r % N}
-        rhs[p, r] = sum_q T(v)_{p % N, q % N} T(u)_{p // N, q // N} R[q, r]
-
-    so no (N^2, N^2, dim, dim) product is ever held. Each column's products
-    are batched matmuls: N^2 + nnz(R) BLAS calls in all rather than one per
-    block product, since every return from BLAS waits for the GIL while
-    other checks run on the pool.
+    Each monodromy acts on its own auxiliary leg through `apply_monodromy`,
+    with the other leg carried in the batch, so no block grid is built.
     """
     N, d = chain.N, chain.dim
-    Tu = monodromy(chain, u).blocks
-    Tv = monodromy(chain, v).blocks
+    X = _probes(chain, rng, "rll-probe", (N, N, d))
     R = r_matrix(u, v, N, chain.ctx)
-    lhs_sq = rhs_sq = diff_sq = 0.0
-    for r in range(N * N):
-        j, l = divmod(r, N)
-        left = np.matmul(Tu[:, None, j], Tv[None, :, l]).reshape(N * N, d, d)
-        lhs = np.tensordot(R, left, axes=1)
-        rhs = np.zeros((N * N, d, d), dtype=complex)
-        for q in np.flatnonzero(R[:, r]):
-            right = np.matmul(Tv[None, :, q % N], Tu[:, None, q // N])
-            rhs += R[q, r] * right.reshape(N * N, d, d)
-        lhs_sq += np.vdot(lhs, lhs).real
-        rhs_sq += np.vdot(rhs, rhs).real
-        lhs -= rhs
-        diff_sq += np.vdot(lhs, lhs).real
-    scale = max(np.sqrt(lhs_sq), np.sqrt(rhs_sq), 1e-300)
-    return float(np.sqrt(diff_sq) / scale)
+    at_u, at_v = _point_coefficients(chain, u), _point_coefficients(chain, v)
+
+    def on_leg(coeffs, leg, Y):
+        Y = np.moveaxis(np.moveaxis(Y, leg, 0), 1, 2)  # (N_leg, d, N_other, B)
+        out = apply_monodromy(chain, coeffs, Y.reshape(N, d, -1)).reshape(Y.shape)
+        return np.moveaxis(np.moveaxis(out, 2, 1), 0, leg)
+
+    def on_aux(Y):
+        return (R @ Y.reshape(N * N, -1)).reshape(Y.shape)
+
+    lhs = on_aux(on_leg(at_u, 0, on_leg(at_v, 1, X)))
+    rhs = on_leg(at_v, 1, on_leg(at_u, 0, on_aux(X)))
+    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
+    return float(np.linalg.norm(lhs - rhs) / scale)
 
 
 def yang_baxter_residual(u: complex, v: complex, w: complex, N: int,
@@ -305,29 +526,33 @@ def permutation_operator(N: int) -> np.ndarray:
     return P
 
 
-def transfer_commutator_residual(chain: ChainSpec, u: complex, v: complex) -> float:
-    """Relative commutator norm of transfer matrices at two spectral points."""
-    Tu = transfer(chain, u)
-    Tv = transfer(chain, v)
-    comm = Tu @ Tv - Tv @ Tu
-    scale = max(np.linalg.norm(Tu @ Tv), 1e-300)
-    return float(np.linalg.norm(comm) / scale)
+def transfer_commutator_residual(chain: ChainSpec, u: complex, v: complex,
+                                 rng: np.random.Generator | None = None) -> float:
+    """Relative norm of T(u) T(v) X - T(v) T(u) X on PROBES random quantum
+    vectors X drawn from `rng` (a fixed stream when None)."""
+    X = _probes(chain, rng, "commut-probe", (chain.dim,))
+    uv = np.stack([transfer_apply(chain, u, transfer_apply(chain, v, x)) for x in X.T], axis=1)
+    vu = np.stack([transfer_apply(chain, v, transfer_apply(chain, u, x)) for x in X.T], axis=1)
+    scale = max(np.linalg.norm(uv), np.linalg.norm(vu), 1e-300)
+    return float(np.linalg.norm(uv - vu) / scale)
 
 
-def vacuum_residuals(chain: ChainSpec, t: complex) -> tuple[float, float]:
-    """(triangularity, eigenvalue) residuals of the block action on the vacuum."""
+def vacuum_residuals(chain: ChainSpec, t: complex) -> dict[tuple[int, int], float]:
+    """Residual of each entry's action on the vacuum: T_{j,j}(t) Omega against
+    lambda_j(t) Omega, and T_{i,j}(t) Omega against 0 for i > j, keyed (i, j).
+
+    Each is relative to column j's diagonal size max(|T_{j,j} Omega|_max,
+    |lambda_j|). The vectors are divided by it before the norm squares
+    anything, so twists near the float range give a finite residual or NaN,
+    never inf / inf.
+    """
     omega, lambdas = vacuum_data(chain)
-    T = monodromy(chain, t)
-    tri = 0.0
-    eig = 0.0
-    for i in range(1, chain.N + 1):
-        for j in range(1, chain.N + 1):
-            act = T.entry(i, j) @ omega
-            scale = max(np.linalg.norm(T.entry(i, j)), 1e-300)
-            if i > j:
-                tri = max(tri, float(np.linalg.norm(act) / scale))
-            elif i == j:
-                lam = lambdas[i - 1](t)
-                eig = max(eig, float(np.linalg.norm(act - lam * omega)
-                                     / max(abs(lam), scale, 1e-300)))
-    return tri, eig
+    out = {}
+    for j in range(1, chain.N + 1):
+        lam = lambdas[j - 1](t)
+        diag = entry_apply(chain, t, j, j, omega)
+        scale = max(float(np.max(np.abs(diag))), abs(lam), 1e-300)
+        out[(j, j)] = float(np.linalg.norm((diag - lam * omega) / scale))
+        for i in range(j + 1, chain.N + 1):
+            out[(i, j)] = float(np.linalg.norm(entry_apply(chain, t, i, j, omega) / scale))
+    return out

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -81,7 +82,20 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        """Strict JSON: a NaN or infinite number (a failed residual) is written
+        as the string "NaN", "Infinity" or "-Infinity", never as a bare token."""
+        return json.dumps(_strict(self.as_dict()), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
+
+
+def _strict(node: Any) -> Any:
+    if isinstance(node, float) and not math.isfinite(node):
+        return "NaN" if math.isnan(node) else ("Infinity" if node > 0 else "-Infinity")
+    if isinstance(node, dict):
+        return {k: _strict(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_strict(v) for v in node]
+    return node
 
 
 def report_fingerprint(text: str) -> str:

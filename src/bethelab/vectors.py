@@ -46,16 +46,6 @@ def is_admissible(chain: ChainSpec, nbar: tuple[int, ...]) -> bool:
     return all(seq[i] >= seq[i + 1] for i in range(len(seq) - 1))
 
 
-def occupancy(index: int, N: int, L: int) -> tuple[int, ...]:
-    """Color counts of a basis state (site 1 is the slowest index)."""
-    digits = []
-    x = index
-    for _ in range(L):
-        digits.append(x % N)
-        x //= N
-    return tuple(digits.count(c) for c in range(N))
-
-
 def expected_occupancy(L: int, nbar: tuple[int, ...]) -> tuple[int, ...]:
     counts = (L,) + tuple(nbar) + (0,)
     return tuple(counts[c] - counts[c + 1] for c in range(len(nbar) + 1))

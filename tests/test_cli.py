@@ -1,11 +1,16 @@
 """Command-line interface and report-format tests."""
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from bethelab import DeformationContext, cli, sample_annulus
+import bethelab
+from bethelab import DeformationContext, cli, sample_annulus, vacuum_residuals
 from bethelab.cli import run_command
 from bethelab.errors import DomainError
 from bethelab.report import report_fingerprint
@@ -230,6 +235,61 @@ def test_nan_residual_fails_the_check(tmp_path, capsys):
         check = by_id[f"rll/chain0/{name}"]
         assert not check.passed
         assert math.isnan(check.residual)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_report_is_strict_json_with_a_nan_residual(tmp_path, capsys):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("N = 2\nL = 2\nkappa = 1e200, 2e200\nseed = 3\n")
+    out = tmp_path / "huge.json"
+    code, _ = run(["rll", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    text = out.read_text()
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    doc = json.loads(text, parse_constant=reject)
+    by_id = {c["id"]: c for c in doc["checks"]}
+    assert by_id["rll/chain0/exchange"]["residual"] == "NaN"
+    assert by_id["rll/chain0/exchange"]["passed"] is False
+    assert doc["summary"]["status"] == "fail"
+    json.loads(report_fingerprint(text), parse_constant=reject)
+
+
+def test_vacuum_residuals_stay_finite_near_the_float_range(tmp_path):
+    # twists of order 1e200 square to inf in a plain norm; each entry is
+    # divided by its column's size first, so it is finite and honestly small
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("N = 2\nL = 2\nkappa = 1e200, 2e200\nseed = 3\n")
+    mat = cli.materialize(cli.build_config(
+        cli._build_parser().parse_args(["rll", "--config", str(cfg)])))
+    chain = mat.chains[0]
+    rng = chain.ctx.rng("vacuum:0")
+    for _ in range(20):
+        t = complex(sample_annulus(rng, 1)[0])
+        values = list(vacuum_residuals(chain, t).values())
+        assert len(values) == 3
+        assert all(math.isfinite(v) and v < 1e-12 for v in values)
+
+
+def test_operator_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the graded Gauss blocks and the probe checks are too small for OpenBLAS
+    # to split, so rll and gauss residuals are the same at 1 and 2 threads
+    cfg = tmp_path / "n3l4.cfg"
+    cfg.write_text("N = 3\nL = 4\nseed = 22\nsuites = rll, gauss\n")
+    src = str(Path(bethelab.__file__).resolve().parents[1])
+    fingerprints = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "bethelab.cli", "all", "--config", str(cfg),
+             "--out", str(out)], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        fingerprints.append(report_fingerprint(out.read_text()))
+    assert fingerprints[0] == fingerprints[1]
 
 
 def _yields_nothing():

@@ -11,6 +11,7 @@ from bethelab import (
     DeformationContext,
     DomainError,
     PoleError,
+    RationalFunction,
     apply_monodromy,
     entry_apply,
     monodromy,
@@ -25,7 +26,10 @@ from bethelab import (
     yang_baxter_residual,
     zero_modes,
 )
-from bethelab.repcore import _r_coefficients, _zero_mode_coefficients, permutation_operator
+from bethelab import repcore
+from bethelab.repcore import (_r_coefficients, _zero_mode_coefficients, graded_monodromy,
+                              graded_zero_modes, permutation_operator, weight_basis,
+                              zero_mode_residuals)
 
 from conftest import make_chain, separated_points
 
@@ -67,17 +71,55 @@ def slow_monodromy(chain, t):
 
 def slow_rll_residual(chain, u, v):
     """The exchange relation from four dense (N^2, N^2, d, d) products: the
-    reference for the blockwise accumulation in `rll_residual`."""
+    reference for the probe-vector check in `rll_residual`."""
     N, d = chain.N, chain.dim
     Tu = monodromy(chain, u).blocks
     Tv = monodromy(chain, v).blocks
-    R = r_matrix(u, v, N, chain.ctx)
+    R = repcore.r_matrix(u, v, N, chain.ctx)
     left_prod = np.einsum("ijab,klbc->ikjlac", Tu, Tv).reshape(N * N, N * N, d, d)
     right_prod = np.einsum("klab,ijbc->ikjlac", Tv, Tu).reshape(N * N, N * N, d, d)
     lhs = np.einsum("pq,qrac->prac", R, left_prod)
     rhs = np.einsum("pqac,qr->prac", right_prod, R)
     scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
     return float(np.linalg.norm(lhs - rhs) / scale)
+
+
+def dense_commutator_residual(chain, u, v):
+    """[T(u), T(v)] from two dense transfer matrices: the reference for the
+    probe-vector check in `transfer_commutator_residual`."""
+    Tu = transfer(chain, u)
+    Tv = transfer(chain, v)
+    return float(np.linalg.norm(Tu @ Tv - Tv @ Tu) / max(np.linalg.norm(Tu @ Tv), 1e-300))
+
+
+def dense_vacuum_residuals(chain, t):
+    """(triangularity, eigenvalue) residuals of the dense blocks on the vacuum,
+    each block relative to its own Frobenius norm: the reference for
+    `vacuum_residuals`."""
+    omega, lambdas = repcore.vacuum_data(chain)
+    T = monodromy(chain, t)
+    tri = eig = 0.0
+    for i in range(1, chain.N + 1):
+        for j in range(1, i + 1):
+            act = T.entry(i, j) @ omega
+            scale = max(np.linalg.norm(T.entry(i, j)), 1e-300)
+            if i > j:
+                tri = max(tri, float(np.linalg.norm(act) / scale))
+            else:
+                lam = lambdas[i - 1](t)
+                eig = max(eig, float(np.linalg.norm(act - lam * omega) / max(abs(lam), scale)))
+    return tri, eig
+
+
+def dense_zero_mode_residuals(chain):
+    """Largest entry of every dense zero-mode block that must vanish: the
+    reference for the probe-vector check in `zero_mode_residuals`."""
+    plus, minus = zero_modes(chain)
+    N = chain.N
+    return ([float(np.max(np.abs(plus.entry(i, j)))) for i in range(1, N + 1)
+             for j in range(1, N + 1) if i > j]
+            + [float(np.max(np.abs(minus.entry(i, j)))) for i in range(1, N + 1)
+               for j in range(1, N + 1) if i < j])
 
 
 def random_batch(rng, shape):
@@ -204,6 +246,78 @@ def test_rll_residual_matches_dense_products(ctx, rng, N, L):
         assert abs(rll_residual(chain, u, v) - slow_rll_residual(chain, u, v)) < 1e-14
 
 
+def _deform_r(monkeypatch):
+    # b -> b (1 + u / 10) breaks the Yang-Baxter equation, and with it the
+    # exchange relation, commutativity and the vacuum eigenvalues
+    exact = repcore._r_coefficients
+
+    def deformed(u, v, ctx):
+        b, cu, cv = exact(u, v, ctx)
+        return b * (1 + u / 10), cu, cv
+
+    monkeypatch.setattr(repcore, "_r_coefficients", deformed)
+
+
+def _swap_r_arguments(monkeypatch):
+    exact = repcore.r_matrix
+    monkeypatch.setattr(repcore, "r_matrix", lambda u, v, N, ctx: exact(v, u, N, ctx))
+
+
+def _perturb_vacuum(monkeypatch):
+    exact = repcore.vacuum_data
+
+    def perturbed(chain):
+        omega, lambdas = exact(chain)
+        lam = lambdas[-1]
+        lambdas[-1] = RationalFunction(("t",), lambda t: lam(t) * (1 + 1e-6))
+        return omega, lambdas
+
+    monkeypatch.setattr(repcore, "vacuum_data", perturbed)
+
+
+def _swap_limits(monkeypatch):
+    exact = repcore._zero_mode_coefficients
+    monkeypatch.setattr(repcore, "_zero_mode_coefficients", lambda q: exact(q)[::-1])
+
+
+# defect -> expected verdicts of (exchange, transfer-commute, vacuum, zero-mode-triangular)
+DEFECTS = {
+    None: (True, True, True, True),
+    _deform_r: (False, False, False, True),
+    _swap_r_arguments: (False, True, True, True),
+    _perturb_vacuum: (True, True, False, True),
+    _swap_limits: (True, True, True, False),
+}
+
+
+@pytest.mark.parametrize("N,L", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("defect", list(DEFECTS), ids=lambda d: d.__name__ if d else "exact")
+def test_probe_checks_give_the_dense_verdicts(ctx, rng, monkeypatch, N, L, defect):
+    # each probe check passes or fails exactly where its dense oracle does,
+    # on the exact algebra and under four planted defects
+    chain = make_chain(N, L, ctx, rng)
+    if defect is not None:
+        defect(monkeypatch)
+    for _ in range(3):
+        u, v, t = sample_annulus(rng, 3)
+        probe = (rll_residual(chain, u, v) <= 1e-10,
+                 transfer_commutator_residual(chain, u, v) <= 1e-10,
+                 max(vacuum_residuals(chain, t).values()) <= 1e-12,
+                 max(zero_mode_residuals(chain)) <= 1e-14)
+        dense = (slow_rll_residual(chain, u, v) <= 1e-10,
+                 dense_commutator_residual(chain, u, v) <= 1e-10,
+                 max(dense_vacuum_residuals(chain, t)) <= 1e-12,
+                 max(dense_zero_mode_residuals(chain)) <= 1e-14)
+        assert probe == dense == DEFECTS[defect]
+
+
+def test_exchange_probe_sees_swapped_r_arguments(ctx, rng, monkeypatch):
+    chain = make_chain(3, 3, ctx, rng)
+    _swap_r_arguments(monkeypatch)
+    u, v = sample_annulus(rng, 2)
+    assert rll_residual(chain, u, v) > 1e-3
+
+
 def test_transfer_commutes(ctx, rng):
     for (N, L) in [(2, 3), (3, 2)]:
         chain = make_chain(N, L, ctx, rng)
@@ -247,8 +361,9 @@ def test_vacuum_residuals_random_points(ctx, rng):
     chain = make_chain(3, 2, ctx, rng)
     for _ in range(20):
         t = complex(sample_annulus(rng, 1)[0])
-        tri, eig = vacuum_residuals(chain, t)
-        assert tri < 1e-12 and eig < 1e-12
+        residuals = vacuum_residuals(chain, t)
+        assert sorted(residuals) == [(i, j) for i in range(1, 4) for j in range(1, i + 1)]
+        assert max(residuals.values()) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +413,32 @@ def test_zero_mode_diagonal_products_recorded(ctx, rng, capsys):
         print(f"diagonal zero-mode product {i}: "
               f"{np.diag(prod).round(12).tolist()}")
         assert np.linalg.cond(prod) < 1e8  # invertibility only
+
+
+# ---------------------------------------------------------------------------
+# weight grading
+
+
+@pytest.mark.parametrize("N,L", [(2, 3), (3, 2), (3, 3)])
+def test_graded_blocks_follow_the_weight_rule(ctx, rng, N, L):
+    # T_{i,j} maps weight nu to nu + e_j - e_i: every dense entry outside that
+    # rule is exactly 0, and the graded blocks are the dense entries inside it
+    chain = make_chain(N, L, ctx, rng)
+    weight = np.zeros((chain.dim, N), dtype=int)
+    for nu, idx in weight_basis(N, L).items():
+        weight[idx] = nu
+    t = complex(sample_annulus(rng, 1)[0])
+    pairs = [(monodromy(chain, t), graded_monodromy(chain, t))]
+    pairs += list(zip(zero_modes(chain), graded_zero_modes(chain)))
+    for dense, graded in pairs:
+        for i in range(1, N + 1):
+            for j in range(1, N + 1):
+                shift = np.eye(N, dtype=int)[j - 1] - np.eye(N, dtype=int)[i - 1]
+                allowed = np.all(weight[:, None, :] == weight[None, :, :] + shift, axis=2)
+                block = dense.entry(i, j)
+                assert np.all(block[~allowed] == 0)
+                assert np.array_equal(graded.entry(i, j).dense(), block)
+    assert np.array_equal(pairs[0][1].dense(), pairs[0][0].blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from bethelab import (
     unwanted_decomposition,
     vacuum_data,
 )
-from bethelab.vectors import expected_occupancy, occupancy, unwanted_closed_form
+from bethelab.repcore import occupancy
+from bethelab.vectors import expected_occupancy, unwanted_closed_form
 
 from conftest import make_chain, separated_points
 
