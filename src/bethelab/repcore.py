@@ -22,7 +22,7 @@ triples in closed form to the same kernel, never by large-argument evaluation.
 Weight grading: every R-matrix factor keeps the colour counts of aux (x) site,
 so T_{i,j}(t) maps quantum weight nu to nu + e_j - e_i. Graded grids
 (`graded_monodromy`, `graded_zero_modes`) hold each T_{i,j} as one small
-matrix per weight, built by applying the kernel to one total weight
+matrix per weight, built site by site on the states of one total weight
 W = nu + e_aux at a time, and never hold a dim x dim block.
 
 The operator checks (`rll_residual`, `transfer_commutator_residual`,
@@ -333,33 +333,64 @@ def _block_grid(chain: ChainSpec, coeffs: list[tuple[complex, complex, complex]]
     return BlockLOperator(point=point, blocks=blocks, source=source)
 
 
-def _graded_grid(chain: ChainSpec, coeffs: list[tuple[complex, complex, complex]],
-                 point: complex | None, source: str) -> GradedLOperator:
-    """Graded block grid: the monodromy kernel applied to one total weight W at
-    a time. W's basis is e_b (x) |x> over every aux b and every quantum basis
-    state x of weight W - e_b; the kernel keeps W, so the rows of weight
-    W - e_a in aux a give T_{a,b} on the source weight W - e_b."""
-    N, L, d = chain.N, chain.L, chain.dim
+@functools.lru_cache(maxsize=None)
+def _weight_sectors(N: int, L: int) -> list[tuple[list, np.ndarray, list]]:
+    """The aux (x) quantum states of each total weight W, which every R-matrix
+    factor keeps: e_b (x) |x> for every aux b and every x of weight W - e_b,
+    aux-major and each aux's states in `weight_basis` order.
+
+    Per W: the parts (aux b, source weight W - e_b, its slice of W's states),
+    the aux digit of every state, and per site (site 1 first) that site's
+    digit of every state and the position of the state with the two digits
+    exchanged, which is where an R factor moves the state's amplitude.
+    """
     basis = weight_basis(N, L)
+    d = N ** L
     unit = [tuple(int(a == b) for a in range(N)) for b in range(N)]
-    blocks: dict[tuple[int, int], dict] = {(i, j): {} for i in range(1, N + 1)
-                                            for j in range(1, N + 1)}
+    out = []
     for W in sorted({_shifted(nu, e) for nu in basis for e in unit}):
-        parts = []  # (aux b, source weight W - e_b, its columns in W's basis)
-        start = 0
+        parts, aux, index = [], [], []
         for b in range(N):
             nu = _difference(W, unit[b])
             if nu in basis:
-                parts.append((b, nu, np.arange(start, start + len(basis[nu]))))
-                start += len(basis[nu])
-        X = np.zeros((N, d, start), dtype=complex)
-        for b, nu, cols in parts:
-            X[b, basis[nu], cols] = 1.0
-        Y = apply_monodromy(chain, coeffs, X)
-        for a, target, _ in parts:
-            rows = Y[a, basis[target]]
+                parts.append((b, nu, slice(len(index), len(index) + len(basis[nu]))))
+                aux += [b] * len(basis[nu])
+                index += list(basis[nu])
+        aux, index = np.array(aux), np.array(index)
+        position = np.zeros(N * d, dtype=int)
+        position[aux * d + index] = np.arange(len(index))
+        sites = []
+        for site in range(1, L + 1):
+            stride = N ** (L - site)
+            digit = index // stride % N
+            sites.append((digit, position[digit * d + index + (aux - digit) * stride]))
+        out.append((parts, aux, sites))
+    return out
+
+
+def _graded_grid(chain: ChainSpec, coeffs: list[tuple[complex, complex, complex]],
+                 point: complex | None, source: str) -> GradedLOperator:
+    """Graded block grid: the monodromy applied to each total weight W's
+    states alone. Site by site, R_{a,l} keeps a state's amplitude (factor
+    R[a s, a s] for aux digit a, site digit s) and moves it to the state with
+    a and s exchanged (factor R[s a, a s]), the same products and sums as
+    `apply_monodromy`, so the blocks equal the dense grid's entries exactly.
+    The rows of aux a give T_{a,b} on the source weight W - e_b."""
+    N, L = chain.N, chain.L
+    unit = [tuple(int(a == b) for a in range(N)) for b in range(N)]
+    blocks: dict[tuple[int, int], dict] = {(i, j): {} for i in range(1, N + 1)
+                                            for j in range(1, N + 1)}
+    for parts, aux, sites in _weight_sectors(N, L):
+        Y = np.eye(len(aux), dtype=complex)
+        for coeff, (digit, swap) in zip(coeffs, sites):
+            R = _r_from_coefficients(coeff, N).reshape(N, N, N, N)
+            keep = R[aux, digit, aux, digit]
+            move = np.where(aux == digit, 0.0, R[digit, aux, aux, digit])[swap]
+            Y = keep[:, None] * Y + move[:, None] * Y[swap]
+        Y = np.asarray(chain.kappa)[aux][:, None] * Y
+        for a, _, rows in parts:
             for b, nu, cols in parts:
-                blocks[(a + 1, b + 1)][nu] = rows[:, cols]
+                blocks[(a + 1, b + 1)][nu] = Y[rows, cols]
     entries = {(i, j): GradedOperator(L, _difference(unit[j - 1], unit[i - 1]), ops)
                for (i, j), ops in blocks.items()}
     return GradedLOperator(point=point, entries=entries, source=source)
@@ -418,13 +449,13 @@ def graded_zero_modes(chain: ChainSpec) -> tuple[GradedLOperator, GradedLOperato
             _graded_grid(chain, [minus] * chain.L, None, "minus-limit"))
 
 
-def zero_mode_residuals(chain: ChainSpec, rng: np.random.Generator | None = None) -> list[float]:
-    """Largest entry of T_{i,j} X on PROBES random quantum vectors X, for every
-    block that a spectral limit keeps exactly zero: i > j at t -> infinity,
-    i < j at t -> 0. `rng` draws the probes (a fixed stream when None)."""
+def zero_mode_residuals(chain: ChainSpec, rng: np.random.Generator) -> list[float]:
+    """Largest entry of T_{i,j} X on PROBES random quantum vectors X drawn
+    from `rng`, for every block that a spectral limit keeps exactly zero:
+    i > j at t -> infinity, i < j at t -> 0."""
     N, d = chain.N, chain.dim
     X = np.zeros((N, d, N, PROBES), dtype=complex)
-    X[range(N), :, range(N)] = _probes(chain, rng, "zero-mode-probe", (N, d))
+    X[range(N), :, range(N)] = _probes(rng, (N, d))
     out = []
     for coeff, zero in zip(_zero_mode_coefficients(chain.ctx.q), (np.greater, np.less)):
         Y = apply_monodromy(chain, [coeff] * chain.L, X.reshape(N, d, N * PROBES))
@@ -434,11 +465,8 @@ def zero_mode_residuals(chain: ChainSpec, rng: np.random.Generator | None = None
     return out
 
 
-def _probes(chain: ChainSpec, rng: np.random.Generator | None, stream: str,
-            shape: tuple[int, ...]) -> np.ndarray:
-    """PROBES complex Gaussian vectors of `shape`, batch-last, drawn from `rng`
-    or, when it is None, from the chain context's `stream`."""
-    rng = chain.ctx.rng(stream) if rng is None else rng
+def _probes(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """PROBES complex Gaussian vectors of `shape`, batch-last."""
     shape = shape + (PROBES,)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
@@ -472,17 +500,16 @@ def vacuum_data(chain: ChainSpec) -> tuple[np.ndarray, list[RationalFunction]]:
     return omega, [make(i) for i in range(1, chain.N + 1)]
 
 
-def rll_residual(chain: ChainSpec, u: complex, v: complex,
-                 rng: np.random.Generator | None = None) -> float:
+def rll_residual(chain: ChainSpec, u: complex, v: complex, rng: np.random.Generator) -> float:
     """Relative norm of the exchange relation R (T(u) x 1)(1 x T(v)) =
     (1 x T(v))(T(u) x 1) R on aux (x) aux (x) quantum, both sides applied to
-    PROBES random vectors drawn from `rng` (a fixed stream when None).
+    PROBES random vectors drawn from `rng`.
 
     Each monodromy acts on its own auxiliary leg through `apply_monodromy`,
     with the other leg carried in the batch, so no block grid is built.
     """
     N, d = chain.N, chain.dim
-    X = _probes(chain, rng, "rll-probe", (N, N, d))
+    X = _probes(rng, (N, N, d))
     R = r_matrix(u, v, N, chain.ctx)
     at_u, at_v = _point_coefficients(chain, u), _point_coefficients(chain, v)
 
@@ -527,10 +554,10 @@ def permutation_operator(N: int) -> np.ndarray:
 
 
 def transfer_commutator_residual(chain: ChainSpec, u: complex, v: complex,
-                                 rng: np.random.Generator | None = None) -> float:
+                                 rng: np.random.Generator) -> float:
     """Relative norm of T(u) T(v) X - T(v) T(u) X on PROBES random quantum
-    vectors X drawn from `rng` (a fixed stream when None)."""
-    X = _probes(chain, rng, "commut-probe", (chain.dim,))
+    vectors X drawn from `rng`."""
+    X = _probes(rng, (chain.dim,))
     uv = np.stack([transfer_apply(chain, u, transfer_apply(chain, v, x)) for x in X.T], axis=1)
     vu = np.stack([transfer_apply(chain, v, transfer_apply(chain, u, x)) for x in X.T], axis=1)
     scale = max(np.linalg.norm(uv), np.linalg.norm(vu), 1e-300)
@@ -541,18 +568,23 @@ def vacuum_residuals(chain: ChainSpec, t: complex) -> dict[tuple[int, int], floa
     """Residual of each entry's action on the vacuum: T_{j,j}(t) Omega against
     lambda_j(t) Omega, and T_{i,j}(t) Omega against 0 for i > j, keyed (i, j).
 
-    Each is relative to column j's diagonal size max(|T_{j,j} Omega|_max,
-    |lambda_j|). The vectors are divided by it before the norm squares
-    anything, so twists near the float range give a finite residual or NaN,
-    never inf / inf.
+    One kernel call: batch column j carries Omega in aux slot j, so its aux
+    rows i are T_{i,j} Omega. Each residual is relative to column j's
+    diagonal size max(|T_{j,j} Omega|_max, |lambda_j|). The vectors are
+    divided by it before the norm squares anything, so twists near the float
+    range give a finite residual or NaN, never inf / inf.
     """
     omega, lambdas = vacuum_data(chain)
+    N = chain.N
+    X = np.zeros((N, chain.dim, N), dtype=complex)
+    X[range(N), :, range(N)] = omega
+    Y = apply_monodromy(chain, _point_coefficients(chain, t), X)
     out = {}
-    for j in range(1, chain.N + 1):
+    for j in range(1, N + 1):
         lam = lambdas[j - 1](t)
-        diag = entry_apply(chain, t, j, j, omega)
+        diag = Y[j - 1, :, j - 1]
         scale = max(float(np.max(np.abs(diag))), abs(lam), 1e-300)
         out[(j, j)] = float(np.linalg.norm((diag - lam * omega) / scale))
-        for i in range(j + 1, chain.N + 1):
-            out[(i, j)] = float(np.linalg.norm(entry_apply(chain, t, i, j, omega) / scale))
+        for i in range(j + 1, N + 1):
+            out[(i, j)] = float(np.linalg.norm(Y[i - 1, :, j - 1] / scale))
     return out

@@ -76,12 +76,13 @@ def test_criterion_01_yang_baxter_and_rll(ctx):
         u, v, w = bl.sample_annulus(rng, 3)
         worst_ybe = max(worst_ybe, bl.yang_baxter_residual(u, v, w, N, ci))
     worst_rll = 0.0
+    probes = ctx.rng("acc1-probe")
     for N in (2, 3):
         for L in (1, 2, 3, 4):
             chain = chain_for(N, L, ctx)
             for _ in range(2):
                 u, v = bl.sample_annulus(rng, 2)
-                worst_rll = max(worst_rll, bl.rll_residual(chain, u, v))
+                worst_rll = max(worst_rll, bl.rll_residual(chain, u, v, probes))
     ok = worst_ybe <= 1e-12 and worst_rll <= 1e-10
     assert line(1, "yang-baxter-and-rll", ok,
                 f"ybe {worst_ybe:.2e} <= 1e-12, rll {worst_rll:.2e} <= 1e-10")
@@ -106,14 +107,14 @@ def test_criterion_02_r_matrix_degeneracies(ctx):
 
 
 def test_criterion_03_transfer_commutativity(ctx):
-    rng = ctx.rng("acc3")
+    rng, probes = ctx.rng("acc3"), ctx.rng("acc3-probe")
     worst = 0.0
     for N in (2, 3):
         for L in (1, 2, 3, 4, 5):
             chain = chain_for(N, L, ctx)
             for _ in range(10):
                 u, v = bl.sample_annulus(rng, 2)
-                worst = max(worst, bl.transfer_commutator_residual(chain, u, v))
+                worst = max(worst, bl.transfer_commutator_residual(chain, u, v, probes))
     ok = worst <= 1e-10
     assert line(3, "transfer-commutativity", ok, f"max {worst:.2e} <= 1e-10")
 

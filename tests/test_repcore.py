@@ -235,7 +235,7 @@ def test_rll_relation(ctx, rng, N, L):
     chain = make_chain(N, L, ctx, rng)
     for _ in range(3):
         u, v = sample_annulus(rng, 2)
-        assert rll_residual(chain, u, v) < 1e-10
+        assert rll_residual(chain, u, v, rng) < 1e-10
 
 
 @pytest.mark.parametrize("N,L", [(2, 3), (3, 2)])
@@ -243,7 +243,7 @@ def test_rll_residual_matches_dense_products(ctx, rng, N, L):
     chain = make_chain(N, L, ctx, rng)
     for _ in range(3):
         u, v = sample_annulus(rng, 2)
-        assert abs(rll_residual(chain, u, v) - slow_rll_residual(chain, u, v)) < 1e-14
+        assert abs(rll_residual(chain, u, v, rng) - slow_rll_residual(chain, u, v)) < 1e-14
 
 
 def _deform_r(monkeypatch):
@@ -300,10 +300,10 @@ def test_probe_checks_give_the_dense_verdicts(ctx, rng, monkeypatch, N, L, defec
         defect(monkeypatch)
     for _ in range(3):
         u, v, t = sample_annulus(rng, 3)
-        probe = (rll_residual(chain, u, v) <= 1e-10,
-                 transfer_commutator_residual(chain, u, v) <= 1e-10,
+        probe = (rll_residual(chain, u, v, rng) <= 1e-10,
+                 transfer_commutator_residual(chain, u, v, rng) <= 1e-10,
                  max(vacuum_residuals(chain, t).values()) <= 1e-12,
-                 max(zero_mode_residuals(chain)) <= 1e-14)
+                 max(zero_mode_residuals(chain, rng)) <= 1e-14)
         dense = (slow_rll_residual(chain, u, v) <= 1e-10,
                  dense_commutator_residual(chain, u, v) <= 1e-10,
                  max(dense_vacuum_residuals(chain, t)) <= 1e-12,
@@ -315,7 +315,7 @@ def test_exchange_probe_sees_swapped_r_arguments(ctx, rng, monkeypatch):
     chain = make_chain(3, 3, ctx, rng)
     _swap_r_arguments(monkeypatch)
     u, v = sample_annulus(rng, 2)
-    assert rll_residual(chain, u, v) > 1e-3
+    assert rll_residual(chain, u, v, rng) > 1e-3
 
 
 def test_transfer_commutes(ctx, rng):
@@ -323,7 +323,7 @@ def test_transfer_commutes(ctx, rng):
         chain = make_chain(N, L, ctx, rng)
         for _ in range(4):
             u, v = sample_annulus(rng, 2)
-            assert transfer_commutator_residual(chain, u, v) < 1e-10
+            assert transfer_commutator_residual(chain, u, v, rng) < 1e-10
 
 
 # ---------------------------------------------------------------------------
