@@ -27,14 +27,12 @@ from .gauss import (
     zero_mode_set,
 )
 from .kernels import (
-    EqualityReport,
     RationalFunction,
     bethe_residual,
     bethe_rhs,
     nesting_overlap,
     nesting_overlap_alt,
     partial_fraction_residual,
-    rational_equal,
     same_type_weight,
     shift_weight,
     split_weight,
@@ -52,14 +50,11 @@ from .qsym import (
     sym_weight,
 )
 from .repcore import (
-    BlockLOperator,
     ChainSpec,
     GradedLOperator,
     GradedOperator,
     apply_monodromy,
     entry_apply,
-    graded_monodromy,
-    graded_zero_modes,
     monodromy,
     r_matrix,
     rll_residual,

@@ -9,7 +9,7 @@ Config files are flat ``key = value`` text; ``#`` starts a comment. Keys:
     sectors         "all" or semicolon list of comma tuples, e.g. "1,0; 1,1"
     chains          number of random chain replicas (default 1)
     seed            unsigned 64-bit integer
-    tol_identity, n_samples, pole_margin
+    tol_identity, pole_margin
     out             report path
     suites          comma list of suite names (for the `all` subcommand)
 
@@ -27,6 +27,7 @@ import argparse
 import math
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -47,14 +48,14 @@ from .kernels import (RationalFunction, nesting_overlap, nesting_overlap_alt,
                       transfer_eigenvalue, transfer_eigenvalue_residue)
 from .qsym import (cyclic_identity_sides, decomposition_sides, qsym_values,
                    shift_expansion_backward, shift_expansion_forward)
-from .repcore import (ChainSpec, graded_monodromy, permutation_operator, r_matrix,
-                      rll_residual, transfer, transfer_commutator_residual,
-                      vacuum_data, vacuum_residuals, yang_baxter_residual,
-                      zero_mode_residuals)
+from .repcore import (ChainSpec, monodromy, permutation_operator, r_matrix, rll_residual,
+                      transfer, transfer_commutator_residual, vacuum_data,
+                      vacuum_residuals, yang_baxter_residual, zero_mode_residuals)
 from .report import CheckRecord, Report, encode_complex, inputs_digest
-from .solver import (RECONCILE_DIM_CAP, SolveResult, admissible_sectors, solve_bethe,
+from .solver import (EXCITATION_CAP, SolveResult, admissible_sectors, solve_bethe,
                      spectrum_reconcile)
-from .vectors import is_admissible, on_shell_residuals, unwanted_decomposition
+from .vectors import (expected_occupancy, is_admissible, on_shell_residuals,
+                      unwanted_decomposition)
 
 SUITES = ("yang-baxter", "rll", "gauss", "identities", "solve", "verify",
           "offshell", "spectrum")
@@ -75,7 +76,6 @@ class RunConfig:
     chains: int = 1
     seed: int = 0
     tol_identity: float = 1e-10
-    n_samples: int = 25
     pole_margin: float = 1e-3
     out: str = ""
     suites: tuple[str, ...] = SUITES
@@ -126,7 +126,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg.chains = take("chains", int, cfg.chains)
     cfg.seed = take("seed", int, cfg.seed)
     cfg.tol_identity = take("tol_identity", float, cfg.tol_identity)
-    cfg.n_samples = take("n_samples", int, cfg.n_samples)
     cfg.pole_margin = take("pole_margin", float, cfg.pole_margin)
     cfg.out = take("out", str, cfg.out)
     cfg.suites = take("suites", lambda text: tuple(
@@ -175,8 +174,7 @@ def materialize(cfg: RunConfig) -> Materialized:
     else:
         q = _parse_complex(cfg.q_spec)
     try:
-        ctx = DeformationContext(q=q, tol_identity=cfg.tol_identity,
-                                 n_samples=cfg.n_samples, seed=cfg.seed,
+        ctx = DeformationContext(q=q, tol_identity=cfg.tol_identity, seed=cfg.seed,
                                  pole_margin=cfg.pole_margin)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
@@ -398,12 +396,14 @@ def suite_gauss(mat: Materialized, cfg: RunConfig) -> list[Check]:
     for c, chain in enumerate(mat.chains):
         base = f"gauss/chain{c}"
         inputs = _chain_inputs(chain)
+        # built by the first identity check that runs, shared by the others
+        chain_zero_modes = _once(lambda chain=chain: zero_mode_set(chain))
 
         def recon_thunk(chain=chain, c=c):
             rng = chain.ctx.rng(f"gauss-recon:{c}")
             for _ in range(5):
                 t = complex(sample_annulus(rng, 1)[0])
-                T = graded_monodromy(chain, t)
+                T = monodromy(chain, t)
                 yield (gauss_decompose(T).reconstruct() - T).norm() / T.norm()
 
         checks.append(Check(f"{base}/reconstruction",
@@ -431,18 +431,33 @@ def suite_gauss(mat: Materialized, cfg: RunConfig) -> list[Check]:
             if not pairs:
                 continue
 
-            def identity_thunk(chain=chain, kind=kind, pairs=pairs, c=c):
+            def identity_thunk(chain=chain, kind=kind, pairs=pairs, c=c,
+                               zero_modes=chain_zero_modes):
                 rng = chain.ctx.rng(f"gauss-{kind.value}:{c}")
-                zm = zero_mode_set(chain)
+                zm = zero_modes()
                 for _ in range(5):
                     t = complex(sample_annulus(rng, 1)[0])
-                    data = gauss_decompose(graded_monodromy(chain, t))
+                    data = gauss_decompose(monodromy(chain, t))
                     for ij in pairs:
                         yield coordinate_identity_residual(kind, ij, data, zm)
 
             checks.append(Check(f"{base}/{kind.value}", anchor,
                                 1e-9, inputs, identity_thunk))
     return checks
+
+
+def _once(build: Callable[[], object]) -> Callable[[], object]:
+    """`build` memoized: the first call runs it, under a lock so that pool
+    threads calling together still run it once; later calls return its value."""
+    lock = threading.Lock()
+    value = []
+
+    def get():
+        with lock:
+            if not value:
+                value.append(build())
+        return value[0]
+    return get
 
 
 def _identity_indices(kind: CoordinateIdentity, N: int) -> list[tuple[int, int]]:
@@ -464,8 +479,7 @@ def suite_identities(mat: Materialized, cfg: RunConfig) -> list[Check]:
         def overlap_thunk(k=k):
             rng = ctx.rng(f"overlap:{k}")
             for _ in range(25):
-                upper = _separated(rng, k)
-                lower = _separated(rng, k)
+                upper, lower = _overlap_points(rng, k, ctx)
                 a = nesting_overlap(upper, lower, ctx)
                 b = nesting_overlap_alt(upper, lower, ctx)
                 yield abs(a - b) / max(abs(a), abs(b))
@@ -569,6 +583,18 @@ def suite_identities(mat: Materialized, cfg: RunConfig) -> list[Check]:
     return checks
 
 
+def _overlap_points(rng, k: int, ctx: DeformationContext) -> tuple[list, list]:
+    """Separated (upper, lower) k-tuples with every |u - l| > pole_margin *
+    max(|u|, |l|), clear of the coupling pole u = l of both overlap forms.
+    Draws that are not rejected are the plain `_separated` draws."""
+    for _ in range(100):
+        upper, lower = _separated(rng, k), _separated(rng, k)
+        if all(abs(u - l) > ctx.pole_margin * max(abs(u), abs(l))
+               for u in upper for l in lower):
+            return upper, lower
+    raise SamplingExhaustedError("could not sample overlap points clear of the coupling pole")
+
+
 def _sample_function(*t: complex) -> complex:
     out = t[0] ** 2
     for i, v in enumerate(t[1:], start=2):
@@ -614,7 +640,6 @@ def suite_solve(mat: Materialized, cfg: RunConfig) -> list[Check]:
 def suite_verify(mat: Materialized, cfg: RunConfig) -> list[Check]:
     checks = []
     for c, chain in enumerate(mat.chains):
-        can_diagonalize = chain.dim <= RECONCILE_DIM_CAP
         for nbar in mat.sectors:
             if not is_admissible(chain, nbar):
                 continue
@@ -638,20 +663,20 @@ def suite_verify(mat: Materialized, cfg: RunConfig) -> list[Check]:
                                 "T(t) w = tau(t) w at solver roots",
                                 1e-8, inputs, onshell_thunk, sector))
 
-            if can_diagonalize:
-                def tau_match_thunk(result, chain=chain, nbar=nbar, c=c):
-                    _, lambdas = vacuum_data(chain)
-                    rng = chain.ctx.rng(f"verify-tau:{c}:{nbar}")
-                    t = _sample_clear_of_poles(rng, lambdas, chain.ctx)
-                    eigs = np.linalg.eigvals(transfer(chain, t))
-                    for sol in result:
-                        tau = transfer_eigenvalue(lambdas, sol.params, t, chain.ctx)
-                        yield float(np.min(np.abs(eigs - tau)
-                                           / np.maximum(np.abs(eigs), 1e-300)))
+            def tau_match_thunk(result, chain=chain, nbar=nbar, c=c):
+                _, lambdas = vacuum_data(chain)
+                rng = chain.ctx.rng(f"verify-tau:{c}:{nbar}")
+                t = _sample_clear_of_poles(rng, lambdas, chain.ctx)
+                block = transfer(chain, t).blocks[expected_occupancy(chain.L, nbar)]
+                eigs = np.linalg.eigvals(block)
+                for sol in result:
+                    tau = transfer_eigenvalue(lambdas, sol.params, t, chain.ctx)
+                    yield float(np.min(np.abs(eigs - tau)
+                                       / np.maximum(np.abs(eigs), 1e-300)))
 
-                checks.append(Check(f"verify/chain{c}/sector{sector_id}/tau-in-spectrum",
-                                    "tau(t) matches a dense transfer eigenvalue",
-                                    1e-8, inputs, tau_match_thunk, sector))
+            checks.append(Check(f"verify/chain{c}/sector{sector_id}/tau-in-spectrum",
+                                "tau(t) matches a weight-block transfer eigenvalue",
+                                1e-8, inputs, tau_match_thunk, sector))
 
             def residue_thunk(result, chain=chain, nbar=nbar):
                 if sum(nbar) == 0:
@@ -659,7 +684,7 @@ def suite_verify(mat: Materialized, cfg: RunConfig) -> list[Check]:
                 _, lambdas = vacuum_data(chain)
                 for sol in result:
                     for a in range(1, chain.N):
-                        for j in range(1, nbar[a - 1] + 1):
+                        for j in range(1, sol.params.nbar[a - 1] + 1):
                             resid, scale = transfer_eigenvalue_residue(
                                 lambdas, sol.params, a, j, chain.ctx)
                             yield resid / max(scale, 1e-300)
@@ -686,11 +711,14 @@ def _sample_clear_of_poles(rng, lambdas: list[RationalFunction],
 
 
 def suite_spectrum(mat: Materialized, cfg: RunConfig) -> list[Check]:
+    # the weight with all L sites in the last colour is sector (L, ..., L),
+    # the largest, with (N - 1) L roots
+    if (cfg.N - 1) * cfg.L > EXCITATION_CAP:
+        raise CapacityError(f"spectrum suite needs a sector for every weight block, "
+                            f"(N - 1) L = {(cfg.N - 1) * cfg.L} roots exceeds cap "
+                            f"{EXCITATION_CAP}")
     checks = []
     for c, chain in enumerate(mat.chains):
-        if chain.dim > RECONCILE_DIM_CAP:
-            raise CapacityError(f"spectrum suite needs dimension <= {RECONCILE_DIM_CAP}, "
-                                f"chain has {chain.dim}")
         inputs = _chain_inputs(chain)
         nbars = tuple(admissible_sectors(chain))
 
@@ -703,7 +731,7 @@ def suite_spectrum(mat: Materialized, cfg: RunConfig) -> list[Check]:
             yield float(missing + rep.duplicates)
 
         checks.append(Check(f"spectrum/chain{c}",
-                            "every dense eigenvalue matched exactly once",
+                            "every weight-block eigenvalue matched exactly once",
                             0.5, inputs, spectrum_thunk,
                             tuple((chain, nbar) for nbar in nbars)))
     return checks
@@ -831,7 +859,6 @@ def run_command(argv: list[str]) -> tuple[int, Report | None]:
         materialized={
             "q": encode_complex(mat.ctx.q),
             "tol_identity": mat.ctx.tol_identity,
-            "n_samples": mat.ctx.n_samples,
             "pole_margin": mat.ctx.pole_margin,
             "chains": [_chain_inputs(ch) for ch in mat.chains],
             "sectors": [list(s) for s in mat.sectors],

@@ -32,7 +32,6 @@ class DeformationContext:
 
     q: complex
     tol_identity: float = 1e-10
-    n_samples: int = 25
     seed: int = 0
     pole_margin: float = 1e-3
 
@@ -45,8 +44,6 @@ class DeformationContext:
                 raise DomainError(f"q^{2 * k} is numerically a root of unity; q={q}")
         if not 0 < self.tol_identity < 1e-3:
             raise DomainError(f"tol_identity must lie in (0, 1e-3), got {self.tol_identity}")
-        if self.n_samples < 1:
-            raise DomainError("n_samples must be positive")
         if self.pole_margin <= 0:
             raise DomainError("pole_margin must be positive")
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SingularCoordinateError
-from .repcore import (ChainSpec, GradedLOperator, GradedOperator, graded_monodromy,
-                      graded_zero_modes, transfer)
+from .repcore import (ChainSpec, GradedLOperator, GradedOperator, monodromy, transfer,
+                      zero_modes)
 
 COND_CAP = 1e12
 
@@ -115,7 +115,7 @@ class ZeroModeSet:
 
 
 def zero_mode_set(chain: ChainSpec) -> ZeroModeSet:
-    plus, minus = graded_zero_modes(chain)
+    plus, minus = zero_modes(chain)
     Fz = {}
     Ez = {}
     for i in range(1, chain.N):
@@ -145,11 +145,10 @@ class CoordinateIdentity(enum.Enum):
     CARTAN_SHIFT = "cartan-shift"   # S^_i(psi_{i+1}) = (q - q^-1) psi_{i+1} E_{i,i+1}
 
 
-def _rel_norm(lhs, rhs, norm=GradedOperator.norm) -> float:
-    """||lhs - rhs|| / max(||lhs||, ||rhs||) for two graded operators, or for
-    two dense ones with norm=np.linalg.norm."""
-    scale = max(norm(lhs), norm(rhs), 1e-300)
-    return float(norm(lhs - rhs) / scale)
+def _rel_norm(lhs: GradedOperator, rhs: GradedOperator) -> float:
+    """||lhs - rhs|| / max(||lhs||, ||rhs||) in the Frobenius norm."""
+    scale = max(lhs.norm(), rhs.norm(), 1e-300)
+    return (lhs - rhs).norm() / scale
 
 
 def coordinate_identity_residual(kind: CoordinateIdentity, indices: tuple[int, int],
@@ -196,9 +195,9 @@ def coordinate_identity_residual(kind: CoordinateIdentity, indices: tuple[int, i
 
 def normal_order_transfer_residual(chain: ChainSpec, t: complex) -> float:
     """Residual of trace(T) against its Gauss-coordinate expansion
-    sum_i (k_i + sum_{j>i} F_{j,i} k_j E_{i,j}). The trace is the dense
-    `transfer`, an independent oracle for the graded coordinates."""
-    data = gauss_decompose(graded_monodromy(chain, t))
+    sum_i (k_i + sum_{j>i} F_{j,i} k_j E_{i,j}). The trace is
+    `transfer(chain, t)`, built from its own monodromy."""
+    data = gauss_decompose(monodromy(chain, t))
     N = chain.N
     acc = data.k[0]
     for i in range(2, N + 1):
@@ -206,4 +205,4 @@ def normal_order_transfer_residual(chain: ChainSpec, t: complex) -> float:
     for i in range(1, N + 1):
         for j in range(i + 1, N + 1):
             acc = acc + data.F[(j, i)] @ data.k[j - 1] @ data.E[(i, j)]
-    return _rel_norm(transfer(chain, t), acc.dense(), np.linalg.norm)
+    return _rel_norm(transfer(chain, t), acc)

@@ -13,13 +13,13 @@ PoleError instead of returning garbage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .context import BetheParameterSet, DeformationContext, sample_annulus
-from .errors import DomainError, PoleError, SamplingExhaustedError
+from .context import BetheParameterSet, DeformationContext
+from .errors import DomainError, PoleError
 
 LambdaLike = Callable[[complex], complex]
 
@@ -325,47 +325,3 @@ class RationalFunction:
         if self.pole_distance is None:
             return math.inf
         return float(self.pole_distance(*args))
-
-
-@dataclass
-class EqualityReport:
-    label: str
-    passed: bool
-    points: list[tuple[complex, ...]] = field(default_factory=list)
-    diffs: list[float] = field(default_factory=list)
-
-    @property
-    def max_diff(self) -> float:
-        return max(self.diffs) if self.diffs else 0.0
-
-
-def rational_equal(f: RationalFunction, g: RationalFunction, ctx: DeformationContext,
-                   label: str = "rational_equal") -> tuple[bool, EqualityReport]:
-    """Randomized equality test on the sampling annulus.
-
-    True iff the relative difference stays within tol_identity at all
-    n_samples points, every point kept clear of both declared pole loci.
-    """
-    if f.slots != g.slots:
-        raise DomainError(f"slot mismatch: {f.slots} vs {g.slots}")
-    rng = ctx.rng(label)
-    nvar = len(f.slots)
-    report = EqualityReport(label=label, passed=True)
-    for _ in range(ctx.n_samples):
-        failures = 0
-        while True:
-            pt = tuple(sample_annulus(rng, nvar))
-            if f.distance(*pt) > ctx.pole_margin and g.distance(*pt) > ctx.pole_margin:
-                break
-            failures += 1
-            if failures >= 100:
-                raise SamplingExhaustedError(
-                    f"{label}: could not sample clear of the pole locus")
-        fv, gv = f(*pt), g(*pt)
-        denom = max(abs(fv), abs(gv))
-        rel = abs(fv - gv) / denom if denom > 0 else 0.0
-        report.points.append(pt)
-        report.diffs.append(rel)
-        if rel > ctx.tol_identity:
-            report.passed = False
-    return report.passed, report

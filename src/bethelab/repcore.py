@@ -14,16 +14,17 @@ The R-matrix entries are laid out in one place, from a coefficient triple
 (b, cu, cv): `r_matrix` takes the triple at spectral points (u, v). The
 monodromy has one matrix-free kernel, `apply_monodromy`, which applies that
 same layout site by site to a batch of aux (x) quantum vectors; `transfer_apply`
-and `entry_apply` are T(t) v and T_{i,j}(t) v through it. Dense block grids
-(`monodromy`, `transfer`, `zero_modes`) are the kernel applied to the
-aux (x) identity basis. The two spectral-limit operators pass their limiting
-triples in closed form to the same kernel, never by large-argument evaluation.
+and `entry_apply` are T(t) v and T_{i,j}(t) v through it. The two
+spectral-limit operators pass their limiting triples in closed form, never by
+large-argument evaluation.
 
 Weight grading: every R-matrix factor keeps the colour counts of aux (x) site,
-so T_{i,j}(t) maps quantum weight nu to nu + e_j - e_i. Graded grids
-(`graded_monodromy`, `graded_zero_modes`) hold each T_{i,j} as one small
-matrix per weight, built site by site on the states of one total weight
-W = nu + e_aux at a time, and never hold a dim x dim block.
+so T_{i,j}(t) maps quantum weight nu to nu + e_j - e_i. The operator grids
+(`monodromy`, `zero_modes`) hold each T_{i,j} as one small matrix per weight,
+built site by site on the states of one total weight W = nu + e_aux at a time,
+and never hold a dim x dim block; `transfer` is the weight-preserving sum of
+the diagonal entries. `.dense()` gives the dense view, for tests and small
+chains.
 
 The operator checks (`rll_residual`, `transfer_commutator_residual`,
 `zero_mode_residuals`) test their identities on PROBES seeded random vectors
@@ -81,30 +82,6 @@ class ChainSpec:
     @property
     def dim(self) -> int:
         return self.N ** self.L
-
-
-@dataclass(frozen=True)
-class BlockLOperator:
-    """N x N grid of quantum-space operators at one spectral point."""
-
-    point: complex | None
-    blocks: np.ndarray  # shape (N, N, dim, dim)
-    source: str = "finite"
-
-    @property
-    def N(self) -> int:
-        return self.blocks.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.blocks.shape[2]
-
-    def entry(self, i: int, j: int) -> np.ndarray:
-        """Block T_{i,j} (1-based auxiliary indices)."""
-        return self.blocks[i - 1, j - 1]
-
-    def transfer(self) -> np.ndarray:
-        return sum(self.blocks[i, i] for i in range(self.N))
 
 
 def occupancy(index: int, N: int, L: int) -> tuple[int, ...]:
@@ -211,7 +188,7 @@ class GradedOperator:
 
     def norm(self) -> float:
         """Frobenius norm."""
-        return float(np.sqrt(sum(np.vdot(M, M).real for M in self.blocks.values())))
+        return frobenius(*self.blocks.values())
 
     def dense(self) -> np.ndarray:
         basis = weight_basis(self.N, self.L)
@@ -243,13 +220,21 @@ class GradedLOperator:
 
     def norm(self) -> float:
         """Frobenius norm of the whole grid."""
-        return float(np.sqrt(sum(op.norm() ** 2 for op in self.entries.values())))
+        return frobenius(*(M for op in self.entries.values() for M in op.blocks.values()))
 
     def dense(self) -> np.ndarray:
         """The (N, N, dim, dim) block grid."""
         N = self.N
         return np.array([[self.entries[(i, j)].dense() for j in range(1, N + 1)]
                          for i in range(1, N + 1)])
+
+
+def frobenius(*arrays: np.ndarray) -> float:
+    """Frobenius norm of the arrays taken together, from a pairwise `np.sum`
+    of |x|^2 per array. It makes no BLAS call, so, unlike `np.linalg.norm`,
+    its value does not depend on the BLAS thread count."""
+    return float(np.sqrt(sum(float(np.sum(np.square(x.real) + np.square(x.imag)))
+                             for x in arrays)))
 
 
 def r_matrix(u: complex, v: complex, N: int, ctx: DeformationContext) -> np.ndarray:
@@ -304,7 +289,7 @@ def _apply_site(R: np.ndarray, X: np.ndarray) -> np.ndarray:
     """out[k, :, m] = sum R[k, m, j, n] X[j, :, n] over the nonzeros of R.
 
     A separate frame, so the input of each site is released as soon as the
-    next one is built: a dense build holds two working grids, not three.
+    next one is built: a batch is held in two working copies, not three.
     """
     out = np.zeros(X.shape, dtype=complex)
     for k, m, j, n in zip(*np.nonzero(R)):
@@ -319,18 +304,6 @@ def _point_coefficients(chain: ChainSpec, t: complex) -> list[tuple[complex, com
 def _zero_mode_coefficients(q: complex) -> tuple[tuple[complex, complex, complex], ...]:
     """Per-site coefficient triples of the t -> infinity and t -> 0 limits."""
     return (1 / q, (q - 1 / q) / q, 0.0), (q + 0j, 0.0, 1 - q * q)
-
-
-def _block_grid(chain: ChainSpec, coeffs: list[tuple[complex, complex, complex]],
-                point: complex | None, source: str) -> BlockLOperator:
-    """Dense block grid: the monodromy kernel applied to the aux (x) identity
-    basis X[j, :, j, :] = I_dim."""
-    N, d = chain.N, chain.dim
-    # the basis is passed without a name here, so the kernel can drop it
-    # after the first site
-    Y = apply_monodromy(chain, coeffs, np.eye(N * d, dtype=complex).reshape(N, d, N * d))
-    blocks = np.ascontiguousarray(Y.reshape(N, d, N, d).transpose(0, 2, 1, 3))
-    return BlockLOperator(point=point, blocks=blocks, source=source)
 
 
 @functools.lru_cache(maxsize=None)
@@ -374,16 +347,17 @@ def _graded_grid(chain: ChainSpec, coeffs: list[tuple[complex, complex, complex]
     states alone. Site by site, R_{a,l} keeps a state's amplitude (factor
     R[a s, a s] for aux digit a, site digit s) and moves it to the state with
     a and s exchanged (factor R[s a, a s]), the same products and sums as
-    `apply_monodromy`, so the blocks equal the dense grid's entries exactly.
+    `apply_monodromy`, so the blocks equal the entries of that kernel applied
+    to the aux (x) identity basis exactly.
     The rows of aux a give T_{a,b} on the source weight W - e_b."""
     N, L = chain.N, chain.L
     unit = [tuple(int(a == b) for a in range(N)) for b in range(N)]
     blocks: dict[tuple[int, int], dict] = {(i, j): {} for i in range(1, N + 1)
                                             for j in range(1, N + 1)}
+    factors = [_r_from_coefficients(coeff, N).reshape(N, N, N, N) for coeff in coeffs]
     for parts, aux, sites in _weight_sectors(N, L):
         Y = np.eye(len(aux), dtype=complex)
-        for coeff, (digit, swap) in zip(coeffs, sites):
-            R = _r_from_coefficients(coeff, N).reshape(N, N, N, N)
+        for R, (digit, swap) in zip(factors, sites):
             keep = R[aux, digit, aux, digit]
             move = np.where(aux == digit, 0.0, R[digit, aux, aux, digit])[swap]
             Y = keep[:, None] * Y + move[:, None] * Y[swap]
@@ -396,19 +370,19 @@ def _graded_grid(chain: ChainSpec, coeffs: list[tuple[complex, complex, complex]
     return GradedLOperator(point=point, entries=entries, source=source)
 
 
-def monodromy(chain: ChainSpec, t: complex) -> BlockLOperator:
-    """Blockwise monodromy T(t); raises PoleError near R-matrix poles."""
-    return _block_grid(chain, _point_coefficients(chain, t), t, "finite")
-
-
-def graded_monodromy(chain: ChainSpec, t: complex) -> GradedLOperator:
+def monodromy(chain: ChainSpec, t: complex) -> GradedLOperator:
     """The monodromy T(t) as a graded grid; raises PoleError near R-matrix poles."""
     return _graded_grid(chain, _point_coefficients(chain, t), t, "finite")
 
 
-def transfer(chain: ChainSpec, t: complex) -> np.ndarray:
-    """Trace of the monodromy over the auxiliary space."""
-    return monodromy(chain, t).transfer()
+def transfer(chain: ChainSpec, t: complex) -> GradedOperator:
+    """Trace of the monodromy over the auxiliary space, sum_i T_{i,i}(t): a
+    weight-preserving operator, one block per weight."""
+    T = monodromy(chain, t)
+    out = T.entry(1, 1)
+    for i in range(2, chain.N + 1):
+        out = out + T.entry(i, i)
+    return out
 
 
 def transfer_apply(chain: ChainSpec, t: complex, v: np.ndarray) -> np.ndarray:
@@ -430,20 +404,14 @@ def entry_apply(chain: ChainSpec, t: complex, i: int, j: int, v: np.ndarray) -> 
     return Y[i - 1].reshape(v.shape)
 
 
-def zero_modes(chain: ChainSpec) -> tuple[BlockLOperator, BlockLOperator]:
-    """Spectral-limit operators (t -> infinity, t -> 0) in closed form.
+def zero_modes(chain: ChainSpec) -> tuple[GradedLOperator, GradedLOperator]:
+    """Spectral-limit operators (t -> infinity, t -> 0) in closed form, as
+    graded grids.
 
     The first is block upper triangular, the second block lower triangular,
     with invertible diagonal blocks; no relation between the two diagonals is
     imposed (the twist keeps the zero modes free).
     """
-    plus, minus = _zero_mode_coefficients(chain.ctx.q)
-    return (_block_grid(chain, [plus] * chain.L, None, "plus-limit"),
-            _block_grid(chain, [minus] * chain.L, None, "minus-limit"))
-
-
-def graded_zero_modes(chain: ChainSpec) -> tuple[GradedLOperator, GradedLOperator]:
-    """`zero_modes` as graded grids."""
     plus, minus = _zero_mode_coefficients(chain.ctx.q)
     return (_graded_grid(chain, [plus] * chain.L, None, "plus-limit"),
             _graded_grid(chain, [minus] * chain.L, None, "minus-limit"))
@@ -523,8 +491,8 @@ def rll_residual(chain: ChainSpec, u: complex, v: complex, rng: np.random.Genera
 
     lhs = on_aux(on_leg(at_u, 0, on_leg(at_v, 1, X)))
     rhs = on_leg(at_v, 1, on_leg(at_u, 0, on_aux(X)))
-    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
-    return float(np.linalg.norm(lhs - rhs) / scale)
+    scale = max(frobenius(lhs), frobenius(rhs), 1e-300)
+    return frobenius(lhs - rhs) / scale
 
 
 def yang_baxter_residual(u: complex, v: complex, w: complex, N: int,
@@ -560,8 +528,8 @@ def transfer_commutator_residual(chain: ChainSpec, u: complex, v: complex,
     X = _probes(rng, (chain.dim,))
     uv = np.stack([transfer_apply(chain, u, transfer_apply(chain, v, x)) for x in X.T], axis=1)
     vu = np.stack([transfer_apply(chain, v, transfer_apply(chain, u, x)) for x in X.T], axis=1)
-    scale = max(np.linalg.norm(uv), np.linalg.norm(vu), 1e-300)
-    return float(np.linalg.norm(uv - vu) / scale)
+    scale = max(frobenius(uv), frobenius(vu), 1e-300)
+    return frobenius(uv - vu) / scale
 
 
 def vacuum_residuals(chain: ChainSpec, t: complex) -> dict[tuple[int, int], float]:
@@ -584,7 +552,7 @@ def vacuum_residuals(chain: ChainSpec, t: complex) -> dict[tuple[int, int], floa
         lam = lambdas[j - 1](t)
         diag = Y[j - 1, :, j - 1]
         scale = max(float(np.max(np.abs(diag))), abs(lam), 1e-300)
-        out[(j, j)] = float(np.linalg.norm((diag - lam * omega) / scale))
+        out[(j, j)] = frobenius((diag - lam * omega) / scale)
         for i in range(j + 1, N + 1):
-            out[(i, j)] = float(np.linalg.norm(Y[i - 1, :, j - 1] / scale))
+            out[(i, j)] = frobenius(Y[i - 1, :, j - 1] / scale)
     return out

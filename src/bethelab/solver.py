@@ -1,5 +1,6 @@
 """Multi-start damped Newton solver for the Bethe equations and the
-reconciliation of the resulting spectrum with dense diagonalization.
+reconciliation of the resulting spectrum with the transfer matrix's weight
+blocks.
 
 The equations are solved in multiplicative form (eigenvalue ratio minus the
 triple product) as a holomorphic map on C^M; the Jacobian is a one-sided
@@ -19,7 +20,6 @@ from .repcore import ChainSpec, transfer, vacuum_data
 from .vectors import expected_occupancy, is_admissible
 
 EXCITATION_CAP = 8
-RECONCILE_DIM_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -264,48 +264,58 @@ class ReconcileReport:
 
 def spectrum_reconcile(chain: ChainSpec, solutions_by_sector: dict,
                        t_probe: complex, match_tol: float = 1e-8) -> ReconcileReport:
-    """Match every Bethe eigenvalue candidate against the dense spectrum.
+    """Match every Bethe eigenvalue candidate against the transfer spectrum,
+    one weight block at a time.
 
-    Each candidate claims the nearest unclaimed eigenvalue within match_tol
-    (relative), sectors taken in sorted order; the report counts matches and
-    duplicates and flags ambiguity when the dense spectrum itself has
-    near-degenerate pairs at the tolerance.
+    T(t) keeps weight, so sector nbar's eigenvalues are those of its own
+    block, weight `expected_occupancy(L, nbar)`. Each candidate claims the
+    nearest unclaimed eigenvalue of that block within match_tol (relative),
+    sectors taken in sorted order; the report counts matches and duplicates
+    over all blocks and flags ambiguity when some block has a near-degenerate
+    pair at the tolerance.
     """
-    if chain.dim > RECONCILE_DIM_CAP:
-        raise CapacityError(f"reconciliation capped at dimension {RECONCILE_DIM_CAP}")
-    eigs = np.linalg.eigvals(transfer(chain, t_probe))
+    blocks = transfer(chain, t_probe).blocks
     _, lambdas = vacuum_data(chain)
+    eigs = {nu: np.linalg.eigvals(M) for nu, M in blocks.items()}
+    ambiguous = any(_min_relative_gap(e) < match_tol for e in eigs.values())
 
-    gaps = []
-    for i in range(len(eigs)):
-        for k in range(i + 1, len(eigs)):
-            gaps.append(abs(eigs[i] - eigs[k]) / max(abs(eigs[i]), abs(eigs[k]), 1e-300))
-    ambiguous = bool(gaps and min(gaps) < match_tol)
-
-    claimed: set[int] = set()
+    claimed: dict[tuple[int, ...], set[int]] = {nu: set() for nu in eigs}
     duplicates = 0
     matched = 0
     bethe_count = 0
-    for _, sols in sorted(solutions_by_sector.items()):
+    for nbar, sols in sorted(solutions_by_sector.items()):
+        nu = expected_occupancy(chain.L, tuple(nbar))
+        if nu not in eigs:
+            raise DomainError(f"sector {nbar} has no weight block at L={chain.L}")
         for sol in sols:
             bethe_count += 1
             tau = transfer_eigenvalue(lambdas, sol.params, t_probe, chain.ctx)
-            rel = np.abs(eigs - tau) / np.maximum(np.abs(eigs), 1e-300)
-            order = np.argsort(rel)
+            rel = np.abs(eigs[nu] - tau) / np.maximum(np.abs(eigs[nu]), 1e-300)
             hit = None
-            for idx in order:
+            for idx in np.argsort(rel):
                 if rel[idx] > match_tol:
                     break
-                if idx in claimed:
+                if idx in claimed[nu]:
                     duplicates += 1
                     continue
                 hit = int(idx)
                 break
             if hit is not None:
-                claimed.add(hit)
+                claimed[nu].add(hit)
                 matched += 1
-    unmatched = [complex(eigs[i]) for i in range(len(eigs)) if i not in claimed]
+    unmatched = [complex(e[i]) for nu, e in eigs.items()
+                 for i in range(len(e)) if i not in claimed[nu]]
     return ReconcileReport(
-        t_probe=t_probe, matched=matched, total_states=len(eigs),
+        t_probe=t_probe, matched=matched, total_states=chain.dim,
         bethe_count=bethe_count, duplicates=duplicates,
         unmatched_eigenvalues=unmatched, ambiguous=ambiguous)
+
+
+def _min_relative_gap(eigs: np.ndarray) -> float:
+    """Smallest |e_i - e_k| / max(|e_i|, |e_k|) over pairs of `eigs`; inf
+    for fewer than two."""
+    i, k = np.triu_indices(len(eigs), 1)
+    if len(i) == 0:
+        return np.inf
+    scale = np.maximum(np.maximum(np.abs(eigs[i]), np.abs(eigs[k])), 1e-300)
+    return float(np.min(np.abs(eigs[i] - eigs[k]) / scale))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bethelab import ChainSpec, DeformationContext, sample_annulus
+from bethelab import ChainSpec, DeformationContext, apply_monodromy, sample_annulus
+from bethelab.repcore import _point_coefficients, _zero_mode_coefficients
 
 
 @pytest.fixture
@@ -40,3 +41,21 @@ def chain_factory(ctx, rng):
 
 def separated_points(rng, n, min_sep=0.1):
     return _distinct(rng, n, min_sep)
+
+
+def dense_grid(chain, coeffs):
+    """(N, N, dim, dim) block grid of `apply_monodromy` applied to the
+    aux (x) identity basis X[j, :, j, :] = I_dim: the dense oracle for the
+    graded grids."""
+    N, d = chain.N, chain.dim
+    Y = apply_monodromy(chain, coeffs, np.eye(N * d, dtype=complex).reshape(N, d, N * d))
+    return Y.reshape(N, d, N, d).transpose(0, 2, 1, 3)
+
+
+def dense_monodromy(chain, t):
+    return dense_grid(chain, _point_coefficients(chain, t))
+
+
+def dense_zero_modes(chain):
+    return tuple(dense_grid(chain, [coeff] * chain.L)
+                 for coeff in _zero_mode_coefficients(chain.ctx.q))

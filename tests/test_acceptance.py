@@ -19,6 +19,8 @@ from bethelab.cli import run_command
 from bethelab.report import report_fingerprint
 from bethelab.solver import sector_multiplicity
 
+from conftest import dense_monodromy
+
 SEED = 20240
 QVAL = 1.4371
 OPTS = SolverOptions(n_restarts=300)
@@ -128,10 +130,10 @@ def test_criterion_04_gauss_suite(ctx):
             zm = bl.zero_mode_set(chain)
             for _ in range(5):
                 t = complex(bl.sample_annulus(rng, 1)[0])
-                T = bl.monodromy(chain, t)
-                data = bl.gauss_decompose(bl.graded_monodromy(chain, t))
-                rec = (np.linalg.norm(data.reconstruct().dense() - T.blocks)
-                       / np.linalg.norm(T.blocks))
+                T = dense_monodromy(chain, t)
+                data = bl.gauss_decompose(bl.monodromy(chain, t))
+                rec = (np.linalg.norm(data.reconstruct().dense() - T)
+                       / np.linalg.norm(T))
                 worst_rec = max(worst_rec, float(rec))
                 worst_norm = max(worst_norm, bl.normal_order_transfer_residual(chain, t))
                 for kind in CoordinateIdentity:
@@ -169,9 +171,11 @@ def test_criterion_05_vacuum_structure(ctx):
             for i in range(1, N + 1):
                 for j in range(1, N + 1):
                     if i > j:
-                        exact_zero = max(exact_zero, float(np.max(np.abs(plus.entry(i, j)))))
+                        exact_zero = max(exact_zero,
+                                         float(np.max(np.abs(plus.entry(i, j).dense()))))
                     elif i < j:
-                        exact_zero = max(exact_zero, float(np.max(np.abs(minus.entry(i, j)))))
+                        exact_zero = max(exact_zero,
+                                         float(np.max(np.abs(minus.entry(i, j).dense()))))
     ok = worst_tri <= 1e-12 and worst_eig <= 1e-12 and exact_zero == 0.0
     assert line(5, "vacuum-structure", ok,
                 f"triangular {worst_tri:.2e} <= 1e-12, eigen {worst_eig:.2e} <= 1e-12, "
@@ -233,7 +237,7 @@ def test_criterion_07_on_shell_eigenvectors(ctx):
             chain = chain_for(N, L, ctx)
             _, lambdas = bl.vacuum_data(chain)
             t_probe = complex(bl.sample_annulus(rng, 1)[0])
-            eigs = np.linalg.eigvals(bl.transfer(chain, t_probe))
+            eigs = np.linalg.eigvals(bl.transfer(chain, t_probe).dense())
             for nbar in bl.admissible_sectors(chain):
                 for sol in solved(chain, nbar):
                     if sol.params.total == 0:
@@ -245,7 +249,7 @@ def test_criterion_07_on_shell_eigenvectors(ctx):
                         t = complex(bl.sample_annulus(rng, 1)[0])
                         tau = bl.transfer_eigenvalue(lambdas, sol.params, t, ctx)
                         resid = np.linalg.norm(
-                            bl.transfer(chain, t) @ w.vector - tau * w.vector) / w.norm
+                            bl.transfer(chain, t).dense() @ w.vector - tau * w.vector) / w.norm
                         worst_resid = max(worst_resid, float(resid))
                     tau_probe = bl.transfer_eigenvalue(lambdas, sol.params, t_probe, ctx)
                     rel = np.min(np.abs(eigs - tau_probe) / np.maximum(np.abs(eigs), 1e-300))

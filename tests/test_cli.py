@@ -47,9 +47,10 @@ def test_capacity_cap_named_on_exit_2(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["sector = 1", "tol_operator = 1e-10"])
+@pytest.mark.parametrize("line", ["sector = 1", "tol_operator = 1e-10", "n_samples = 25"])
 def test_unknown_config_key_exits_2(tmp_path, capsys, line):
-    # `sector` is a typo of `sectors`; `tol_operator` was an option no check read
+    # `sector` is a typo of `sectors`; `tol_operator` and `n_samples` were
+    # options no check read
     cfg = tmp_path / "typo.cfg"
     cfg.write_text(f"N = 2\nL = 3\nseed = 3\n{line}\n")
     code, report = run(["verify", "--config", str(cfg)])
@@ -63,6 +64,31 @@ def test_offshell_requires_rank2(tmp_path, capsys):
     cfg.write_text("N = 3\nL = 2\n")
     code, _ = run(["offshell", "--config", str(cfg)])
     assert code == 2
+
+
+def test_gauss_builds_one_zero_mode_set_per_chain(tmp_path, monkeypatch, capsys):
+    # the four identity checks of a chain share its zero-mode set, built by
+    # the first of them to run, not by the suite builder (timed as set-up)
+    calls = []
+    original = cli.zero_mode_set
+    monkeypatch.setattr(cli, "zero_mode_set", lambda chain: calls.append(chain) or original(chain))
+    monkeypatch.setenv("BETHELAB_WORKERS", "1")
+    cli.suite_gauss(cli.materialize(cli.RunConfig(N=3, L=2, seed=7)), None)
+    assert calls == []
+    cfg = tmp_path / "n3l2.cfg"
+    cfg.write_text("N = 3\nL = 2\nseed = 7\n")
+    code, report = run(["gauss", "--config", str(cfg)])
+    assert code == 0
+    assert len(report.checks) == 6
+    assert len(calls) == 1
+
+
+def test_overlap_points_are_drawn_clear_of_the_coupling_pole(capsys):
+    # at this seed an overlap draw lands within pole_margin of the coupling
+    # pole u = l; it is drawn again instead of failing with PoleError
+    code, report = run(["identities", "--seed", "4835314820880129"])
+    assert code == 0
+    assert all(not c.error for c in report.checks)
 
 
 def test_identities_suite_covers_required_checks(capsys):
@@ -88,12 +114,39 @@ def test_verify_one_magnon_chain(tmp_path, capsys):
 
 def test_verify_runs_at_the_dimension_cap(tmp_path, capsys):
     # d = 2^12 = DIMENSION_CAP: the on-shell check applies T(t) to vectors,
-    # where one dense block grid would take 1.07 GB
+    # where one dense block grid would take 1.07 GB, and tau-in-spectrum
+    # diagonalizes the 12-state weight block of sector (1,)
     cfg = tmp_path / "cap.cfg"
     cfg.write_text("N = 2\nL = 12\nsectors = 1\nseed = 7\n")
     code, report = run(["verify", "--config", str(cfg)])
     assert code == 0
-    assert report.summary()["passed"] == len(report.checks) == 2
+    assert report.summary()["passed"] == len(report.checks) == 3
+
+
+def test_tau_is_matched_within_its_weight_block(tmp_path, monkeypatch, capsys):
+    # sector (1,)'s root sets handed to sector (2,) still give eigenvectors,
+    # but their tau lies in weight block (7, 1), not (6, 2): a match against
+    # the whole spectrum would pass, the match against (6, 2) must not
+    original = cli.solve_bethe
+    monkeypatch.setattr(cli, "solve_bethe", lambda chain, nbar, opts=None: original(chain, (1,)))
+    cfg = tmp_path / "onshell.cfg"
+    cfg.write_text("N = 2\nL = 8\nsectors = 2\nseed = 7\n")
+    code, report = run(["verify", "--config", str(cfg)])
+    assert code == 1
+    verdicts = {c.check_id.rsplit("/", 1)[1]: c.passed for c in report.checks}
+    assert verdicts == {"on-shell": True, "tau-in-spectrum": False, "residue": True}
+
+
+def test_spectrum_needs_a_sector_for_every_weight_block(tmp_path, monkeypatch, capsys):
+    # N=3, L=5: weight (0, 0, 5) is sector (5, 5), 10 roots > EXCITATION_CAP,
+    # so the spectrum could never be complete; refused before any solve
+    monkeypatch.setattr(cli, "solve_bethe", lambda *args: pytest.fail("solved"))
+    cfg = tmp_path / "n3l5.cfg"
+    cfg.write_text("N = 3\nL = 5\nseed = 7\n")
+    code, report = run(["spectrum", "--config", str(cfg)])
+    assert code == 2
+    assert report is None
+    assert "cap" in capsys.readouterr().err
 
 
 def test_verify_samples_clear_of_r_matrix_poles(tmp_path, capsys):
@@ -148,7 +201,7 @@ def test_failed_solve_fails_the_checks_that_read_it(tmp_path, capsys):
     cfg.write_text("N = 2\nL = 9\nsectors = 9\nseed = 7\n")
     code, report = run(["verify", "--config", str(cfg)])
     assert code == 1
-    assert len(report.checks) == 2
+    assert len(report.checks) == 3  # on-shell, tau-in-spectrum, residue
     for check in report.checks:
         assert not check.passed
         assert check.error == "CapacityError: sector size 9 exceeds cap 8"
@@ -274,11 +327,22 @@ def test_vacuum_residuals_stay_finite_near_the_float_range(tmp_path):
 
 
 def test_operator_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # small chains give the same rll and gauss residuals at 1 and 2 threads;
-    # from N=3, L=6 on, OpenBLAS splits the longest norms across its threads
-    # and a few residuals differ in their last digits
-    cfg = tmp_path / "n3l4.cfg"
-    cfg.write_text("N = 3\nL = 4\nseed = 22\nsuites = rll, gauss\n")
+    # residual norms are plain pairwise sums, so the rll and gauss reports
+    # are the same at 1 and 2 BLAS threads
+    _assert_same_report_at_1_and_2_blas_threads(
+        tmp_path, "N = 3\nL = 4\nseed = 22\nsuites = rll, gauss\n")
+
+
+def test_rll_report_does_not_depend_on_the_blas_thread_count_at_n3l7(tmp_path):
+    # d = 2187: OpenBLAS splits `np.linalg.norm` of the exchange probes
+    # across its threads, which `repcore.frobenius` avoids
+    _assert_same_report_at_1_and_2_blas_threads(
+        tmp_path, "N = 3\nL = 7\nseed = 7\nsuites = rll\n")
+
+
+def _assert_same_report_at_1_and_2_blas_threads(tmp_path, config):
+    cfg = tmp_path / "operators.cfg"
+    cfg.write_text(config)
     src = str(Path(bethelab.__file__).resolve().parents[1])
     fingerprints = []
     for threads in ("1", "2"):

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from bethelab import (
-    BlockLOperator,
     ChainSpec,
     CoordinateIdentity,
     DomainError,
@@ -12,7 +11,6 @@ from bethelab import (
     SingularCoordinateError,
     coordinate_identity_residual,
     gauss_decompose,
-    graded_monodromy,
     monodromy,
     normal_order_transfer_residual,
     sample_annulus,
@@ -21,16 +19,17 @@ from bethelab import (
     transfer,
     vacuum_data,
     zero_mode_set,
+    zero_modes,
 )
 from bethelab.repcore import weight_basis
 
-from conftest import make_chain
+from conftest import dense_monodromy, make_chain
 
 
-def graded(dense: BlockLOperator, L: int) -> GradedLOperator:
-    """The entries of a dense block grid that the weight rule allows (T_{i,j}
-    maps weight nu to nu + e_j - e_i), as a graded grid."""
-    N = dense.N
+def graded(dense: np.ndarray, L: int) -> GradedLOperator:
+    """The entries of a dense (N, N, dim, dim) block grid that the weight rule
+    allows (T_{i,j} maps weight nu to nu + e_j - e_i), as a graded grid."""
+    N = dense.shape[0]
     basis = weight_basis(N, L)
     entries = {}
     for i in range(1, N + 1):
@@ -40,16 +39,16 @@ def graded(dense: BlockLOperator, L: int) -> GradedLOperator:
             for nu, cols in basis.items():
                 target = tuple(a + b for a, b in zip(nu, shift))
                 if target in basis:
-                    blocks[nu] = dense.entry(i, j)[np.ix_(basis[target], cols)]
+                    blocks[nu] = dense[i - 1, j - 1][np.ix_(basis[target], cols)]
             entries[(i, j)] = GradedOperator(L, shift, blocks)
-    return GradedLOperator(dense.point, entries, dense.source)
+    return GradedLOperator(None, entries)
 
 
-def dense_gauss_decompose(Lop: BlockLOperator):
-    """Bottom-right elimination of the dense block grid, returning dense
-    (k, F, E): the reference for the graded `gauss_decompose`."""
-    N = Lop.N
-    work = {(a, b): Lop.blocks[a - 1, b - 1].copy()
+def dense_gauss_decompose(blocks: np.ndarray):
+    """Bottom-right elimination of a dense (N, N, dim, dim) block grid,
+    returning dense (k, F, E): the reference for the graded `gauss_decompose`."""
+    N = blocks.shape[0]
+    work = {(a, b): blocks[a - 1, b - 1].copy()
             for a in range(1, N + 1) for b in range(1, N + 1)}
     k, F, E = [None] * N, {}, {}
     for b in range(N, 0, -1):
@@ -70,7 +69,7 @@ def identity(N: int, L: int) -> GradedOperator:
 
 def test_empty_chain_coordinates(ctx):
     chain = ChainSpec(N=3, L=0, z=(), kappa=(1.4, 0.6, 2.1), ctx=ctx)
-    data = gauss_decompose(graded_monodromy(chain, 1.3))
+    data = gauss_decompose(monodromy(chain, 1.3))
     for a in range(3):
         assert np.allclose(data.k[a].dense(), chain.kappa[a] * np.eye(1))
     for mat in list(data.F.values()) + list(data.E.values()):
@@ -80,10 +79,10 @@ def test_empty_chain_coordinates(ctx):
 def test_rank2_closed_form(ctx, rng):
     chain = make_chain(2, 2, ctx, rng)
     t = 1.1 - 0.6j
-    T = monodromy(chain, t)
-    data = gauss_decompose(graded_monodromy(chain, t))
-    L11, L12 = T.entry(1, 1), T.entry(1, 2)
-    L21, L22 = T.entry(2, 1), T.entry(2, 2)
+    T = dense_monodromy(chain, t)
+    data = gauss_decompose(monodromy(chain, t))
+    L11, L12 = T[0, 0], T[0, 1]
+    L21, L22 = T[1, 0], T[1, 1]
     inv22 = np.linalg.inv(L22)
     assert np.allclose(data.k[1].dense(), L22)
     assert np.allclose(data.F[(2, 1)].dense(), L12 @ inv22)
@@ -96,9 +95,9 @@ def test_reconstruction(ctx, rng, N, L):
     chain = make_chain(N, L, ctx, rng)
     for _ in range(3):
         t = complex(sample_annulus(rng, 1)[0])
-        T = monodromy(chain, t)
-        data = gauss_decompose(graded_monodromy(chain, t))
-        err = np.linalg.norm(data.reconstruct().dense() - T.blocks) / np.linalg.norm(T.blocks)
+        T = dense_monodromy(chain, t)
+        data = gauss_decompose(monodromy(chain, t))
+        err = np.linalg.norm(data.reconstruct().dense() - T) / np.linalg.norm(T)
         assert err < 1e-10
 
 
@@ -108,8 +107,8 @@ def test_graded_coordinates_match_the_dense_elimination(ctx, seed):
     chain = make_chain(3, 4, ctx, rng)
     for _ in range(3):
         t = complex(sample_annulus(rng, 1)[0])
-        data = gauss_decompose(graded_monodromy(chain, t))
-        k, F, E = dense_gauss_decompose(monodromy(chain, t))
+        data = gauss_decompose(monodromy(chain, t))
+        k, F, E = dense_gauss_decompose(dense_monodromy(chain, t))
         pairs = list(zip(data.k, k)) + [(data.F[ij], F[ij]) for ij in F]
         pairs += [(data.E[ij], E[ij]) for ij in E]
         for got, want in pairs:
@@ -120,7 +119,7 @@ def test_vacuum_action_of_coordinates(ctx, rng):
     chain = make_chain(3, 2, ctx, rng)
     omega, lambdas = vacuum_data(chain)
     t = complex(sample_annulus(rng, 1)[0])
-    data = gauss_decompose(graded_monodromy(chain, t))
+    data = gauss_decompose(monodromy(chain, t))
     for a in range(1, 4):
         lam = lambdas[a - 1](t)
         assert np.linalg.norm(data.k[a - 1].dense() @ omega - lam * omega) < 1e-10
@@ -133,7 +132,7 @@ def test_transfer_on_vacuum_is_lambda_sum(ctx, rng):
     omega, lambdas = vacuum_data(chain)
     t = complex(sample_annulus(rng, 1)[0])
     want = sum(lam(t) for lam in lambdas)
-    got = transfer(chain, t) @ omega
+    got = transfer(chain, t).dense() @ omega
     assert np.linalg.norm(got - want * omega) / abs(want) < 1e-12
 
 
@@ -142,7 +141,7 @@ def test_singular_coordinate_raises(ctx):
     blocks[0, 0] = np.eye(2)
     blocks[1, 1] = np.zeros((2, 2))  # singular corner
     with pytest.raises(SingularCoordinateError):
-        gauss_decompose(graded(BlockLOperator(point=1.0, blocks=blocks), L=1))
+        gauss_decompose(graded(blocks, L=1))
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +182,10 @@ def test_zero_mode_factorizations(ctx, rng):
     # F_i[0] and E_i[0] reproduce the limit operator blocks they came from
     chain = make_chain(3, 2, ctx, rng)
     zm = zero_mode_set(chain)
-    from bethelab import zero_modes
-    plus, minus = zero_modes(chain)
+    plus, minus = (op.dense() for op in zero_modes(chain))
     for i in (1, 2):
-        assert np.allclose(zm.Fzero[i].dense() @ plus.entry(i + 1, i + 1), plus.entry(i, i + 1))
-        assert np.allclose(-minus.entry(i + 1, i + 1) @ zm.Ezero[i].dense(),
-                           minus.entry(i + 1, i))
+        assert np.allclose(zm.Fzero[i].dense() @ plus[i, i], plus[i - 1, i])
+        assert np.allclose(-minus[i, i] @ zm.Ezero[i].dense(), minus[i, i - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +199,14 @@ def test_lowering_identities_rank3(ctx, rng, kind):
     zm = zero_mode_set(chain)
     for _ in range(3):
         t = complex(sample_annulus(rng, 1)[0])
-        data = gauss_decompose(graded_monodromy(chain, t))
+        data = gauss_decompose(monodromy(chain, t))
         assert coordinate_identity_residual(kind, (1, 3), data, zm) < 1e-9
 
 
 def test_iterated_dual_identity_rank4(ctx, rng):
     chain = make_chain(4, 2, ctx, rng)
     t = complex(sample_annulus(rng, 1)[0])
-    data, zm = gauss_decompose(graded_monodromy(chain, t)), zero_mode_set(chain)
+    data, zm = gauss_decompose(monodromy(chain, t)), zero_mode_set(chain)
     assert coordinate_identity_residual(
         CoordinateIdentity.E_ITERATED, (1, 4), data, zm) < 1e-9
     assert coordinate_identity_residual(
@@ -219,14 +216,14 @@ def test_iterated_dual_identity_rank4(ctx, rng):
 def test_cartan_shift_identity(ctx, rng):
     chain = make_chain(3, 2, ctx, rng)
     t = complex(sample_annulus(rng, 1)[0])
-    data, zm = gauss_decompose(graded_monodromy(chain, t)), zero_mode_set(chain)
+    data, zm = gauss_decompose(monodromy(chain, t)), zero_mode_set(chain)
     assert coordinate_identity_residual(
         CoordinateIdentity.CARTAN_SHIFT, (1, 0), data, zm) < 1e-9
 
 
 def test_identity_index_validation(ctx, rng):
     chain = make_chain(2, 1, ctx, rng)
-    data, zm = gauss_decompose(graded_monodromy(chain, 1.3)), zero_mode_set(chain)
+    data, zm = gauss_decompose(monodromy(chain, 1.3)), zero_mode_set(chain)
     with pytest.raises(DomainError):
         coordinate_identity_residual(CoordinateIdentity.F_LOWERING, (1, 2), data, zm)
 

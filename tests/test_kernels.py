@@ -10,12 +10,10 @@ from bethelab import (
     DomainError,
     PoleError,
     RationalFunction,
-    SamplingExhaustedError,
     bethe_residual,
     nesting_overlap,
     nesting_overlap_alt,
     partial_fraction_residual,
-    rational_equal,
     same_type_weight,
     shift_weight,
     split_weight,
@@ -33,45 +31,6 @@ TOL = 1e-12
 
 def const(v):
     return RationalFunction(("t",), lambda t: v + 0j)
-
-
-# ---------------------------------------------------------------------------
-# rational_equal
-
-
-def test_rational_equal_identical_evaluators(ctx):
-    f = RationalFunction(("t",), lambda t: 1 / (1 - t),
-                         lambda t: abs(1 - t) / max(1.0, abs(t)))
-    ok, report = rational_equal(f, f, ctx, "same")
-    assert ok and report.max_diff == 0.0
-
-
-def test_rational_equal_factored_polynomial(ctx):
-    f = RationalFunction(("t",), lambda t: (1 - t * t) / (1 - t),
-                         lambda t: abs(1 - t) / max(1.0, abs(t)))
-    g = RationalFunction(("t",), lambda t: 1 + t)
-    ok, _ = rational_equal(f, g, ctx, "factored")
-    assert ok
-
-
-def test_rational_equal_detects_difference(ctx):
-    # hand check at t = 0.7, q = 1.3: 1/(1-0.7) = 3.333.. vs 1/(1-0.91) = 11.11..
-    q = 1.3
-    assert abs(1 / (1 - 0.7) - 10 / 3) < 1e-14
-    assert abs(1 / (1 - q * 0.7) - 100 / 9) < 1e-12
-    f = RationalFunction(("t",), lambda t: 1 / (1 - t),
-                         lambda t: abs(1 - t) / max(1.0, abs(t)))
-    g = RationalFunction(("t",), lambda t: 1 / (1 - q * t),
-                         lambda t: abs(1 - q * t) / max(1.0, abs(t)))
-    ok, report = rational_equal(f, g, ctx, "different")
-    assert not ok
-    assert report.max_diff > 1e-2
-
-
-def test_rational_equal_exhausts_on_dense_pole_locus(ctx):
-    f = RationalFunction(("t",), lambda t: t, lambda t: 0.0)  # everything is a pole
-    with pytest.raises(SamplingExhaustedError):
-        rational_equal(f, f, ctx, "dense")
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,10 @@ from bethelab import (
     zero_modes,
 )
 from bethelab import repcore
-from bethelab.repcore import (_r_coefficients, _zero_mode_coefficients, graded_monodromy,
-                              graded_zero_modes, permutation_operator, weight_basis,
-                              zero_mode_residuals)
+from bethelab.repcore import (_r_coefficients, _zero_mode_coefficients, permutation_operator,
+                              weight_basis, zero_mode_residuals)
 
-from conftest import make_chain, separated_points
+from conftest import dense_monodromy, dense_zero_modes, make_chain, separated_points
 
 
 def slow_embed(op, N, L, site):
@@ -73,8 +72,8 @@ def slow_rll_residual(chain, u, v):
     """The exchange relation from four dense (N^2, N^2, d, d) products: the
     reference for the probe-vector check in `rll_residual`."""
     N, d = chain.N, chain.dim
-    Tu = monodromy(chain, u).blocks
-    Tv = monodromy(chain, v).blocks
+    Tu = monodromy(chain, u).dense()
+    Tv = monodromy(chain, v).dense()
     R = repcore.r_matrix(u, v, N, chain.ctx)
     left_prod = np.einsum("ijab,klbc->ikjlac", Tu, Tv).reshape(N * N, N * N, d, d)
     right_prod = np.einsum("klab,ijbc->ikjlac", Tv, Tu).reshape(N * N, N * N, d, d)
@@ -87,8 +86,8 @@ def slow_rll_residual(chain, u, v):
 def dense_commutator_residual(chain, u, v):
     """[T(u), T(v)] from two dense transfer matrices: the reference for the
     probe-vector check in `transfer_commutator_residual`."""
-    Tu = transfer(chain, u)
-    Tv = transfer(chain, v)
+    Tu = transfer(chain, u).dense()
+    Tv = transfer(chain, v).dense()
     return float(np.linalg.norm(Tu @ Tv - Tv @ Tu) / max(np.linalg.norm(Tu @ Tv), 1e-300))
 
 
@@ -101,8 +100,8 @@ def dense_vacuum_residuals(chain, t):
     tri = eig = 0.0
     for i in range(1, chain.N + 1):
         for j in range(1, i + 1):
-            act = T.entry(i, j) @ omega
-            scale = max(np.linalg.norm(T.entry(i, j)), 1e-300)
+            act = T.entry(i, j).dense() @ omega
+            scale = max(np.linalg.norm(T.entry(i, j).dense()), 1e-300)
             if i > j:
                 tri = max(tri, float(np.linalg.norm(act) / scale))
             else:
@@ -116,9 +115,9 @@ def dense_zero_mode_residuals(chain):
     reference for the probe-vector check in `zero_mode_residuals`."""
     plus, minus = zero_modes(chain)
     N = chain.N
-    return ([float(np.max(np.abs(plus.entry(i, j)))) for i in range(1, N + 1)
+    return ([float(np.max(np.abs(plus.entry(i, j).dense()))) for i in range(1, N + 1)
              for j in range(1, N + 1) if i > j]
-            + [float(np.max(np.abs(minus.entry(i, j)))) for i in range(1, N + 1)
+            + [float(np.max(np.abs(minus.entry(i, j).dense()))) for i in range(1, N + 1)
                for j in range(1, N + 1) if i < j])
 
 
@@ -174,15 +173,15 @@ def test_empty_chain_monodromy(ctx):
     for i in range(1, 4):
         for j in range(1, 4):
             want = chain.kappa[i - 1] * np.eye(1) if i == j else np.zeros((1, 1))
-            assert np.allclose(T.entry(i, j), want)
-    assert np.allclose(transfer(chain, 0.9), sum(chain.kappa) * np.eye(1))
+            assert np.allclose(T.entry(i, j).dense(), want)
+    assert np.allclose(transfer(chain, 0.9).dense(), sum(chain.kappa) * np.eye(1))
 
 
 @pytest.mark.parametrize("N,L", [(2, 2), (3, 2), (2, 3)])
 def test_monodromy_matches_slow_assembly(ctx, rng, N, L):
     chain = make_chain(N, L, ctx, rng)
     t = 1.4 + 0.8j
-    fast = monodromy(chain, t).blocks
+    fast = monodromy(chain, t).dense()
     slow = slow_monodromy(chain, t)
     assert np.max(np.abs(fast - slow)) < 1e-13
 
@@ -193,14 +192,14 @@ def test_apply_monodromy_matches_dense_blocks(ctx, rng, N, L):
     d = chain.dim
     t = 1.4 + 0.8j
     coeffs = [_r_coefficients(t, zl, ctx) for zl in chain.z]
-    blocks = monodromy(chain, t).blocks
+    blocks = monodromy(chain, t).dense()
     for B in (1, 3):
         X = random_batch(rng, (N, d, B))
         want = np.einsum("ijxy,jyb->ixb", blocks, X)
         got = apply_monodromy(chain, coeffs, X)
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
     v = random_batch(rng, d)
-    want = transfer(chain, t) @ v
+    want = transfer(chain, t).dense() @ v
     assert np.max(np.abs(transfer_apply(chain, t, v) - want)) < 1e-13 * np.max(np.abs(want))
     want = blocks[0, N - 1] @ v
     got = entry_apply(chain, t, 1, N, v)
@@ -211,12 +210,13 @@ def test_apply_monodromy_matches_dense_blocks(ctx, rng, N, L):
     # T_{i,j} = 0 (i > j for the plus limit, i < j for the minus limit)
     limits = zip(_zero_mode_coefficients(ctx.q), zero_modes(chain), (np.greater, np.less))
     for coeff, op, triangle_zero in limits:
+        op_blocks = op.dense()
         for j in range(N):
             X = np.zeros((N, d, 3), dtype=complex)
             X[j] = random_batch(rng, (d, 3))
             Y = apply_monodromy(chain, [coeff] * L, X)
             for i in range(N):
-                assert np.all(Y[i] == 0) == np.all(op.blocks[i, j] == 0)
+                assert np.all(Y[i] == 0) == np.all(op_blocks[i, j] == 0)
                 if triangle_zero(i, j):
                     assert np.all(Y[i] == 0)
 
@@ -224,9 +224,8 @@ def test_apply_monodromy_matches_dense_blocks(ctx, rng, N, L):
 def test_rank2_transfer_trace_against_direct_assembly(ctx, rng):
     chain = make_chain(2, 1, ctx, rng)
     t = 0.8 - 0.3j
-    T = monodromy(chain, t)
     direct = slow_monodromy(chain, t)
-    tr = transfer(chain, t)
+    tr = transfer(chain, t).dense()
     assert np.allclose(tr, direct[0, 0] + direct[1, 1])
 
 
@@ -347,14 +346,14 @@ def test_vacuum_single_site_eigenvalue(ctx, rng):
     omega, lambdas = vacuum_data(chain)
     want = chain.kappa[1] * (t - z) / (q * t - z / q)
     assert abs(lambdas[1](t) - want) < 1e-13
-    assert np.linalg.norm(T.entry(2, 2) @ omega - want * omega) < 1e-13
+    assert np.linalg.norm(T.entry(2, 2).dense() @ omega - want * omega) < 1e-13
 
 
 def test_vacuum_annihilated_by_lowering_entries(ctx, rng):
     chain = make_chain(2, 3, ctx, rng)
     omega, _ = vacuum_data(chain)
     t = complex(sample_annulus(rng, 1)[0])
-    assert np.linalg.norm(monodromy(chain, t).entry(2, 1) @ omega) < 1e-13
+    assert np.linalg.norm(monodromy(chain, t).entry(2, 1).dense() @ omega) < 1e-13
 
 
 def test_vacuum_residuals_random_points(ctx, rng):
@@ -374,8 +373,8 @@ def test_zero_modes_empty_chain(ctx):
     chain = ChainSpec(N=2, L=0, z=(), kappa=(1.2, 0.9), ctx=ctx)
     plus, minus = zero_modes(chain)
     for op in (plus, minus):
-        assert np.allclose(op.entry(1, 1), 1.2 * np.eye(1))
-        assert np.allclose(op.entry(2, 2), 0.9 * np.eye(1))
+        assert np.allclose(op.entry(1, 1).dense(), 1.2 * np.eye(1))
+        assert np.allclose(op.entry(2, 2).dense(), 0.9 * np.eye(1))
 
 
 def test_zero_modes_single_site_block(ctx, rng):
@@ -385,7 +384,7 @@ def test_zero_modes_single_site_block(ctx, rng):
     E21 = np.zeros((2, 2))
     E21[1, 0] = 1.0
     want = chain.kappa[0] * (q - 1 / q) / q * E21
-    assert np.max(np.abs(plus.entry(1, 2) - want)) < 1e-14
+    assert np.max(np.abs(plus.entry(1, 2).dense() - want)) < 1e-14
 
 
 def test_zero_modes_triangular_and_match_limits(ctx, rng):
@@ -394,13 +393,13 @@ def test_zero_modes_triangular_and_match_limits(ctx, rng):
     for i in range(1, 4):
         for j in range(1, 4):
             if i > j:
-                assert np.max(np.abs(plus.entry(i, j))) == 0.0
+                assert np.max(np.abs(plus.entry(i, j).dense())) == 0.0
             if i < j:
-                assert np.max(np.abs(minus.entry(i, j))) == 0.0
-    big = monodromy(chain, 1e8).blocks
-    small = monodromy(chain, 1e-8).blocks
-    assert np.max(np.abs(plus.blocks - big)) < 1e-6
-    assert np.max(np.abs(minus.blocks - small)) < 1e-6
+                assert np.max(np.abs(minus.entry(i, j).dense())) == 0.0
+    big = monodromy(chain, 1e8).dense()
+    small = monodromy(chain, 1e-8).dense()
+    assert np.max(np.abs(plus.dense() - big)) < 1e-6
+    assert np.max(np.abs(minus.dense() - small)) < 1e-6
 
 
 def test_zero_mode_diagonal_products_recorded(ctx, rng, capsys):
@@ -409,7 +408,7 @@ def test_zero_mode_diagonal_products_recorded(ctx, rng, capsys):
     chain = make_chain(2, 2, ctx, rng)
     plus, minus = zero_modes(chain)
     for i in range(1, 3):
-        prod = plus.entry(i, i) @ minus.entry(i, i)
+        prod = (plus.entry(i, i) @ minus.entry(i, i)).dense()
         print(f"diagonal zero-mode product {i}: "
               f"{np.diag(prod).round(12).tolist()}")
         assert np.linalg.cond(prod) < 1e8  # invertibility only
@@ -421,24 +420,28 @@ def test_zero_mode_diagonal_products_recorded(ctx, rng, capsys):
 
 @pytest.mark.parametrize("N,L", [(2, 3), (3, 2), (3, 3)])
 def test_graded_blocks_follow_the_weight_rule(ctx, rng, N, L):
-    # T_{i,j} maps weight nu to nu + e_j - e_i: every dense entry outside that
-    # rule is exactly 0, and the graded blocks are the dense entries inside it
+    # T_{i,j} maps weight nu to nu + e_j - e_i: every entry of the dense
+    # oracle outside that rule is exactly 0, and the graded blocks are its
+    # entries inside it, bit for bit
     chain = make_chain(N, L, ctx, rng)
     weight = np.zeros((chain.dim, N), dtype=int)
     for nu, idx in weight_basis(N, L).items():
         weight[idx] = nu
     t = complex(sample_annulus(rng, 1)[0])
-    pairs = [(monodromy(chain, t), graded_monodromy(chain, t))]
-    pairs += list(zip(zero_modes(chain), graded_zero_modes(chain)))
+    pairs = [(dense_monodromy(chain, t), monodromy(chain, t))]
+    pairs += list(zip(dense_zero_modes(chain), zero_modes(chain)))
     for dense, graded in pairs:
         for i in range(1, N + 1):
             for j in range(1, N + 1):
                 shift = np.eye(N, dtype=int)[j - 1] - np.eye(N, dtype=int)[i - 1]
                 allowed = np.all(weight[:, None, :] == weight[None, :, :] + shift, axis=2)
-                block = dense.entry(i, j)
+                block = dense[i - 1, j - 1]
                 assert np.all(block[~allowed] == 0)
                 assert np.array_equal(graded.entry(i, j).dense(), block)
-    assert np.array_equal(pairs[0][1].dense(), pairs[0][0].blocks)
+        assert np.array_equal(graded.dense(), dense)
+    # the transfer matrix is the sum of the diagonal blocks, bit for bit
+    dense = pairs[0][0]
+    assert np.array_equal(transfer(chain, t).dense(), sum(dense[i, i] for i in range(N)))
 
 
 # ---------------------------------------------------------------------------

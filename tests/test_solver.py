@@ -13,6 +13,7 @@ from bethelab import (
     spectrum_reconcile,
     vacuum_data,
 )
+from bethelab import cli
 from bethelab.solver import sector_multiplicity
 
 from conftest import make_chain
@@ -114,7 +115,28 @@ def test_spectrum_reconcile_flags_missing_sector(ctx, rng):
     assert not rep.complete
 
 
-def test_spectrum_reconcile_dimension_cap(ctx, rng):
-    chain = make_chain(2, 9, ctx, rng)  # dimension 512 > 256
-    with pytest.raises(CapacityError):
-        spectrum_reconcile(chain, {}, 1.0)
+def test_spectrum_reconcile_above_the_old_dense_cap(ctx, rng):
+    # 512 states, past the 256 that a dense eigensolve was capped at; the
+    # empty root set matches the one state of its own weight block
+    chain = make_chain(2, 9, ctx, rng)
+    rep = spectrum_reconcile(chain, {(0,): solve_bethe(chain, (0,)).solutions}, 1.0)
+    assert rep.total_states == 512
+    assert rep.matched == rep.bethe_count == 1
+    assert len(rep.unmatched_eigenvalues) == 511
+    assert not rep.complete
+
+
+def test_spectrum_reconcile_matches_within_the_weight_block(ctx, rng):
+    # the one-magnon root sets of the onshell chain (N=2, L=8, seed 7) are
+    # eigenvalues of weight (7, 1); handed in as sector (2,), they must be
+    # matched against block (6, 2) alone, where the nearest eigenvalue is
+    # 4 % away at this t
+    chain = cli.materialize(cli.RunConfig(N=2, L=8, seed=7, sectors_spec="1")).chains[0]
+    sols = solve_bethe(chain, (1,)).solutions
+    assert len(sols) == 8
+    t = 1.3 - 0.2j
+    assert spectrum_reconcile(chain, {(1,): sols}, t).matched == 8
+    rep = spectrum_reconcile(chain, {(2,): sols}, t)
+    assert rep.matched == 0
+    assert rep.bethe_count == 8
+

@@ -45,8 +45,8 @@ def test_rank2_vector_is_creation_product(ctx, rng):
     w = nested_vector(chain, BetheParameterSet((tuple(roots),)))
     omega = np.zeros(chain.dim, dtype=complex)
     omega[0] = 1.0
-    direct = monodromy(chain, roots[0]).entry(1, 2) @ (
-        monodromy(chain, roots[1]).entry(1, 2) @ omega)
+    direct = monodromy(chain, roots[0]).entry(1, 2).dense() @ (
+        monodromy(chain, roots[1]).entry(1, 2).dense() @ omega)
     assert np.linalg.norm(w.vector - direct) / np.linalg.norm(direct) < 1e-12
 
 
@@ -63,11 +63,12 @@ def test_rank3_vector_against_dense_assembly_oracle(ctx, rng):
     aux = ChainSpec(N=2, L=1, z=(t1,), kappa=chain.kappa[1:], ctx=ctx)
     aux_omega = np.zeros(2, dtype=complex)
     aux_omega[0] = 1.0
-    aux_vec = monodromy(aux, t2).entry(1, 2) @ aux_omega
+    aux_vec = monodromy(aux, t2).entry(1, 2).dense() @ aux_omega
     omega = np.zeros(chain.dim, dtype=complex)
     omega[0] = 1.0
     T = monodromy(chain, t1)
-    direct = aux_vec[0] * (T.entry(1, 2) @ omega) + aux_vec[1] * (T.entry(1, 3) @ omega)
+    direct = (aux_vec[0] * (T.entry(1, 2).dense() @ omega)
+              + aux_vec[1] * (T.entry(1, 3).dense() @ omega))
     assert np.linalg.norm(w.vector - direct) / np.linalg.norm(direct) < 1e-12
 
 
@@ -134,7 +135,7 @@ def test_modified_vector_single_excitation(ctx, rng):
     _, lambdas = vacuum_data(chain)
     omega = np.zeros(chain.dim, dtype=complex)
     omega[0] = 1.0
-    want = lambdas[1](t1) * (monodromy(chain, t1).entry(1, 2) @ omega)
+    want = lambdas[1](t1) * (monodromy(chain, t1).entry(1, 2).dense() @ omega)
     assert np.linalg.norm(mod.vector - want) / np.linalg.norm(want) < 1e-12
 
 
