@@ -16,20 +16,21 @@ Config files are flat ``key = value`` text; ``#`` starts a comment. Keys:
 Any other key is a configuration error. Command-line flags override file
 values.
 
-Each check's thunk yields one residual per random draw; `_run_checks`
-reduces them to the check's residual (the largest, NaN if any is NaN) and
-compares it with the tolerance. Exit codes: 0 all checks passed, 1 at least
-one tolerance failure, 2 invalid configuration or capacity cap.
+`_run_checks` solves every sector the checks declare, once each, and then
+runs the checks serially on the calling thread, in the order the suite
+builders return them. Each check's thunk yields one residual per random
+draw; `_run_checks` reduces them to the check's residual (the largest, NaN
+if any is NaN) and compares it with the tolerance. Exit codes: 0 all checks
+passed, 1 at least one tolerance failure, 2 invalid configuration or
+capacity cap.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import math
-import os
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, Iterable
@@ -233,9 +234,10 @@ class Check:
 
 
 def _run_checks(checks: list[Check], workers: int) -> list[CheckRecord]:
-    """Solve each declared sector once, then run the checks on the pool; a
-    failed solve fails the checks that declared its sector. No check's wall
-    time includes a solve.
+    """Solve each declared sector once, then run the checks one after the
+    other, in order; a failed solve fails the checks that declared its
+    sector. No check's wall time includes a solve. `workers` is ignored: it
+    is kept only for the benchmark's wrapper, which passes it positionally.
 
     A check's residual is the largest value its thunk yields (0.0 when it
     yields none), and NaN, which fails the check, when any yielded value is
@@ -270,10 +272,7 @@ def _run_checks(checks: list[Check], workers: int) -> list[CheckRecord]:
             wall_time=wall,
             error="" if error is None else f"{type(error).__name__}: {error}")
 
-    if workers <= 1 or len(checks) <= 1:
-        return [run_one(c) for c in checks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, checks))
+    return [run_one(c) for c in checks]
 
 
 def _chain_inputs(chain: ChainSpec) -> dict:
@@ -397,7 +396,7 @@ def suite_gauss(mat: Materialized, cfg: RunConfig) -> list[Check]:
         base = f"gauss/chain{c}"
         inputs = _chain_inputs(chain)
         # built by the first identity check that runs, shared by the others
-        chain_zero_modes = _once(lambda chain=chain: zero_mode_set(chain))
+        chain_zero_modes = functools.cache(lambda chain=chain: zero_mode_set(chain))
 
         def recon_thunk(chain=chain, c=c):
             rng = chain.ctx.rng(f"gauss-recon:{c}")
@@ -444,20 +443,6 @@ def suite_gauss(mat: Materialized, cfg: RunConfig) -> list[Check]:
             checks.append(Check(f"{base}/{kind.value}", anchor,
                                 1e-9, inputs, identity_thunk))
     return checks
-
-
-def _once(build: Callable[[], object]) -> Callable[[], object]:
-    """`build` memoized: the first call runs it, under a lock so that pool
-    threads calling together still run it once; later calls return its value."""
-    lock = threading.Lock()
-    value = []
-
-    def get():
-        with lock:
-            if not value:
-                value.append(build())
-        return value[0]
-    return get
 
 
 def _identity_indices(kind: CoordinateIdentity, N: int) -> list[tuple[int, int]]:
@@ -602,14 +587,14 @@ def _sample_function(*t: complex) -> complex:
     return out / t[-1]
 
 
-def _separated(rng, n: int, min_sep: float = 0.05) -> list[complex]:
-    """n annulus points whose pairwise relative distances exceed min_sep."""
+def _separated(rng, n: int) -> list[complex]:
+    """n annulus points whose pairwise relative distances exceed 0.05."""
     vals: list[complex] = []
     for _ in range(100 * max(n, 1)):
         if len(vals) == n:
             break
         cand = complex(sample_annulus(rng, 1)[0])
-        if all(abs(cand - v) / max(abs(cand), abs(v)) > min_sep for v in vals):
+        if all(abs(cand - v) / max(abs(cand), abs(v)) > 0.05 for v in vals):
             vals.append(cand)
     if len(vals) < n:
         raise SamplingExhaustedError(f"could not sample {n} separated points")
@@ -823,15 +808,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _worker_count(text: str) -> int:
-    """Pool width from BETHELAB_WORKERS: a positive integer, 4 when unset or empty."""
-    if not text:
-        return 4
-    if not text.strip().isdigit() or int(text) < 1:
-        raise ConfigError(f"BETHELAB_WORKERS must be a positive integer, got {text!r}")
-    return int(text)
-
-
 def run_command(argv: list[str]) -> tuple[int, Report | None]:
     parser = _build_parser()
     try:
@@ -840,7 +816,6 @@ def run_command(argv: list[str]) -> tuple[int, Report | None]:
         return int(exc.code or 0), None
     try:
         cfg = build_config(args)
-        workers = _worker_count(os.environ.get("BETHELAB_WORKERS", ""))
         mat = materialize(cfg)
         suite_names = cfg.suites if args.command == "all" else (args.command,)
         checks: list[Check] = []
@@ -851,7 +826,7 @@ def run_command(argv: list[str]) -> tuple[int, Report | None]:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2, None
 
-    records = _run_checks(checks, workers)
+    records = _run_checks(checks, 1)
 
     report = Report(
         command=args.command, seed=cfg.seed, version=__version__,

@@ -31,7 +31,6 @@ class GaussData:
     and the Cartan ratios psi_i = k_i k_{i+1}^{-1}, all at one spectral point."""
 
     point: complex | None
-    source: str
     k: tuple[GradedOperator, ...]
     F: dict[tuple[int, int], GradedOperator]
     E: dict[tuple[int, int], GradedOperator]
@@ -66,7 +65,7 @@ class GaussData:
                     for m in range(a + 1, N + 1):
                         acc = acc + self.F[(m, a)] @ self.k[m - 1] @ self.E[(b, m)]
                 out[(a, b)] = acc
-        return GradedLOperator(point=self.point, entries=out, source=self.source)
+        return GradedLOperator(point=self.point, entries=out)
 
 
 def gauss_decompose(Lop: GradedLOperator) -> GaussData:
@@ -98,8 +97,7 @@ def gauss_decompose(Lop: GradedLOperator) -> GaussData:
         for a in range(1, b):
             for c in range(1, b):
                 work[(a, c)] = work[(a, c)] - F[(b, a)] @ kb @ E[(c, b)]
-    return GaussData(point=Lop.point, source=Lop.source,
-                     k=tuple(k), F=F, E=E, cond=tuple(conds))
+    return GaussData(point=Lop.point, k=tuple(k), F=F, E=E, cond=tuple(conds))
 
 
 @dataclass(frozen=True)

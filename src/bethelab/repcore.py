@@ -205,7 +205,6 @@ class GradedLOperator:
 
     point: complex | None
     entries: dict[tuple[int, int], GradedOperator]
-    source: str = "finite"
 
     @property
     def N(self) -> int:
@@ -216,7 +215,7 @@ class GradedLOperator:
 
     def __sub__(self, other: "GradedLOperator") -> "GradedLOperator":
         return GradedLOperator(self.point, {
-            ij: op - other.entries[ij] for ij, op in self.entries.items()}, self.source)
+            ij: op - other.entries[ij] for ij, op in self.entries.items()})
 
     def norm(self) -> float:
         """Frobenius norm of the whole grid."""
@@ -342,7 +341,7 @@ def _weight_sectors(N: int, L: int) -> list[tuple[list, np.ndarray, list]]:
 
 
 def _graded_grid(chain: ChainSpec, coeffs: list[tuple[complex, complex, complex]],
-                 point: complex | None, source: str) -> GradedLOperator:
+                 point: complex | None) -> GradedLOperator:
     """Graded block grid: the monodromy applied to each total weight W's
     states alone. Site by site, R_{a,l} keeps a state's amplitude (factor
     R[a s, a s] for aux digit a, site digit s) and moves it to the state with
@@ -367,12 +366,12 @@ def _graded_grid(chain: ChainSpec, coeffs: list[tuple[complex, complex, complex]
                 blocks[(a + 1, b + 1)][nu] = Y[rows, cols]
     entries = {(i, j): GradedOperator(L, _difference(unit[j - 1], unit[i - 1]), ops)
                for (i, j), ops in blocks.items()}
-    return GradedLOperator(point=point, entries=entries, source=source)
+    return GradedLOperator(point=point, entries=entries)
 
 
 def monodromy(chain: ChainSpec, t: complex) -> GradedLOperator:
     """The monodromy T(t) as a graded grid; raises PoleError near R-matrix poles."""
-    return _graded_grid(chain, _point_coefficients(chain, t), t, "finite")
+    return _graded_grid(chain, _point_coefficients(chain, t), t)
 
 
 def transfer(chain: ChainSpec, t: complex) -> GradedOperator:
@@ -413,8 +412,8 @@ def zero_modes(chain: ChainSpec) -> tuple[GradedLOperator, GradedLOperator]:
     imposed (the twist keeps the zero modes free).
     """
     plus, minus = _zero_mode_coefficients(chain.ctx.q)
-    return (_graded_grid(chain, [plus] * chain.L, None, "plus-limit"),
-            _graded_grid(chain, [minus] * chain.L, None, "minus-limit"))
+    return (_graded_grid(chain, [plus] * chain.L, None),
+            _graded_grid(chain, [minus] * chain.L, None))
 
 
 def zero_mode_residuals(chain: ChainSpec, rng: np.random.Generator) -> list[float]:

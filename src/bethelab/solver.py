@@ -20,6 +20,7 @@ from .repcore import ChainSpec, transfer, vacuum_data
 from .vectors import expected_occupancy, is_admissible
 
 EXCITATION_CAP = 8
+MATCH_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -234,13 +235,14 @@ def _newton(residual_map, x0: np.ndarray, opts: SolverOptions):
     return None
 
 
-def admissible_sectors(chain: ChainSpec, cap: int = EXCITATION_CAP):
-    """All sector shapes L >= n_1 >= ... >= n_{N-1} with at most `cap` roots."""
+def admissible_sectors(chain: ChainSpec):
+    """All sector shapes L >= n_1 >= ... >= n_{N-1} with at most
+    `EXCITATION_CAP` roots."""
     def rec(prefix, remaining, bound):
         if remaining == 0:
             yield tuple(prefix)
             return
-        for n in range(min(bound, cap - sum(prefix)), -1, -1):
+        for n in range(min(bound, EXCITATION_CAP - sum(prefix)), -1, -1):
             yield from rec(prefix + [n], remaining - 1, n)
 
     yield from rec([], chain.N - 1, chain.L)
@@ -263,13 +265,13 @@ class ReconcileReport:
 
 
 def spectrum_reconcile(chain: ChainSpec, solutions_by_sector: dict,
-                       t_probe: complex, match_tol: float = 1e-8) -> ReconcileReport:
+                       t_probe: complex) -> ReconcileReport:
     """Match every Bethe eigenvalue candidate against the transfer spectrum,
     one weight block at a time.
 
     T(t) keeps weight, so sector nbar's eigenvalues are those of its own
     block, weight `expected_occupancy(L, nbar)`. Each candidate claims the
-    nearest unclaimed eigenvalue of that block within match_tol (relative),
+    nearest unclaimed eigenvalue of that block within MATCH_TOL (relative),
     sectors taken in sorted order; the report counts matches and duplicates
     over all blocks and flags ambiguity when some block has a near-degenerate
     pair at the tolerance.
@@ -277,7 +279,7 @@ def spectrum_reconcile(chain: ChainSpec, solutions_by_sector: dict,
     blocks = transfer(chain, t_probe).blocks
     _, lambdas = vacuum_data(chain)
     eigs = {nu: np.linalg.eigvals(M) for nu, M in blocks.items()}
-    ambiguous = any(_min_relative_gap(e) < match_tol for e in eigs.values())
+    ambiguous = any(_min_relative_gap(e) < MATCH_TOL for e in eigs.values())
 
     claimed: dict[tuple[int, ...], set[int]] = {nu: set() for nu in eigs}
     duplicates = 0
@@ -293,7 +295,7 @@ def spectrum_reconcile(chain: ChainSpec, solutions_by_sector: dict,
             rel = np.abs(eigs[nu] - tau) / np.maximum(np.abs(eigs[nu]), 1e-300)
             hit = None
             for idx in np.argsort(rel):
-                if rel[idx] > match_tol:
+                if rel[idx] > MATCH_TOL:
                     break
                 if idx in claimed[nu]:
                     duplicates += 1

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -72,7 +73,6 @@ def test_gauss_builds_one_zero_mode_set_per_chain(tmp_path, monkeypatch, capsys)
     calls = []
     original = cli.zero_mode_set
     monkeypatch.setattr(cli, "zero_mode_set", lambda chain: calls.append(chain) or original(chain))
-    monkeypatch.setenv("BETHELAB_WORKERS", "1")
     cli.suite_gauss(cli.materialize(cli.RunConfig(N=3, L=2, seed=7)), None)
     assert calls == []
     cfg = tmp_path / "n3l2.cfg"
@@ -168,11 +168,9 @@ def test_each_sector_solved_once_under_the_pool(tmp_path, monkeypatch, capsys):
 
     def counting(chain, nbar, opts=None):
         solved.append(tuple(nbar))
-        time.sleep(0.05)  # widen the window in which a second thread could start
         return original(chain, nbar, opts)
 
     monkeypatch.setattr(cli, "solve_bethe", counting)
-    monkeypatch.setenv("BETHELAB_WORKERS", "4")
     cfg = tmp_path / "pool.cfg"
     cfg.write_text("N = 2\nL = 2\nseed = 5\nsuites = solve, verify\n")
     code, report = run(["all", "--config", str(cfg)])
@@ -188,7 +186,6 @@ def test_check_wall_times_exclude_solving(tmp_path, monkeypatch, capsys):
         return original(chain, nbar, opts)
 
     monkeypatch.setattr(cli, "solve_bethe", slow)
-    monkeypatch.setenv("BETHELAB_WORKERS", "4")
     cfg = tmp_path / "stage.cfg"
     cfg.write_text("N = 2\nL = 2\nseed = 5\nsuites = solve, verify\n")
     code, report = run(["all", "--config", str(cfg)])
@@ -207,14 +204,17 @@ def test_failed_solve_fails_the_checks_that_read_it(tmp_path, capsys):
         assert check.error == "CapacityError: sector size 9 exceeds cap 8"
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_worker_count_exits_2(monkeypatch, capsys, value):
-    monkeypatch.setenv("BETHELAB_WORKERS", value)
-    code, report = run(["yang-baxter"])
-    assert code == 2
-    assert report is None
-    assert "configuration error" in capsys.readouterr().err
-    assert cli._worker_count("") == 4
+def test_checks_run_on_the_calling_thread():
+    threads = []
+
+    def thunk():
+        threads.append(threading.current_thread())
+        yield 0.0
+
+    checks = [cli.Check(f"probe{i}", "anchor", 1e-10, {}, thunk) for i in range(2)]
+    records = cli._run_checks(checks, 4)
+    assert [r.passed for r in records] == [True, True]
+    assert threads == [threading.main_thread()] * 2
 
 
 def test_gauss_reconstruction_at_an_ill_conditioned_coordinate(tmp_path, capsys):

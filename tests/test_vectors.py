@@ -91,8 +91,8 @@ def test_weight_support_sweep(ctx, rng):
     for N in (2, 3, 4):
         for L in (1, 2, 3, 4):
             chain = make_chain(N, L, ctx, rng)
-            for nbar in admissible_sectors(chain, cap=6):
-                if sum(nbar) == 0:
+            for nbar in admissible_sectors(chain):
+                if not 0 < sum(nbar) <= 6:
                     continue
                 params = BetheParameterSet(
                     tuple(tuple(separated_points(rng, n)) for n in nbar))
