@@ -53,8 +53,8 @@ from .repcore import (ChainSpec, monodromy, permutation_operator, r_matrix, rll_
                       transfer, transfer_commutator_residual, vacuum_data,
                       vacuum_residuals, yang_baxter_residual, zero_mode_residuals)
 from .report import CheckRecord, Report, encode_complex, inputs_digest
-from .solver import (EXCITATION_CAP, SolveResult, admissible_sectors, solve_bethe,
-                     spectrum_reconcile)
+from .solver import (EXCITATION_CAP, SolveResult, admissible_sectors, sector_multiplicity,
+                     solve_bethe, spectrum_reconcile)
 from .vectors import (expected_occupancy, is_admissible, on_shell_residuals,
                       unwanted_decomposition)
 
@@ -616,9 +616,17 @@ def suite_solve(mat: Materialized, cfg: RunConfig) -> list[Check]:
                 continue
             inputs = {**_chain_inputs(chain), "sector": list(nbar)}
             sector_id = "-".join(map(str, nbar))
+            sector = ((chain, nbar),)
             checks.append(Check(f"solve/chain{c}/sector{sector_id}",
                                 "Bethe residuals vanish at every returned root set",
-                                1e-10, inputs, solve_thunk, ((chain, nbar),)))
+                                1e-10, inputs, solve_thunk, sector))
+
+            def complete_thunk(result, chain=chain, nbar=nbar):
+                yield float(abs(sector_multiplicity(chain.L, nbar) - len(result)))
+
+            checks.append(Check(f"solve/chain{c}/sector{sector_id}/complete",
+                                "one root set per state of the sector's weight block",
+                                0.5, inputs, complete_thunk, sector))
     return checks
 
 

@@ -10,6 +10,7 @@ carries one factor per inversion pair, which is what the group average uses.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,6 +36,15 @@ def sym_weight(perm: Sequence[int], values: Sequence[complex], q: complex) -> co
             if perm[l] > perm[lp]:
                 w *= exchange_factor(values[perm[lp]], values[perm[l]], q)
     return w
+
+
+@functools.cache
+def _inversions(n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
+    """Every permutation of range(n) with its inversion pairs (l, l'), l < l',
+    in the order `sym_weight` visits them."""
+    return tuple((perm, tuple((l, lp) for l in range(n) for lp in range(l + 1, n)
+                              if perm[l] > perm[lp]))
+                 for perm in itertools.permutations(range(n)))
 
 
 def adjacent_swap_plan(perm: Sequence[int]) -> list[int]:
@@ -76,14 +86,20 @@ def partial_qsym_values(fn: Callable[..., complex], values: Sequence[complex], q
     sub = [values[s] for s in active]
     if len(sub) > FACTORIAL_CAP:
         raise CapacityError(f"symmetrization capped at {FACTORIAL_CAP} variables")
+    n = len(sub)
+    # factor[a][b] = exchange_factor(sub[a], sub[b], q), multiplied below in
+    # the (l, l') order of `sym_weight`, so the weights are the same floats
+    factor = [[exchange_factor(x, y, q) for y in sub] for x in sub]
     tot = 0.0 + 0j
-    for perm in itertools.permutations(range(len(sub))):
-        w = sym_weight(perm, sub, q)
+    for perm, inversions in _inversions(n):
+        w = 1.0 + 0j
+        for l, lp in inversions:
+            w *= factor[perm[lp]][perm[l]]
         args = list(values)
         for slot, p in zip(active, perm):
             args[slot] = sub[p]
         tot += w * fn(*args)
-    return tot / math.factorial(len(sub))
+    return tot / math.factorial(n)
 
 
 def shuffle_permutations(n: int, s: int):

@@ -385,12 +385,14 @@ def transfer(chain: ChainSpec, t: complex) -> GradedOperator:
 
 
 def transfer_apply(chain: ChainSpec, t: complex, v: np.ndarray) -> np.ndarray:
-    """T(t) v = sum_j <j| T(t) |j> v, without building the block grid."""
-    N = chain.N
-    X = np.zeros((N, chain.dim, N), dtype=complex)
+    """T(t) v = sum_j <j| T(t) |j> v for v of shape (dim,) or (dim, B),
+    without building the block grid."""
+    N, d = chain.N, chain.dim
+    X = np.zeros((N, d, N) + v.shape[1:], dtype=complex)
     for j in range(N):
         X[j, :, j] = v
-    Y = apply_monodromy(chain, _point_coefficients(chain, t), X)
+    Y = apply_monodromy(chain, _point_coefficients(chain, t), X.reshape(N, d, -1))
+    Y = Y.reshape(X.shape)
     return sum(Y[j, :, j] for j in range(N))
 
 
@@ -525,8 +527,8 @@ def transfer_commutator_residual(chain: ChainSpec, u: complex, v: complex,
     """Relative norm of T(u) T(v) X - T(v) T(u) X on PROBES random quantum
     vectors X drawn from `rng`."""
     X = _probes(rng, (chain.dim,))
-    uv = np.stack([transfer_apply(chain, u, transfer_apply(chain, v, x)) for x in X.T], axis=1)
-    vu = np.stack([transfer_apply(chain, v, transfer_apply(chain, u, x)) for x in X.T], axis=1)
+    uv = transfer_apply(chain, u, transfer_apply(chain, v, X))
+    vu = transfer_apply(chain, v, transfer_apply(chain, u, X))
     scale = max(frobenius(uv), frobenius(vu), 1e-300)
     return frobenius(uv - vu) / scale
 

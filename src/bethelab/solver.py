@@ -1,20 +1,37 @@
-"""Multi-start damped Newton solver for the Bethe equations and the
-reconciliation of the resulting spectrum with the transfer matrix's weight
-blocks.
+"""Twist-homotopy solver for the Bethe equations and the reconciliation of
+the resulting spectrum with the transfer matrix's weight blocks.
 
-The equations are solved in multiplicative form (eigenvalue ratio minus the
-triple product) as a holomorphic map on C^M; the Jacobian is a one-sided
-complex difference. Restart points are drawn from the sampling annulus scaled
-to the inhomogeneities, so runs are deterministic given (chain, sector, seed).
+For a type-a root t let P be the type-(a-1) roots (the sites z when a = 1),
+S the other type-a roots and X the type-(a+1) roots. With its denominators
+cleared, Bethe equation (a, t) reads A - eps_a B = 0 with
+
+    A = prod_P (q t - p/q) prod_S (t/q - q u) prod_X (t - x)
+    B = prod_P (t - p)     prod_S (q t - u/q) prod_X (t/q - q x)
+
+and eps_a = kappa_{a+1}/kappa_a. The solver tracks H = A - s eps_a B from
+s = 0 to s = 1. At s = 0 the type-1 roots sit at z_l/q^2 on an n_1-subset of
+the sites and the type-a roots at (type-(a-1) start roots)/q^2 on an
+n_a-subset of those: prod_a C(n_{a-1}, n_a) = `sector_multiplicity` start
+points, each with a block lower-triangular, invertible Jacobian. All paths
+of a sector are tracked as one numpy batch, with an Euler-tangent predictor,
+a Newton corrector on the analytic Jacobian and a step size per path.
+
+Each endpoint gets POLISH_STEPS Newton steps on `bethe_residual`. A path
+that is lost, or whose endpoint is inadmissible or coincides with another
+one, is tracked once more along a complex detour s = tau + gamma tau (1 - tau)
+(the gamma trick), gamma drawn from the `solve_bethe:{nbar}` stream. Root
+sets still missing after that are a reported shortfall, never filled in.
+Everything is deterministic given (chain, sector, seed).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .context import BetheParameterSet, sample_annulus
-from .errors import CapacityError, DomainError
+from .errors import BetheLabError, CapacityError, DomainError
 from .kernels import bethe_residual, transfer_eigenvalue
 from .repcore import ChainSpec, transfer, vacuum_data
 from .vectors import expected_occupancy, is_admissible
@@ -22,20 +39,27 @@ from .vectors import expected_occupancy, is_admissible
 EXCITATION_CAP = 8
 MATCH_TOL = 1e-8
 
+# path tracking, in coordinates scaled by the mean site modulus
+FIRST_STEP = 0.05        # initial step in the path parameter tau
+STEP_GROWTH = 1.25       # step factor after an accepted step; a rejected one halves
+MIN_STEP = 1e-10         # a path whose step falls below this is lost
+MAX_STEPS = 2000         # predictor-corrector rounds per batch
+CORRECTOR_STEPS = 3
+TRACK_TOL = 1e-7         # last corrector update, relative to the point
+DIVERGED = 1e8           # a root this far out is on its way to infinity
+POLISH_STEPS = 2         # Newton steps on `bethe_residual` at each endpoint
+COINCIDE_TOL = 1e-8      # relative distance of two equal root sets
+
 
 @dataclass(frozen=True)
 class SolverOptions:
     tol_root: float = 1e-12
-    max_newton_iters: int = 100
-    n_restarts: int = 200
-    dedup_tol: float = 1e-8
     min_separation: float = 1e-6
     min_inhom_distance: float = 1e-6
     min_abs: float = 1e-8
 
     def __post_init__(self):
-        for name in ("tol_root", "max_newton_iters", "n_restarts", "dedup_tol",
-                     "min_separation", "min_inhom_distance", "min_abs"):
+        for name in ("tol_root", "min_separation", "min_inhom_distance", "min_abs"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
 
@@ -54,6 +78,9 @@ class BetheSolution:
 
 @dataclass
 class SolveResult:
+    """Root sets of one sector. `attempts` counts tracked paths (retries
+    included), `converged` the endpoints whose polished residual is below
+    `tol_root`, and `inadmissible` those of them that fail the margins."""
     solutions: list[BetheSolution]
     attempts: int = 0
     converged: int = 0
@@ -73,26 +100,142 @@ def _canonical_key(values: list[list[complex]], digits: int = 8):
     )
 
 
-def _same_solution(a: list[list[complex]], b: list[list[complex]], tol: float) -> bool:
-    for ga, gb in zip(a, b):
-        if len(ga) != len(gb):
-            return False
-        unused = list(gb)
-        for v in ga:
-            best = None
-            for idx, u in enumerate(unused):
-                d = abs(v - u) / max(abs(v), abs(u), 1e-300)
-                if best is None or d < best[1]:
-                    best = (idx, d)
-            if best is None or best[1] > tol:
-                return False
-            unused.pop(best[0])
-    return True
+class _Homotopy:
+    """The cleared equations of one sector as factor tables.
+
+    Row k of every table belongs to root k (types in order); column f is one
+    linear factor, `ta t_k + wa w` of A and `tb t_k + wb w` of B, where w is
+    entry `partner[k, f]` of the point extended by the sites and a constant
+    1. Rows are padded with the constant factor 1.
+    """
+
+    def __init__(self, chain: ChainSpec, nbar: tuple[int, ...], sites: np.ndarray):
+        q = chain.ctx.q
+        M, L = sum(nbar), chain.L
+        ends = np.cumsum((0,) + nbar)
+        rows, eps = [], []
+        for a in range(1, len(nbar) + 1):
+            lower = range(M, M + L) if a == 1 else range(ends[a - 2], ends[a - 1])
+            upper = range(ends[a], ends[a + 1]) if a < len(nbar) else ()
+            for k in range(ends[a - 1], ends[a]):
+                same = [u for u in range(ends[a - 1], ends[a]) if u != k]
+                # (partner, A's t and w coefficients, B's, does D take B's)
+                rows.append([(p, q, -1 / q, 1, -1, a == 1) for p in lower]
+                            + [(u, 1 / q, -q, q, -1 / q, False) for u in same]
+                            + [(x, 1, -1, 1 / q, -q, False) for x in upper])
+                eps.append(chain.kappa[a] / chain.kappa[a - 1])
+        width = max(len(r) for r in rows)
+        pad = (M + L, 0, 1, 0, 1, False)
+        table = [r + [pad] * (width - len(r)) for r in rows]
+        self.partner = np.array([[f[0] for f in r] for r in table])
+        self.ta, self.wa, self.tb, self.wb = (
+            np.array([[complex(f[c]) for f in r] for r in table]) for c in range(1, 5))
+        self.d_takes_b = np.array([[f[5] for f in r] for r in table])
+        self.select = (self.partner[:, :, None] == np.arange(M)).astype(float)
+        self.eps = np.array(eps)
+        self.sites = sites
+        self.tail = np.append(sites, 1.0)
+
+    def evaluate(self, x: np.ndarray, s: np.ndarray):
+        """H, dH/dx and dH/ds at the points x (P, M) and parameters s (P,)."""
+        fa, fb = self.factors(x)
+        ea, eb = _excluded_products(fa), _excluded_products(fb)
+        A, B = ea[..., 0] * fa[..., 0], eb[..., 0] * fb[..., 0]
+        se = (s[:, None] * self.eps)[..., None]
+        J = np.einsum("pkf,kfj->pkj", self.wa * ea - se * self.wb * eb, self.select)
+        diag = np.arange(x.shape[1])
+        J[:, diag, diag] += np.sum(self.ta * ea - se * self.tb * eb, axis=-1)
+        return A - se[..., 0] * B, J, -self.eps * B
+
+    def factors(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The factors of A and of B at the points x (P, M), (P, M, F) each."""
+        ext = np.empty((len(x), self.tail.size + x.shape[1]), dtype=complex)
+        ext[:, :x.shape[1]], ext[:, x.shape[1]:] = x, self.tail
+        w, t = ext[:, self.partner], x[:, :, None]
+        return self.ta * t + self.wa * w, self.tb * t + self.wb * w
+
+    def denominator(self, x: np.ndarray) -> np.ndarray:
+        """D at the points x (P, M): the Bethe residuals of `bethe_residual`
+        are H / D at s = 1."""
+        fa, fb = self.factors(x)
+        return self.eps * np.prod(np.where(self.d_takes_b, fb, fa), axis=-1)
+
+    def track(self, x: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+        """Endpoints at s = 1 of the paths from the start points x (P, M)
+        along s = tau + gamma tau (1 - tau); NaN rows for lost paths."""
+        x = x.copy()
+        tau = np.zeros(len(x))
+        h = np.full(len(x), FIRST_STEP)
+        live = np.ones(len(x), dtype=bool)
+        # the predictor's derivatives at each path's point: after a step,
+        # those of the last corrector iterate, which is within TRACK_TOL of it
+        _, J, dHds = self.evaluate(x, tau)
+        for _ in range(MAX_STEPS):
+            act = np.flatnonzero(live & (tau < 1.0))
+            if not len(act):
+                break
+            t0, g = tau[act], gamma[act]
+            tangent = _solve(J[act], -dHds[act] * (1 + g * (1 - 2 * t0))[:, None])
+            t1 = np.minimum(t0 + h[act], 1.0)
+            s1 = t1 + g * t1 * (1 - t1)
+            y = x[act] + (t1 - t0)[:, None] * tangent
+            for _ in range(CORRECTOR_STEPS):
+                H, Jy, dy = self.evaluate(y, s1)
+                delta = _solve(Jy, -H)
+                y = y + delta
+            size = np.max(np.abs(y), axis=1)
+            ok = np.max(np.abs(delta), axis=1) < TRACK_TOL * size
+            step = act[ok]
+            x[step], tau[step], J[step], dHds[step] = y[ok], t1[ok], Jy[ok], dy[ok]
+            h[step] *= STEP_GROWTH
+            h[act[~ok]] /= 2
+            live[step[size[ok] > DIVERGED]] = False
+            live &= h >= MIN_STEP
+        x[~live | (tau < 1.0)] = np.nan
+        return x
+
+
+def _excluded_products(f: np.ndarray) -> np.ndarray:
+    """out[..., g] = product of f[..., h] over h != g, without dividing."""
+    ones = np.ones(f.shape[:-1] + (1,), dtype=complex)
+    left = np.cumprod(np.concatenate([ones, f[..., :-1]], axis=-1), axis=-1)
+    right = np.cumprod(np.concatenate([ones, f[..., :0:-1]], axis=-1), axis=-1)
+    return left * right[..., ::-1]
+
+
+def _solve(J: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched J^-1 b, with NaN rows where J is singular."""
+    try:
+        return np.linalg.solve(J, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan, dtype=complex)
+        for p in range(len(b)):
+            try:
+                out[p] = np.linalg.solve(J[p], b[p])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _start_points(nbar: tuple[int, ...], sites: np.ndarray, q: complex) -> np.ndarray:
+    """The s = 0 roots: type-a roots are an n_a-subset of the type-(a-1)
+    roots (the sites for a = 1), divided by q^2."""
+    def rec(lower, a):
+        if a == len(nbar):
+            yield ()
+            return
+        for subset in itertools.combinations(lower, nbar[a]):
+            roots = tuple(p / q ** 2 for p in subset)
+            for rest in rec(roots, a + 1):
+                yield roots + rest
+
+    return np.array(list(rec(tuple(sites), 0)), dtype=complex)
 
 
 def solve_bethe(chain: ChainSpec, nbar, opts: SolverOptions | None = None) -> SolveResult:
-    """All distinct admissible root sets the multi-start Newton iteration finds
-    in the sector nbar; deterministic for fixed (chain, nbar, seed)."""
+    """The admissible root sets of sector nbar at the endpoints of the twist
+    homotopy; deterministic for fixed (chain, nbar, seed). A sector returns at
+    most `sector_multiplicity` root sets, fewer when paths are lost."""
     opts = opts or SolverOptions()
     nbar = tuple(int(n) for n in nbar)
     if len(nbar) != chain.N - 1:
@@ -107,56 +250,89 @@ def solve_bethe(chain: ChainSpec, nbar, opts: SolverOptions | None = None) -> So
         sol = BetheSolution(empty, (), 1.0, _canonical_key([[] for _ in nbar]))
         return SolveResult([sol], attempts=0, converged=1)
 
+    # the equations are homogeneous in (roots, sites): track at unit scale
+    scale = float(np.mean(np.abs(chain.z)))
+    hom = _Homotopy(chain, nbar, np.asarray(chain.z) / scale)
+    starts = _start_points(nbar, hom.sites, chain.ctx.q)
     _, lambdas = vacuum_data(chain)
-    eqs = [(i, j) for i in range(1, chain.N) for j in range(1, nbar[i - 1] + 1)]
+    eqs = [(a, j) for a in range(1, chain.N) for j in range(1, nbar[a - 1] + 1)]
+    cuts = np.cumsum(nbar)[:-1]
+    rng = chain.ctx.rng(f"solve_bethe:{nbar}")
 
-    def unpack(x: np.ndarray) -> list[list[complex]]:
-        out, p = [], 0
-        for na in nbar:
-            out.append([complex(v) for v in x[p:p + na]])
-            p += na
+    def residuals(x: np.ndarray) -> np.ndarray:
+        out = np.full(x.shape, np.nan, dtype=complex)
+        for p, row in enumerate(x * scale):
+            if not np.all(np.isfinite(row)):
+                continue
+            try:
+                params = BetheParameterSet(tuple(map(tuple, np.split(row, cuts))))
+                out[p] = [bethe_residual(a, j, params, lambdas, chain.ctx) for a, j in eqs]
+            except BetheLabError:
+                pass
         return out
 
-    def residual_map(x: np.ndarray) -> np.ndarray:
-        groups = unpack(x)
-        params = BetheParameterSet(tuple(tuple(g) for g in groups))
-        return np.array([bethe_residual(i, j, params, lambdas, chain.ctx)
-                         for (i, j) in eqs])
+    def sides(x: np.ndarray) -> np.ndarray:
+        # max(1, |lambda_a / lambda_{a+1}|) at each root: the size of both
+        # sides of its equation, which sets the rounding floor of its residual
+        out = np.ones(x.shape)
+        for p, row in enumerate(x * scale):
+            for k, (a, _) in enumerate(eqs):
+                if np.isfinite(row[k]):
+                    ratio = complex(lambdas[a - 1](row[k])) / complex(lambdas[a](row[k]))
+                    out[p, k] = max(1.0, abs(ratio))
+        return out
 
-    scale = float(np.mean(np.abs(chain.z))) if chain.L else 1.0
-    rng = chain.ctx.rng(f"solve_bethe:{nbar}")
-    result = SolveResult([], attempts=0, converged=0)
-    kept: list[tuple[list[list[complex]], BetheSolution]] = []
-    # the weight block holds at most multinomial(L; occupancies) distinct
-    # eigenvalues, so the sector cannot carry more root sets than that
-    cap = sector_multiplicity(chain.L, nbar)
-    # cycle through several radial windows; root configurations of twisted
-    # chains are not confined to the unit annulus around the site scale
-    windows = ((0.5, 2.0), (0.15, 1.0), (1.0, 5.0), (0.05, 3.0))
-
-    for attempt in range(opts.n_restarts):
-        if len(kept) >= cap:
+    result = SolveResult([])
+    kept = np.empty((0, M), dtype=complex)
+    todo = np.arange(len(starts))
+    for detour in (False, True):
+        if not len(todo):
             break
-        result.attempts += 1
-        lo, hi = windows[attempt % len(windows)]
-        x0 = sample_annulus(rng, M, lo, hi) * scale
-        out = _newton(residual_map, x0, opts)
-        if out is None:
-            continue
-        x, res_mags, cond = out
-        result.converged += 1
-        groups = unpack(x)
-        if not _is_admissible_point(groups, chain, opts):
-            result.inadmissible += 1
-            continue
-        if any(_same_solution(groups, g, opts.dedup_tol) for g, _ in kept):
-            continue
-        params = BetheParameterSet(tuple(tuple(g) for g in groups))
-        sol = BetheSolution(params, tuple(res_mags), cond, _canonical_key(groups))
-        kept.append((groups, sol))
-
-    result.solutions = sorted((s for _, s in kept), key=lambda s: s.multiplicity_key)
+        gamma = sample_annulus(rng, len(todo)) if detour else np.zeros(len(todo))
+        result.attempts += len(todo)
+        ones = np.ones(len(todo))
+        # lost paths are NaN rows, and arithmetic on them is expected
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            x = hom.track(starts[todo], gamma)
+            for _ in range(POLISH_STEPS):
+                x = x - _solve(hom.evaluate(x, ones)[1], hom.denominator(x) * residuals(x))
+            r = residuals(x)
+            J = hom.evaluate(x, ones)[1] / hom.denominator(x)[..., None]
+        good = np.all(np.abs(r) < opts.tol_root * sides(x), axis=1)
+        result.converged += int(np.sum(good))
+        for p in np.flatnonzero(good):
+            if not _is_admissible_point(np.split(x[p] * scale, cuts), chain, opts):
+                result.inadmissible += 1
+                good[p] = False
+        reached = np.flatnonzero(good)
+        done = np.zeros(len(x), dtype=bool)
+        for p in reached:
+            # a root set that two first-pass paths reach is retried from
+            # both, since nothing tells which of them jumped
+            rivals = kept if detour else x[reached[reached != p]]
+            if np.any(_coincident(rivals, x[p], cuts)):
+                continue
+            done[p] = True
+            kept = np.vstack([kept, x[p]])
+            groups = [[complex(v) for v in g] for g in np.split(x[p] * scale, cuts)]
+            result.solutions.append(BetheSolution(
+                BetheParameterSet(tuple(map(tuple, groups))),
+                tuple(float(v) for v in np.abs(r[p])),
+                float(np.linalg.cond(J[p])), _canonical_key(groups)))
+        todo = todo[~done]
+    result.solutions.sort(key=lambda s: s.multiplicity_key)
     return result
+
+
+def _coincident(xs: np.ndarray, y: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Which rows of xs (K, M) hold the root set y to COINCIDE_TOL, each
+    type taken as an unordered set."""
+    out = np.ones(len(xs), dtype=bool)
+    for gx, gy in zip(np.split(xs, cuts, axis=1), np.split(y, cuts)):
+        gx = gx[:, :, None]
+        gap = np.abs(gx - gy) / np.maximum(np.abs(gx), np.abs(gy))
+        out &= np.max(np.min(gap, axis=2, initial=np.inf), axis=1, initial=0.0) <= COINCIDE_TOL
+    return out
 
 
 def sector_multiplicity(L: int, nbar) -> int:
@@ -169,7 +345,7 @@ def sector_multiplicity(L: int, nbar) -> int:
     return out
 
 
-def _is_admissible_point(groups: list[list[complex]], chain: ChainSpec,
+def _is_admissible_point(groups: list[np.ndarray], chain: ChainSpec,
                          opts: SolverOptions) -> bool:
     for grp in groups:
         for i, v in enumerate(grp):
@@ -182,57 +358,6 @@ def _is_admissible_point(groups: list[list[complex]], chain: ChainSpec,
                 if abs(v - zl) / max(abs(v), abs(zl)) < opts.min_inhom_distance:
                     return False
     return True
-
-
-def _newton(residual_map, x0: np.ndarray, opts: SolverOptions):
-    x = np.array(x0, dtype=complex)
-    M = len(x)
-    cond = np.inf
-    for _ in range(opts.max_newton_iters):
-        try:
-            r = residual_map(x)
-        except Exception:
-            return None
-        norm = float(np.max(np.abs(r)))
-        if norm < opts.tol_root:
-            return x, tuple(float(abs(v)) for v in r), cond
-        J = np.empty((M, M), dtype=complex)
-        try:
-            for k in range(M):
-                h = 1e-7 * max(1.0, abs(x[k]))
-                xp = x.copy()
-                xp[k] += h
-                J[:, k] = (residual_map(xp) - r) / h
-        except Exception:
-            return None
-        try:
-            cond = float(np.linalg.cond(J))
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
-        alpha = 1.0
-        accepted = False
-        while alpha > 1e-5:
-            xn = x + alpha * step
-            try:
-                if np.max(np.abs(residual_map(xn))) < norm:
-                    accepted = True
-                    break
-            except Exception:
-                pass
-            alpha *= 0.5
-        if not accepted:
-            return None
-        x = xn
-    try:
-        r = residual_map(x)
-    except Exception:
-        return None
-    if np.max(np.abs(r)) < opts.tol_root:
-        return x, tuple(float(abs(v)) for v in r), cond
-    return None
 
 
 def admissible_sectors(chain: ChainSpec):

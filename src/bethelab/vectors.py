@@ -99,9 +99,10 @@ def _nested(chain: ChainSpec, params: BetheParameterSet) -> np.ndarray:
     vecs = np.zeros((chain.dim, len(idx)), dtype=complex)
     vecs[0] = 1.0
     for pos in range(n1 - 1, -1, -1):
-        for col in np.unique(cols[:, pos]):
+        # a set, not np.unique: numpy's first np.unique imports numpy.ma
+        for col in sorted(set(cols[:, pos].tolist())):
             mask = cols[:, pos] == col
-            vecs[:, mask] = entry_apply(chain, roots[pos], 1, int(col), vecs[:, mask])
+            vecs[:, mask] = entry_apply(chain, roots[pos], 1, col, vecs[:, mask])
     return vecs @ aux[idx]
 
 

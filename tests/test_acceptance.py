@@ -13,7 +13,6 @@ from bethelab import (
     CoordinateIdentity,
     DeformationContext,
     IllPosedDecompositionError,
-    SolverOptions,
 )
 from bethelab.cli import run_command
 from bethelab.report import report_fingerprint
@@ -23,7 +22,6 @@ from conftest import dense_monodromy
 
 SEED = 20240
 QVAL = 1.4371
-OPTS = SolverOptions(n_restarts=300)
 
 
 def line(num, name, passed, detail):
@@ -64,7 +62,7 @@ _SOLVED = {}
 def solved(chain, nbar):
     key = (chain.N, chain.L, tuple(nbar))
     if key not in _SOLVED:
-        _SOLVED[key] = bl.solve_bethe(chain, nbar, OPTS)
+        _SOLVED[key] = bl.solve_bethe(chain, nbar)
     return _SOLVED[key]
 
 

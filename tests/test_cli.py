@@ -204,6 +204,66 @@ def test_failed_solve_fails_the_checks_that_read_it(tmp_path, capsys):
         assert check.error == "CapacityError: sector size 9 exceeds cap 8"
 
 
+def test_complete_check_fails_on_a_dropped_root_set(tmp_path, monkeypatch, capsys):
+    original = cli.solve_bethe
+
+    def drop_one(chain, nbar, opts=None):
+        result = original(chain, nbar, opts)
+        result.solutions = result.solutions[1:]
+        return result
+
+    monkeypatch.setattr(cli, "solve_bethe", drop_one)
+    cfg = tmp_path / "drop.cfg"
+    cfg.write_text("N = 2\nL = 4\nsectors = 2\nseed = 3\n")
+    code, report = run(["solve", "--config", str(cfg)])
+    assert code == 1
+    by_id = {c.check_id: c for c in report.checks}
+    assert by_id["solve/chain0/sector2"].passed
+    assert not by_id["solve/chain0/sector2/complete"].passed
+    assert by_id["solve/chain0/sector2/complete"].residual == 1.0
+
+
+def test_equal_twists_do_not_pass_the_complete_check(tmp_path, capsys):
+    # with kappa_1 = kappa_2 and real q the homotopy meets the degenerate
+    # twists q^(-2k), where some roots leave for 0 or infinity; a missing
+    # root set must show as a failed `complete` check, never as a pass
+    cfg = tmp_path / "equal.cfg"
+    cfg.write_text("N = 2\nL = 4\nkappa = 1, 1\nseed = 3\n")
+    code, report = run(["solve", "--config", str(cfg)])
+    assert code == 1
+    complete = [c for c in report.checks if c.check_id.endswith("/complete")]
+    assert len(complete) == 5
+    assert not all(c.passed for c in complete)
+
+
+def test_all_suites_at_n2l4_on_two_chains(tmp_path, capsys):
+    # multi-start Newton missed states here: both spectrum checks failed
+    cfg = tmp_path / "n2l4.cfg"
+    cfg.write_text("N = 2\nL = 4\nchains = 2\nseed = 11\n"
+                   "suites = solve, offshell, spectrum\n")
+    code, report = run(["all", "--config", str(cfg)])
+    assert code == 0
+    assert sum(c.check_id.endswith("/complete") for c in report.checks) == 10
+
+
+def test_check_phase_imports_no_numpy_ma(tmp_path):
+    # numpy's first np.unique imports numpy.ma (17 ms); the nested vector
+    # recursion runs in every on-shell check, so it must not call it
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("N = 3\nL = 3\nsectors = 2, 1\nseed = 3\n")
+    src = str(Path(bethelab.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = ("import sys\n"
+              "from bethelab.cli import run_command\n"
+              f"code, _ = run_command(['verify', '--config', {str(cfg)!r}])\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_checks_run_on_the_calling_thread():
     threads = []
 

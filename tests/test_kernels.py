@@ -81,11 +81,11 @@ def test_tau_residue_vanishes_exactly_on_one_magnon_root(ctx):
 
 
 def test_tau_residue_on_solver_roots(ctx, rng):
-    from bethelab import SolverOptions, solve_bethe, vacuum_data
+    from bethelab import solve_bethe, vacuum_data
     from conftest import make_chain
     chain = make_chain(2, 2, ctx, rng)
     _, lambdas = vacuum_data(chain)
-    result = solve_bethe(chain, (2,), SolverOptions(n_restarts=80))
+    result = solve_bethe(chain, (2,))
     assert len(result) == 1
     params = result.solutions[0].params
     for j in (1, 2):

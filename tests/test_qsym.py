@@ -192,3 +192,23 @@ def test_partial_qsym_spectates_inactive_slots(ctx, rng):
     # symmetrizing over all slots reproduces the full average
     got_all = partial_qsym_values(poly, vals, ctx.q, [0, 1, 2])
     assert abs(got_all - qsym_values(poly, vals, ctx.q)) < TOL
+
+
+@pytest.mark.parametrize("active", [[0, 1, 2, 3], [1, 3], [2]])
+def test_partial_qsym_weights_equal_sym_weight_bit_for_bit(ctx, rng, active):
+    # the cached inversion tables multiply the same factors in the same
+    # order as `sym_weight`, so the average is the same float
+    vals = list(separated_points(rng, 4))
+
+    def fn(*t):
+        return t[0] + 2 * t[1] * t[2] - t[3] ** 2
+
+    sub = [vals[s] for s in active]
+    want = 0.0 + 0j
+    for perm in itertools.permutations(range(len(sub))):
+        args = list(vals)
+        for slot, p in zip(active, perm):
+            args[slot] = sub[p]
+        want += sym_weight(perm, sub, ctx.q) * fn(*args)
+    want /= math.factorial(len(sub))
+    assert partial_qsym_values(fn, vals, ctx.q, active) == want

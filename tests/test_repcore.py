@@ -201,6 +201,14 @@ def test_apply_monodromy_matches_dense_blocks(ctx, rng, N, L):
     v = random_batch(rng, d)
     want = transfer(chain, t).dense() @ v
     assert np.max(np.abs(transfer_apply(chain, t, v) - want)) < 1e-13 * np.max(np.abs(want))
+    # a (dim, B) batch gives each column's (dim,) result, bit for bit
+    V = random_batch(rng, (d, 3))
+    got = transfer_apply(chain, t, V)
+    assert got.shape == (d, 3)
+    for b in range(3):
+        assert np.array_equal(got[:, b], transfer_apply(chain, t, V[:, b]))
+    want = transfer(chain, t).dense() @ V
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
     want = blocks[0, N - 1] @ v
     got = entry_apply(chain, t, 1, N, v)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

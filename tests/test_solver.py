@@ -9,12 +9,13 @@ from bethelab import (
     SolverOptions,
     admissible_sectors,
     bethe_residual,
+    sample_annulus,
     solve_bethe,
     spectrum_reconcile,
     vacuum_data,
 )
 from bethelab import cli
-from bethelab.solver import sector_multiplicity
+from bethelab.solver import _Homotopy, _start_points, sector_multiplicity
 
 from conftest import make_chain
 
@@ -31,7 +32,7 @@ def test_one_magnon_closed_form(ctx, rng):
     q = ctx.q
     z, (kap1, kap2) = chain.z[0], chain.kappa
     tstar = z * (kap1 / q - kap2) / (kap1 * q - kap2)
-    result = solve_bethe(chain, (1,), SolverOptions(n_restarts=60))
+    result = solve_bethe(chain, (1,))
     assert len(result) == 1
     got = result.solutions[0].params.value(1, 1)
     assert abs(got - tstar) / abs(tstar) < 1e-9
@@ -39,14 +40,14 @@ def test_one_magnon_closed_form(ctx, rng):
 
 def test_sector_counts_rank2_length2(ctx, rng):
     chain = make_chain(2, 2, ctx, rng)
-    counts = {nbar: len(solve_bethe(chain, nbar, SolverOptions(n_restarts=120)))
+    counts = {nbar: len(solve_bethe(chain, nbar))
               for nbar in [(0,), (1,), (2,)]}
     assert counts == {(0,): 1, (1,): 2, (2,): 1}
 
 
 def test_solutions_satisfy_equations_and_margins(ctx, rng):
     chain = make_chain(2, 3, ctx, rng)
-    opts = SolverOptions(n_restarts=120)
+    opts = SolverOptions()
     _, lambdas = vacuum_data(chain)
     result = solve_bethe(chain, (2,), opts)
     assert len(result) == 3
@@ -88,7 +89,7 @@ def test_admissible_sector_enumeration(ctx, rng):
 
 def test_spectrum_reconcile_rank2(ctx, rng):
     chain = make_chain(2, 2, ctx, rng)
-    sols = {nbar: solve_bethe(chain, nbar, SolverOptions(n_restarts=120)).solutions
+    sols = {nbar: solve_bethe(chain, nbar).solutions
             for nbar in admissible_sectors(chain)}
     rep = spectrum_reconcile(chain, sols, 1.7 + 0.4j)
     assert rep.total_states == 4
@@ -97,7 +98,7 @@ def test_spectrum_reconcile_rank2(ctx, rng):
 
 def test_spectrum_reconcile_rank3(ctx, rng):
     chain = make_chain(3, 2, ctx, rng)
-    sols = {nbar: solve_bethe(chain, nbar, SolverOptions(n_restarts=150)).solutions
+    sols = {nbar: solve_bethe(chain, nbar).solutions
             for nbar in admissible_sectors(chain)}
     rep = spectrum_reconcile(chain, sols, 0.9 - 0.3j)
     assert rep.total_states == 9
@@ -140,3 +141,82 @@ def test_spectrum_reconcile_matches_within_the_weight_block(ctx, rng):
     assert rep.matched == 0
     assert rep.bethe_count == 8
 
+
+
+@pytest.mark.parametrize("nbar, L", [((1,), 4), ((2,), 4), ((2, 1), 3), ((3, 2), 4)])
+def test_one_start_point_per_state_of_the_weight_block(nbar, L):
+    sites = np.exp(1j * np.arange(L))
+    assert len(_start_points(nbar, sites, 1.5)) == sector_multiplicity(L, nbar)
+
+
+@pytest.mark.parametrize("N, L, nbar", [(2, 3, (2,)), (3, 3, (2, 1))])
+def test_cleared_system_matches_bethe_residual_and_its_jacobian(ctx, rng, N, L, nbar):
+    # the tracked H, its analytic Jacobian and dH/ds against bethe_residual
+    # (H / D at s = 1) and against complex finite differences
+    chain = make_chain(N, L, ctx, rng)
+    hom = _Homotopy(chain, nbar, np.asarray(chain.z))
+    _, lambdas = vacuum_data(chain)
+    x = sample_annulus(rng, (2, sum(nbar)))
+    s = np.array([1.0, 0.3 + 0.2j])
+    H, J, dHds = hom.evaluate(x, s)
+    cuts = np.cumsum(nbar)[:-1]
+    params = BetheParameterSet(tuple(map(tuple, np.split(x[0], cuts))))
+    eqs = [(a, j) for a in range(1, N) for j in range(1, nbar[a - 1] + 1)]
+    want = [bethe_residual(a, j, params, lambdas, ctx) for a, j in eqs]
+    assert np.allclose(H[0] / hom.denominator(x)[0], want, rtol=1e-12, atol=0)
+    h = 1e-7
+    for k in range(sum(nbar)):
+        step = np.zeros_like(x)
+        step[:, k] = h
+        fd = (hom.evaluate(x + step, s)[0] - hom.evaluate(x - step, s)[0]) / (2 * h)
+        assert np.allclose(J[:, :, k], fd, rtol=1e-6, atol=1e-9 * np.max(np.abs(J)))
+    fd = (hom.evaluate(x, s + h)[0] - hom.evaluate(x, s - h)[0]) / (2 * h)
+    assert np.allclose(dHds, fd, rtol=1e-6, atol=1e-9 * np.max(np.abs(dHds)))
+
+
+def test_every_sector_returns_exactly_its_multiplicity(ctx, rng):
+    for N, L in ((2, 4), (3, 3)):
+        chain = make_chain(N, L, ctx, rng)
+        for nbar in admissible_sectors(chain):
+            result = solve_bethe(chain, nbar)
+            assert len(result) == sector_multiplicity(L, nbar), nbar
+            assert result.converged >= len(result)
+            assert all(sol.max_residual < 1e-10 for sol in result)
+
+
+def test_lost_paths_are_retried_on_a_detour(ctx, rng, monkeypatch):
+    # the straight pass loses every path; the seeded complex detour alone
+    # must still find every root set, and its paths count as attempts
+    chain = make_chain(2, 4, ctx, rng)
+    want = solve_bethe(chain, (2,))
+    track = _Homotopy.track
+
+    def lose_straight(self, x, gamma):
+        out = track(self, x, gamma)
+        return np.where(np.any(gamma != 0), 1, np.nan) * out
+
+    monkeypatch.setattr(_Homotopy, "track", lose_straight)
+    got = solve_bethe(chain, (2,))
+    assert got.attempts == 2 * sector_multiplicity(4, (2,))
+    assert len(got) == len(want) == 6
+    for a, b in zip(got, want):
+        assert np.allclose(np.sort_complex(a.params.values[0]),
+                           np.sort_complex(b.params.values[0]), rtol=1e-10)
+
+
+def test_a_shortfall_is_reported_not_filled(ctx, rng, monkeypatch):
+    chain = make_chain(2, 4, ctx, rng)
+    monkeypatch.setattr(_Homotopy, "track", lambda self, x, gamma: np.full_like(x, np.nan))
+    result = solve_bethe(chain, (2,))
+    assert len(result) == 0
+    assert result.attempts == 12
+    assert result.converged == 0
+
+
+def test_nested_spectrum_at_n3l3_seed7(tmp_path, capsys):
+    # multi-start Newton found 24 of these 27 root sets
+    cfg = tmp_path / "n3l3.cfg"
+    cfg.write_text("N = 3\nL = 3\nseed = 7\n")
+    code, report = cli.run_command(["spectrum", "--config", str(cfg)])
+    assert code == 0
+    assert [c.residual for c in report.checks] == [0.0]

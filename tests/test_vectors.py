@@ -8,7 +8,6 @@ from bethelab import (
     DegenerateVectorError,
     DomainError,
     IllPosedDecompositionError,
-    SolverOptions,
     is_admissible,
     modified_vector,
     monodromy,
@@ -224,8 +223,8 @@ def test_unwanted_closed_form_matches_fit(ctx, rng, n, L):
 
 def test_unwanted_on_shell_roots_vanish(ctx, rng):
     chain = make_chain(2, 3, ctx, rng)
-    result = solve_bethe(chain, (2,), SolverOptions(n_restarts=80))
-    assert len(result) > 0
+    result = solve_bethe(chain, (2,))
+    assert len(result) == 3
     for sol in result:
         t = complex(sample_annulus(rng, 1)[0])
         rep = unwanted_decomposition(chain, sol.params, t)
