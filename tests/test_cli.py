@@ -237,7 +237,8 @@ def test_equal_twists_do_not_pass_the_complete_check(tmp_path, capsys):
 
 
 def test_all_suites_at_n2l4_on_two_chains(tmp_path, capsys):
-    # multi-start Newton missed states here: both spectrum checks failed
+    # every sector of both chains must return all its root sets, or a
+    # `complete` check and that chain's spectrum check fail
     cfg = tmp_path / "n2l4.cfg"
     cfg.write_text("N = 2\nL = 4\nchains = 2\nseed = 11\n"
                    "suites = solve, offshell, spectrum\n")

@@ -214,7 +214,8 @@ def test_a_shortfall_is_reported_not_filled(ctx, rng, monkeypatch):
 
 
 def test_nested_spectrum_at_n3l3_seed7(tmp_path, capsys):
-    # multi-start Newton found 24 of these 27 root sets
+    # all 27 root sets of the rank-3 chain, each matching one eigenvalue of
+    # its weight block
     cfg = tmp_path / "n3l3.cfg"
     cfg.write_text("N = 3\nL = 3\nseed = 7\n")
     code, report = cli.run_command(["spectrum", "--config", str(cfg)])
