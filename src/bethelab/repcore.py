@@ -10,13 +10,17 @@ Conventions fixed here and locked by tests:
     for i > j and the t -> infinity / t -> 0 limits are block upper/lower
     triangular.
 
-The R-matrix entries are laid out in one place, from a coefficient triple
-(b, cu, cv): `r_matrix` takes the triple at spectral points (u, v). The
-monodromy has one matrix-free kernel, `apply_monodromy`, which applies that
-same layout site by site to a batch of aux (x) quantum vectors; `transfer_apply`
-and `entry_apply` are T(t) v and T_{i,j}(t) v through it. The two
-spectral-limit operators pass their limiting triples in closed form, never by
-large-argument evaluation.
+The R-matrix entries are laid out in one place, `_r_table`, from a
+coefficient triple (b, cu, cv): keep[k, m] = R[km, km] and move[k, m] =
+R[km, mk]. `r_matrix` is the dense R built from that table at spectral points
+(u, v). The monodromy has one matrix-free kernel, `apply_monodromy`, which
+applies the table site by site to a batch of aux (x) quantum vectors: each
+site costs two elementwise products on the whole batch, keep . X +
+move . swap(X), and the batch may carry one coefficient triple per spectral
+point, so T(t) at many points is one call. `transfer_apply` (at one point or
+one point per column group) and `entry_apply` are T(t) v and T_{i,j}(t) v
+through it. The two spectral-limit operators pass their limiting triples in
+closed form, never by large-argument evaluation.
 
 Weight grading: every R-matrix factor keeps the colour counts of aux (x) site,
 so T_{i,j}(t) maps quantum weight nu to nu + e_j - e_i. The operator grids
@@ -45,6 +49,11 @@ DIMENSION_CAP = 4096
 
 # random probe vectors per operator-identity draw
 PROBES = 4
+
+# largest slice of a batch, in complex entries, that `apply_monodromy` carries
+# through its sites at once: its three working arrays (input, output, one
+# product) then fit in 2 MB, the L2 cache of one core of a current x86-64 CPU
+COLUMN_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -249,55 +258,94 @@ def _r_coefficients(u: complex, v: complex, ctx: DeformationContext):
     return (u - v) / den, (q - 1 / q) * u / den, (q - 1 / q) * v / den
 
 
+def _r_table(coeffs, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The R-matrix entry layout for a coefficient triple (b, cu, cv):
+    keep[k, m] = R[km, km] (1 on the diagonal, b off it) and move[k, m] =
+    R[km, mk] (0 on the diagonal, cu above it, cv below). The triple's entries
+    are scalars, or arrays of length P (one value per spectral point), which
+    make the tables (P, N, N)."""
+    b = np.asarray(coeffs[0])
+    values = np.array([np.ones_like(b), b, coeffs[1], coeffs[2], np.zeros_like(b)],
+                      dtype=complex)
+    keep, move = _r_layout(N)
+    values = np.moveaxis(values, 0, -1)
+    return values[..., keep], values[..., move]
+
+
+@functools.cache
+def _r_layout(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where `_r_table` takes each entry from among (1, b, cu, cv, 0)."""
+    k, m = np.indices((N, N))
+    return np.where(k == m, 0, 1), np.select([k < m, k > m], [2, 3], 4)
+
+
 def _r_from_coefficients(coeffs: tuple[complex, complex, complex], N: int) -> np.ndarray:
-    """The R-matrix entry layout for a coefficient triple (b, cu, cv)."""
-    b, cu, cv = coeffs
-    R = np.zeros((N * N, N * N), dtype=complex)
-    for i in range(N):
-        R[i * N + i, i * N + i] = 1.0
-    for i in range(N):
-        for j in range(N):
-            if i < j:
-                R[i * N + j, i * N + j] = b
-                R[j * N + i, j * N + i] = b
-                R[i * N + j, j * N + i] = cu
-                R[j * N + i, i * N + j] = cv
-    return R
+    """The dense R-matrix of a coefficient triple, from its `_r_table`."""
+    keep, move = _r_table(coeffs, N)
+    k, m = np.indices((N, N))
+    R = np.zeros((N, N, N, N), dtype=complex)
+    R[k, m, m, k] = move
+    R[k, m, k, m] = keep
+    return R.reshape(N * N, N * N)
 
 
-def apply_monodromy(chain: ChainSpec, coeffs: list[tuple[complex, complex, complex]],
-                    X: np.ndarray) -> np.ndarray:
+def apply_monodromy(chain: ChainSpec, coeffs: list, X: np.ndarray) -> np.ndarray:
     """K_aux . R_{a,L} ... R_{a,1} applied to a batch of aux (x) quantum vectors.
 
-    `X` is laid out batch-last as (N, dim, B); `coeffs` holds one R-matrix
-    coefficient triple per site. The factors act one site at a time, R_{a,1}
-    first: each touches only the auxiliary leg and its own site's leg, so it
-    costs nnz(R) slice updates of dim * B / N entries. Only the nonzero
-    entries of R are accumulated, which keeps the exact zeros of the
-    zero-mode limits.
+    `X` is laid out batch-last as (N, dim, B) for one spectral point, or as
+    (P, N, dim, B) for P points; `coeffs` holds one R-matrix coefficient
+    triple per site, whose entries are scalars for one point or arrays of
+    length P, one value per point. The factors act one site at a time,
+    R_{a,1} first: each touches only the auxiliary leg and its own site's
+    leg, and is two elementwise products on the whole batch,
+    keep . X + move . swap(X), where swap exchanges the two legs (`_r_table`).
+    A product with an exact zero stays an exact zero, which keeps the zeros
+    of the zero-mode limits.
+
+    The batch goes through in slices of at most COLUMN_ENTRIES entries (whole
+    points while a point's N dim B entries fit, else one point's columns, at
+    least one), so a wide batch on a large chain keeps its working set small.
     """
-    N, L, d = chain.N, chain.L, chain.dim
-    B = X.shape[-1]
-    for site in range(1, L + 1):
-        R = _r_from_coefficients(coeffs[site - 1], N).reshape(N, N, N, N)
-        X = _apply_site(R, X.reshape(N, N ** (site - 1), N, N ** (L - site) * B))
-    return np.asarray(chain.kappa)[:, None, None] * X.reshape(N, d, B)
+    N, d = chain.N, chain.dim
+    batch = X if X.ndim == 4 else X[None]
+    P, B = batch.shape[0], batch.shape[-1]
+    tables = [tuple(np.broadcast_to(table, (P, N, N)) for table in _r_table(coeff, N))
+              for coeff in coeffs]
+    width = max(1, COLUMN_ENTRIES // (N * d))
+    step = max(1, width // max(B, 1))
+    out = np.empty(batch.shape, dtype=complex)
+    for lo in range(0, P, step):
+        points = slice(lo, lo + step)
+        part = [(keep[points], move[points]) for keep, move in tables]
+        for c in range(0, B, width):
+            cols = slice(c, c + width)
+            out[points, ..., cols] = _apply_sites(chain, part, batch[points, ..., cols])
+    return out.reshape(X.shape)
 
 
-def _apply_site(R: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """out[k, :, m] = sum R[k, m, j, n] X[j, :, n] over the nonzeros of R.
+def _apply_sites(chain: ChainSpec, tables: list, X: np.ndarray) -> np.ndarray:
+    """One slice of `apply_monodromy`: X is (P, N, dim, B), the tables are
+    (P, N, N) per site."""
+    N, L = chain.N, chain.L
+    shape = X.shape
+    for site, (keep, move) in enumerate(tables, start=1):
+        X = X.reshape((shape[0], N, N ** (site - 1), N, N ** (L - site), shape[-1]))
+        factor = (shape[0], N, 1, N, 1, 1)
+        Y = keep.reshape(factor) * X
+        Y += move.reshape(factor) * X.swapaxes(1, 3)
+        X = Y
+    return np.asarray(chain.kappa)[:, None, None] * X.reshape(shape)
 
-    A separate frame, so the input of each site is released as soon as the
-    next one is built: a batch is held in two working copies, not three.
-    """
-    out = np.zeros(X.shape, dtype=complex)
-    for k, m, j, n in zip(*np.nonzero(R)):
-        out[k, :, m] += R[k, m, j, n] * X[j, :, n]
-    return out
 
-
-def _point_coefficients(chain: ChainSpec, t: complex) -> list[tuple[complex, complex, complex]]:
-    return [_r_coefficients(t, zl, chain.ctx) for zl in chain.z]
+def _point_coefficients(chain: ChainSpec, t) -> list:
+    """Per-site R coefficient triples at the point t, or, for a list of
+    points, per-site triples of arrays with one entry per point (the form
+    `apply_monodromy` takes for a (P, N, dim, B) batch); the points are
+    checked for poles in their order."""
+    if not isinstance(t, list):
+        return [_r_coefficients(t, zl, chain.ctx) for zl in chain.z]
+    per_point = [[_r_coefficients(tp, zl, chain.ctx) for zl in chain.z] for tp in t]
+    return [tuple(np.array(c) for c in zip(*site)) for site in zip(*per_point)]
 
 
 def _zero_mode_coefficients(q: complex) -> tuple[tuple[complex, complex, complex], ...]:
@@ -344,22 +392,20 @@ def _graded_grid(chain: ChainSpec, coeffs: list[tuple[complex, complex, complex]
                  point: complex | None) -> GradedLOperator:
     """Graded block grid: the monodromy applied to each total weight W's
     states alone. Site by site, R_{a,l} keeps a state's amplitude (factor
-    R[a s, a s] for aux digit a, site digit s) and moves it to the state with
-    a and s exchanged (factor R[s a, a s]), the same products and sums as
-    `apply_monodromy`, so the blocks equal the entries of that kernel applied
-    to the aux (x) identity basis exactly.
+    keep[a, s] for aux digit a, site digit s) and moves it to the state with
+    a and s exchanged (factor move[s, a]), read from the same `_r_table` with
+    the same products and sums as `apply_monodromy`, so the blocks equal the
+    entries of that kernel applied to the aux (x) identity basis exactly.
     The rows of aux a give T_{a,b} on the source weight W - e_b."""
     N, L = chain.N, chain.L
     unit = [tuple(int(a == b) for a in range(N)) for b in range(N)]
     blocks: dict[tuple[int, int], dict] = {(i, j): {} for i in range(1, N + 1)
                                             for j in range(1, N + 1)}
-    factors = [_r_from_coefficients(coeff, N).reshape(N, N, N, N) for coeff in coeffs]
+    tables = [_r_table(coeff, N) for coeff in coeffs]
     for parts, aux, sites in _weight_sectors(N, L):
         Y = np.eye(len(aux), dtype=complex)
-        for R, (digit, swap) in zip(factors, sites):
-            keep = R[aux, digit, aux, digit]
-            move = np.where(aux == digit, 0.0, R[digit, aux, aux, digit])[swap]
-            Y = keep[:, None] * Y + move[:, None] * Y[swap]
+        for (keep, move), (digit, swap) in zip(tables, sites):
+            Y = keep[aux, digit][:, None] * Y + move[digit, aux][swap][:, None] * Y[swap]
         Y = np.asarray(chain.kappa)[aux][:, None] * Y
         for a, _, rows in parts:
             for b, nu, cols in parts:
@@ -384,16 +430,25 @@ def transfer(chain: ChainSpec, t: complex) -> GradedOperator:
     return out
 
 
-def transfer_apply(chain: ChainSpec, t: complex, v: np.ndarray) -> np.ndarray:
+def transfer_apply(chain: ChainSpec, t, v: np.ndarray) -> np.ndarray:
     """T(t) v = sum_j <j| T(t) |j> v for v of shape (dim,) or (dim, B),
-    without building the block grid."""
+    without building the block grid. `t` is one point, or a sequence of P
+    points that splits the B columns into P equal consecutive groups, group p
+    taken at t[p]: each group's columns equal `transfer_apply(chain, t[p], .)`
+    of them alone, bit for bit."""
     N, d = chain.N, chain.dim
-    X = np.zeros((N, d, N) + v.shape[1:], dtype=complex)
+    points = [t] if np.ndim(t) == 0 else list(t)
+    P, width = len(points), v.size // d
+    if not P or width % P:
+        raise DomainError(f"{width} columns do not split into {P} point groups")
+    group = width // P
+    X = np.zeros((P, N, d, N, group), dtype=complex)
+    groups = v.reshape(d, P, group).transpose(1, 0, 2)
     for j in range(N):
-        X[j, :, j] = v
-    Y = apply_monodromy(chain, _point_coefficients(chain, t), X.reshape(N, d, -1))
-    Y = Y.reshape(X.shape)
-    return sum(Y[j, :, j] for j in range(N))
+        X[:, j, :, j] = groups
+    coeffs = _point_coefficients(chain, points)
+    Y = apply_monodromy(chain, coeffs, X.reshape(P, N, d, -1)).reshape(X.shape)
+    return sum(Y[:, j, :, j] for j in range(N)).transpose(1, 0, 2).reshape(v.shape)
 
 
 def entry_apply(chain: ChainSpec, t: complex, i: int, j: int, v: np.ndarray) -> np.ndarray:
@@ -525,10 +580,11 @@ def permutation_operator(N: int) -> np.ndarray:
 def transfer_commutator_residual(chain: ChainSpec, u: complex, v: complex,
                                  rng: np.random.Generator) -> float:
     """Relative norm of T(u) T(v) X - T(v) T(u) X on PROBES random quantum
-    vectors X drawn from `rng`."""
+    vectors X drawn from `rng`, in two kernel calls: [T(v) X | T(u) X], then
+    [T(u) T(v) X | T(v) T(u) X]."""
     X = _probes(rng, (chain.dim,))
-    uv = transfer_apply(chain, u, transfer_apply(chain, v, X))
-    vu = transfer_apply(chain, v, transfer_apply(chain, u, X))
+    once = transfer_apply(chain, [v, u], np.hstack([X, X]))
+    uv, vu = np.hsplit(transfer_apply(chain, [u, v], once), 2)
     scale = max(frobenius(uv), frobenius(vu), 1e-300)
     return frobenius(uv - vu) / scale
 

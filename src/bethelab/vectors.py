@@ -125,19 +125,24 @@ def on_shell_residuals(chain: ChainSpec, params: BetheParameterSet,
 
     The vector is built once; `points` is consumed only after it is found
     non-degenerate, so a lazily drawn sequence draws nothing for a vanishing
-    vector.
+    vector. Each point's tau is taken as it is drawn; T(t) w at every point
+    is then one `transfer_apply` call, which checks the points for R-matrix
+    poles in their order.
     """
     w = modified_vector(chain, params)
     if w.norm < 1e-12:
         raise DegenerateVectorError(
             f"vanishing vector in sector {params.nbar} (L={chain.L})")
     _, lambdas = vacuum_data(chain)
-    out = []
+    ts, taus = [], []
     for t in points:
-        tau = transfer_eigenvalue(lambdas, params, t, chain.ctx)
-        resid = np.linalg.norm(transfer_apply(chain, t, w.vector) - tau * w.vector) / w.norm
-        out.append((float(resid), tau))
-    return out
+        ts.append(t)
+        taus.append(transfer_eigenvalue(lambdas, params, t, chain.ctx))
+    if not ts:
+        return []
+    Tw = transfer_apply(chain, ts, np.broadcast_to(w.vector[:, None], (chain.dim, len(ts))))
+    return [(float(np.linalg.norm(Tw[:, p] - tau * w.vector) / w.norm), tau)
+            for p, tau in enumerate(taus)]
 
 
 def on_shell_residual(chain: ChainSpec, params: BetheParameterSet,

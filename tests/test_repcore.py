@@ -27,8 +27,8 @@ from bethelab import (
     zero_modes,
 )
 from bethelab import repcore
-from bethelab.repcore import (_r_coefficients, _zero_mode_coefficients, permutation_operator,
-                              weight_basis, zero_mode_residuals)
+from bethelab.repcore import (_point_coefficients, _r_coefficients, _zero_mode_coefficients,
+                              permutation_operator, weight_basis, zero_mode_residuals)
 
 from conftest import dense_monodromy, dense_zero_modes, make_chain, separated_points
 
@@ -187,7 +187,7 @@ def test_monodromy_matches_slow_assembly(ctx, rng, N, L):
 
 
 @pytest.mark.parametrize("N,L", [(2, 0), (2, 3), (3, 2), (2, 8)])
-def test_apply_monodromy_matches_dense_blocks(ctx, rng, N, L):
+def test_apply_monodromy_matches_dense_blocks(ctx, rng, monkeypatch, N, L):
     chain = make_chain(N, L, ctx, rng)
     d = chain.dim
     t = 1.4 + 0.8j
@@ -212,6 +212,23 @@ def test_apply_monodromy_matches_dense_blocks(ctx, rng, N, L):
     want = blocks[0, N - 1] @ v
     got = entry_apply(chain, t, 1, N, v)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    # several points in one call: each point's column group equals that
+    # point's own call, bit for bit, also when the batch goes through the
+    # sites in slices of one column
+    points = [t, 0.7 - 1.1j, 1.9 + 0.2j]
+    V = random_batch(rng, (d, 2 * len(points)))
+    got = transfer_apply(chain, points, V)
+    for p, tp in enumerate(points):
+        assert np.array_equal(got[:, 2 * p:2 * p + 2],
+                              transfer_apply(chain, tp, V[:, 2 * p:2 * p + 2]))
+    X = random_batch(rng, (len(points), N, d, 3))
+    batched = apply_monodromy(chain, _point_coefficients(chain, points), X)
+    for p, tp in enumerate(points):
+        assert np.array_equal(batched[p], apply_monodromy(chain, _point_coefficients(chain, tp), X[p]))
+    monkeypatch.setattr(repcore, "COLUMN_ENTRIES", 1)
+    assert np.array_equal(transfer_apply(chain, points, V), got)
+    assert np.array_equal(apply_monodromy(chain, _point_coefficients(chain, points), X), batched)
 
     # the closed-form limits keep the exact zeros of the zero-mode blocks:
     # a batch on auxiliary row j lands exactly on zero in every row i with

@@ -13,6 +13,7 @@ from bethelab import (
     monodromy,
     nested_vector,
     on_shell_residual,
+    on_shell_residuals,
     same_type_weight,
     sample_annulus,
     solve_bethe,
@@ -191,6 +192,40 @@ def test_degenerate_vector_error(ctx, rng):
     with pytest.warns(UserWarning):
         with pytest.raises(DegenerateVectorError):
             on_shell_residual(chain, params, 0.9 + 0.1j)
+
+
+def _recorded(points, drawn):
+    """Yield `points` one at a time, appending each to `drawn` as it is drawn."""
+    for t in points:
+        drawn.append(t)
+        yield t
+
+
+@pytest.mark.parametrize("N,L,nbar", [(2, 4, (2,)), (3, 3, (2, 1))])
+def test_on_shell_residuals_match_per_point_calls(ctx, rng, N, L, nbar):
+    # every point of a root set in one kernel call gives each point's own
+    # residual and tau, bit for bit, on shell and off shell
+    chain = make_chain(N, L, ctx, rng)
+    on_shell = solve_bethe(chain, nbar).solutions[0].params
+    off_shell = BetheParameterSet(tuple(tuple(separated_points(rng, n)) for n in nbar))
+    for params in (on_shell, off_shell):
+        points = [complex(t) for t in sample_annulus(rng, 20)]
+        drawn = []
+        got = on_shell_residuals(chain, params, _recorded(points, drawn))
+        assert drawn == points
+        assert got == [on_shell_residual(chain, params, t) for t in points]
+    assert max(resid for resid, _ in on_shell_residuals(chain, on_shell, points)) < 1e-8
+    assert on_shell_residuals(chain, on_shell, iter(())) == []
+
+
+def test_on_shell_residuals_draw_nothing_for_a_vanishing_vector(ctx, rng):
+    chain = make_chain(2, 1, ctx, rng)
+    params = BetheParameterSet((tuple(separated_points(rng, 2)),))
+    drawn = []
+    with pytest.warns(UserWarning):
+        with pytest.raises(DegenerateVectorError):
+            on_shell_residuals(chain, params, _recorded(sample_annulus(rng, 20), drawn))
+    assert drawn == []
 
 
 # ---------------------------------------------------------------------------
