@@ -53,10 +53,16 @@ from .repcore import (ChainSpec, monodromy, permutation_operator, r_matrix, rll_
                       transfer, transfer_commutator_residual, vacuum_data,
                       vacuum_residuals, yang_baxter_residual, zero_mode_residuals)
 from .report import CheckRecord, Report, encode_complex, inputs_digest
-from .solver import (EXCITATION_CAP, SolveResult, admissible_sectors, sector_multiplicity,
+from .solver import (SolveResult, admissible_sectors, backward_errors, sector_multiplicity,
                      solve_bethe, spectrum_reconcile)
 from .vectors import (expected_occupancy, is_admissible, on_shell_residuals,
                       unwanted_decomposition)
+
+# `solve/*/sector*` tolerance on the backward error |A - eps B| / (|A| + |eps B|)
+# of the cleared Bethe equations. Over every root set of N=2 with L = 2, 4,
+# 6, 8 and N=3 with L = 2, 3, 4 at seeds 1, 2, 3 and 7 its rounding floor is
+# 2.3e-14; this leaves a factor of 44 above it.
+SOLVE_TOL = 1e-12
 
 SUITES = ("yang-baxter", "rll", "gauss", "identities", "solve", "verify",
           "offshell", "spectrum")
@@ -605,10 +611,6 @@ def _separated(rng, n: int) -> list[complex]:
 
 
 def suite_solve(mat: Materialized, cfg: RunConfig) -> list[Check]:
-    def solve_thunk(result):
-        for sol in result:
-            yield sol.max_residual
-
     checks = []
     for c, chain in enumerate(mat.chains):
         for nbar in mat.sectors:
@@ -617,9 +619,13 @@ def suite_solve(mat: Materialized, cfg: RunConfig) -> list[Check]:
             inputs = {**_chain_inputs(chain), "sector": list(nbar)}
             sector_id = "-".join(map(str, nbar))
             sector = ((chain, nbar),)
+
+            def solve_thunk(result, chain=chain, nbar=nbar):
+                yield from backward_errors(chain, nbar, [sol.params for sol in result])
+
             checks.append(Check(f"solve/chain{c}/sector{sector_id}",
-                                "Bethe residuals vanish at every returned root set",
-                                1e-10, inputs, solve_thunk, sector))
+                                "every returned root set solves the Bethe equations (backward error)",
+                                SOLVE_TOL, inputs, solve_thunk, sector))
 
             def complete_thunk(result, chain=chain, nbar=nbar):
                 yield float(abs(sector_multiplicity(chain.L, nbar) - len(result)))
@@ -649,6 +655,8 @@ def suite_verify(mat: Materialized, cfg: RunConfig) -> list[Check]:
                     try:
                         pairs = on_shell_residuals(chain, sol.params, points)
                     except DegenerateVectorError:
+                        # a vanishing vector is no eigenvector
+                        yield float("inf")
                         continue
                     yield from (resid for resid, _ in pairs)
 
@@ -704,12 +712,6 @@ def _sample_clear_of_poles(rng, lambdas: list[RationalFunction],
 
 
 def suite_spectrum(mat: Materialized, cfg: RunConfig) -> list[Check]:
-    # the weight with all L sites in the last colour is sector (L, ..., L),
-    # the largest, with (N - 1) L roots
-    if (cfg.N - 1) * cfg.L > EXCITATION_CAP:
-        raise CapacityError(f"spectrum suite needs a sector for every weight block, "
-                            f"(N - 1) L = {(cfg.N - 1) * cfg.L} roots exceeds cap "
-                            f"{EXCITATION_CAP}")
     checks = []
     for c, chain in enumerate(mat.chains):
         inputs = _chain_inputs(chain)

@@ -16,8 +16,13 @@ points, each with a block lower-triangular, invertible Jacobian. All paths
 of a sector are tracked as one numpy batch, with an Euler-tangent predictor,
 a Newton corrector on the analytic Jacobian and a step size per path.
 
-Each endpoint gets POLISH_STEPS Newton steps on `bethe_residual`. A path
-that is lost, or whose endpoint is inadmissible or coincides with another
+These cleared equations are the only form of the Bethe equations here.
+Each endpoint gets POLISH_STEPS Newton steps on H at s = 1 and is accepted
+when the backward error |A - eps_a B| / (|A| + |eps_a B|) of every equation
+is below `tol_root`: the relative change of the two sides that makes the
+point an exact root. It has no pole where two roots of a type form a
+near-string t_j ~ q^2 t_k, so such genuine root sets are kept. A path
+that is lost, or whose endpoint is rejected or coincides with another
 one, is tracked once more along a complex detour s = tau + gamma tau (1 - tau)
 (the gamma trick), gamma drawn from the `solve_bethe:{nbar}` stream. Root
 sets still missing after that are a reported shortfall, never filled in.
@@ -31,12 +36,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .context import BetheParameterSet, sample_annulus
-from .errors import BetheLabError, CapacityError, DomainError
-from .kernels import bethe_residual, transfer_eigenvalue
+from .errors import DomainError
+from .kernels import transfer_eigenvalue
 from .repcore import ChainSpec, transfer, vacuum_data
 from .vectors import expected_occupancy, is_admissible
 
-EXCITATION_CAP = 8
 MATCH_TOL = 1e-8
 
 # path tracking, in coordinates scaled by the mean site modulus
@@ -47,7 +51,7 @@ MAX_STEPS = 2000         # predictor-corrector rounds per batch
 CORRECTOR_STEPS = 3
 TRACK_TOL = 1e-7         # last corrector update, relative to the point
 DIVERGED = 1e8           # a root this far out is on its way to infinity
-POLISH_STEPS = 2         # Newton steps on `bethe_residual` at each endpoint
+POLISH_STEPS = 2         # Newton steps on H at s = 1 at each endpoint
 COINCIDE_TOL = 1e-8      # relative distance of two equal root sets
 
 
@@ -67,20 +71,15 @@ class SolverOptions:
 @dataclass(frozen=True)
 class BetheSolution:
     params: BetheParameterSet
-    residuals: tuple[float, ...]
     jacobian_condition: float
     multiplicity_key: tuple[tuple[tuple[float, float], ...], ...]
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals) if self.residuals else 0.0
 
 
 @dataclass
 class SolveResult:
     """Root sets of one sector. `attempts` counts tracked paths (retries
-    included), `converged` the endpoints whose polished residual is below
-    `tol_root`, and `inadmissible` those of them that fail the margins."""
+    included), `converged` the endpoints whose polished backward error is
+    below `tol_root`, and `inadmissible` those of them that fail the margins."""
     solutions: list[BetheSolution]
     attempts: int = 0
     converged: int = 0
@@ -119,18 +118,17 @@ class _Homotopy:
             upper = range(ends[a], ends[a + 1]) if a < len(nbar) else ()
             for k in range(ends[a - 1], ends[a]):
                 same = [u for u in range(ends[a - 1], ends[a]) if u != k]
-                # (partner, A's t and w coefficients, B's, does D take B's)
-                rows.append([(p, q, -1 / q, 1, -1, a == 1) for p in lower]
-                            + [(u, 1 / q, -q, q, -1 / q, False) for u in same]
-                            + [(x, 1, -1, 1 / q, -q, False) for x in upper])
+                # (partner, A's t and w coefficients, B's)
+                rows.append([(p, q, -1 / q, 1, -1) for p in lower]
+                            + [(u, 1 / q, -q, q, -1 / q) for u in same]
+                            + [(x, 1, -1, 1 / q, -q) for x in upper])
                 eps.append(chain.kappa[a] / chain.kappa[a - 1])
         width = max(len(r) for r in rows)
-        pad = (M + L, 0, 1, 0, 1, False)
+        pad = (M + L, 0, 1, 0, 1)
         table = [r + [pad] * (width - len(r)) for r in rows]
         self.partner = np.array([[f[0] for f in r] for r in table])
         self.ta, self.wa, self.tb, self.wb = (
             np.array([[complex(f[c]) for f in r] for r in table]) for c in range(1, 5))
-        self.d_takes_b = np.array([[f[5] for f in r] for r in table])
         self.select = (self.partner[:, :, None] == np.arange(M)).astype(float)
         self.eps = np.array(eps)
         self.sites = sites
@@ -154,11 +152,12 @@ class _Homotopy:
         w, t = ext[:, self.partner], x[:, :, None]
         return self.ta * t + self.wa * w, self.tb * t + self.wb * w
 
-    def denominator(self, x: np.ndarray) -> np.ndarray:
-        """D at the points x (P, M): the Bethe residuals of `bethe_residual`
-        are H / D at s = 1."""
+    def backward_error(self, x: np.ndarray) -> np.ndarray:
+        """|A - eps B| / (|A| + |eps B|) of every equation at the points x
+        (P, M), (P, M); NaN rows stay NaN."""
         fa, fb = self.factors(x)
-        return self.eps * np.prod(np.where(self.d_takes_b, fb, fa), axis=-1)
+        A, B = np.prod(fa, axis=-1), self.eps * np.prod(fb, axis=-1)
+        return np.abs(A - B) / (np.abs(A) + np.abs(B))
 
     def track(self, x: np.ndarray, gamma: np.ndarray) -> np.ndarray:
         """Endpoints at s = 1 of the paths from the start points x (P, M)
@@ -208,12 +207,11 @@ def _solve(J: np.ndarray, b: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(J, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan, dtype=complex)
-        for p in range(len(b)):
-            try:
-                out[p] = np.linalg.solve(J[p], b[p])
-            except np.linalg.LinAlgError:
-                pass
+        # an exactly zero LU pivot, which makes solve raise, has sign 0
+        singular = np.linalg.slogdet(J)[0] == 0
+        out = np.linalg.solve(np.where(singular[:, None, None], np.eye(b.shape[-1]), J),
+                              b[..., None])[..., 0]
+        out[singular] = np.nan
         return out
 
 
@@ -243,45 +241,15 @@ def solve_bethe(chain: ChainSpec, nbar, opts: SolverOptions | None = None) -> So
     if not is_admissible(chain, nbar):
         raise DomainError(f"inadmissible sector {nbar} for L={chain.L}")
     M = sum(nbar)
-    if M > EXCITATION_CAP:
-        raise CapacityError(f"sector size {M} exceeds cap {EXCITATION_CAP}")
     if M == 0:
         empty = BetheParameterSet(tuple(() for _ in nbar))
-        sol = BetheSolution(empty, (), 1.0, _canonical_key([[] for _ in nbar]))
+        sol = BetheSolution(empty, 1.0, _canonical_key([[] for _ in nbar]))
         return SolveResult([sol], attempts=0, converged=1)
 
-    # the equations are homogeneous in (roots, sites): track at unit scale
-    scale = float(np.mean(np.abs(chain.z)))
-    hom = _Homotopy(chain, nbar, np.asarray(chain.z) / scale)
+    hom, scale = _unit_homotopy(chain, nbar)
     starts = _start_points(nbar, hom.sites, chain.ctx.q)
-    _, lambdas = vacuum_data(chain)
-    eqs = [(a, j) for a in range(1, chain.N) for j in range(1, nbar[a - 1] + 1)]
     cuts = np.cumsum(nbar)[:-1]
     rng = chain.ctx.rng(f"solve_bethe:{nbar}")
-
-    def residuals(x: np.ndarray) -> np.ndarray:
-        out = np.full(x.shape, np.nan, dtype=complex)
-        for p, row in enumerate(x * scale):
-            if not np.all(np.isfinite(row)):
-                continue
-            try:
-                params = BetheParameterSet(tuple(map(tuple, np.split(row, cuts))))
-                out[p] = [bethe_residual(a, j, params, lambdas, chain.ctx) for a, j in eqs]
-            except BetheLabError:
-                pass
-        return out
-
-    def sides(x: np.ndarray) -> np.ndarray:
-        # max(1, |lambda_a / lambda_{a+1}|) at each root: the size of both
-        # sides of its equation, which sets the rounding floor of its residual
-        out = np.ones(x.shape)
-        for p, row in enumerate(x * scale):
-            for k, (a, _) in enumerate(eqs):
-                if np.isfinite(row[k]):
-                    ratio = complex(lambdas[a - 1](row[k])) / complex(lambdas[a](row[k]))
-                    out[p, k] = max(1.0, abs(ratio))
-        return out
-
     result = SolveResult([])
     kept = np.empty((0, M), dtype=complex)
     todo = np.arange(len(starts))
@@ -295,18 +263,19 @@ def solve_bethe(chain: ChainSpec, nbar, opts: SolverOptions | None = None) -> So
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             x = hom.track(starts[todo], gamma)
             for _ in range(POLISH_STEPS):
-                x = x - _solve(hom.evaluate(x, ones)[1], hom.denominator(x) * residuals(x))
-            r = residuals(x)
-            J = hom.evaluate(x, ones)[1] / hom.denominator(x)[..., None]
-        good = np.all(np.abs(r) < opts.tol_root * sides(x), axis=1)
+                H, J, _ = hom.evaluate(x, ones)
+                x = x - _solve(J, H)
+            err = hom.backward_error(x)
+        good = np.all(err < opts.tol_root, axis=1)
         result.converged += int(np.sum(good))
-        for p in np.flatnonzero(good):
-            if not _is_admissible_point(np.split(x[p] * scale, cuts), chain, opts):
-                result.inadmissible += 1
-                good[p] = False
-        reached = np.flatnonzero(good)
+        admissible = _admissible(x * scale, cuts, chain, opts)
+        result.inadmissible += int(np.sum(good & ~admissible))
+        reached = np.flatnonzero(good & admissible)
+        # the condition of the Jacobian with every row scaled to unit size
+        J = hom.evaluate(x[reached], ones[reached])[1]
+        cond = np.linalg.cond(J / np.max(np.abs(J), axis=-1, keepdims=True))
         done = np.zeros(len(x), dtype=bool)
-        for p in reached:
+        for p, c in zip(reached, cond):
             # a root set that two first-pass paths reach is retried from
             # both, since nothing tells which of them jumped
             rivals = kept if detour else x[reached[reached != p]]
@@ -316,12 +285,33 @@ def solve_bethe(chain: ChainSpec, nbar, opts: SolverOptions | None = None) -> So
             kept = np.vstack([kept, x[p]])
             groups = [[complex(v) for v in g] for g in np.split(x[p] * scale, cuts)]
             result.solutions.append(BetheSolution(
-                BetheParameterSet(tuple(map(tuple, groups))),
-                tuple(float(v) for v in np.abs(r[p])),
-                float(np.linalg.cond(J[p])), _canonical_key(groups)))
+                BetheParameterSet(tuple(map(tuple, groups))), float(c), _canonical_key(groups)))
         todo = todo[~done]
     result.solutions.sort(key=lambda s: s.multiplicity_key)
     return result
+
+
+def _unit_homotopy(chain: ChainSpec, nbar: tuple[int, ...]) -> tuple[_Homotopy, float]:
+    """The homotopy of sector nbar with the sites divided by their mean
+    modulus, and that scale: the equations are homogeneous in (roots,
+    sites), so roots are tracked and measured at unit scale."""
+    scale = float(np.mean(np.abs(chain.z)))
+    return _Homotopy(chain, nbar, np.asarray(chain.z) / scale), scale
+
+
+def backward_errors(chain: ChainSpec, nbar, root_sets) -> np.ndarray:
+    """The worst backward error |A - eps_a B| / (|A| + |eps_a B|) over the
+    Bethe equations of sector nbar at each root set, as an array of one entry
+    per root set: the quantity on which `solve_bethe` accepts an endpoint,
+    recomputed from the `BetheParameterSet`s alone."""
+    nbar = tuple(int(n) for n in nbar)
+    if any(params.nbar != nbar for params in root_sets):
+        raise DomainError(f"root sets must have the shape of sector {nbar}")
+    if not root_sets or not sum(nbar):
+        return np.zeros(len(root_sets))
+    hom, scale = _unit_homotopy(chain, nbar)
+    x = np.array([np.concatenate(params.values) for params in root_sets]) / scale
+    return np.max(hom.backward_error(x), axis=1)
 
 
 def _coincident(xs: np.ndarray, y: np.ndarray, cuts: np.ndarray) -> np.ndarray:
@@ -329,8 +319,7 @@ def _coincident(xs: np.ndarray, y: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     type taken as an unordered set."""
     out = np.ones(len(xs), dtype=bool)
     for gx, gy in zip(np.split(xs, cuts, axis=1), np.split(y, cuts)):
-        gx = gx[:, :, None]
-        gap = np.abs(gx - gy) / np.maximum(np.abs(gx), np.abs(gy))
+        gap = _relative_gap(gx[:, :, None], gy)
         out &= np.max(np.min(gap, axis=2, initial=np.inf), axis=1, initial=0.0) <= COINCIDE_TOL
     return out
 
@@ -345,29 +334,30 @@ def sector_multiplicity(L: int, nbar) -> int:
     return out
 
 
-def _is_admissible_point(groups: list[np.ndarray], chain: ChainSpec,
-                         opts: SolverOptions) -> bool:
-    for grp in groups:
-        for i, v in enumerate(grp):
-            if abs(v) < opts.min_abs:
-                return False
-            for u in grp[i + 1:]:
-                if abs(v - u) / max(abs(v), abs(u)) < opts.min_separation:
-                    return False
-            for zl in chain.z:
-                if abs(v - zl) / max(abs(v), abs(zl)) < opts.min_inhom_distance:
-                    return False
-    return True
+def _admissible(x: np.ndarray, cuts: np.ndarray, chain: ChainSpec,
+                opts: SolverOptions) -> np.ndarray:
+    """Which root sets x (P, M) keep the margins: no root near 0 or at a
+    site, no two roots of one type together."""
+    ok = np.all(np.abs(x) >= opts.min_abs, axis=1)
+    ok &= np.all(_relative_gap(x[:, :, None], np.asarray(chain.z)) >= opts.min_inhom_distance,
+                 axis=(1, 2))
+    for g in np.split(x, cuts, axis=1):
+        i, k = np.triu_indices(g.shape[1], 1)
+        ok &= np.all(_relative_gap(g[:, i], g[:, k]) >= opts.min_separation, axis=1)
+    return ok
+
+
+def _relative_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
 
 
 def admissible_sectors(chain: ChainSpec):
-    """All sector shapes L >= n_1 >= ... >= n_{N-1} with at most
-    `EXCITATION_CAP` roots."""
+    """All sector shapes L >= n_1 >= ... >= n_{N-1} >= 0."""
     def rec(prefix, remaining, bound):
         if remaining == 0:
             yield tuple(prefix)
             return
-        for n in range(min(bound, EXCITATION_CAP - sum(prefix)), -1, -1):
+        for n in range(bound, -1, -1):
             yield from rec(prefix + [n], remaining - 1, n)
 
     yield from rec([], chain.N - 1, chain.L)

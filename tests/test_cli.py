@@ -1,4 +1,5 @@
 """Command-line interface and report-format tests."""
+import dataclasses
 import json
 import math
 import os
@@ -11,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import bethelab
-from bethelab import DeformationContext, cli, sample_annulus, vacuum_residuals
+from bethelab import (BetheParameterSet, DeformationContext, cli, sample_annulus,
+                      vacuum_residuals)
 from bethelab.cli import run_command
-from bethelab.errors import DomainError
+from bethelab.errors import BetheLabError, DegenerateVectorError, DomainError
 from bethelab.report import report_fingerprint
 
 
@@ -138,15 +140,22 @@ def test_tau_is_matched_within_its_weight_block(tmp_path, monkeypatch, capsys):
 
 
 def test_spectrum_needs_a_sector_for_every_weight_block(tmp_path, monkeypatch, capsys):
-    # N=3, L=5: weight (0, 0, 5) is sector (5, 5), 10 roots > EXCITATION_CAP,
-    # so the spectrum could never be complete; refused before any solve
-    monkeypatch.setattr(cli, "solve_bethe", lambda *args: pytest.fail("solved"))
+    # N=3, L=5: weight (0, 0, 5) is sector (5, 5), 10 roots; every weight
+    # block has its sector, so the spectrum is complete
+    solved = []
+    original = cli.solve_bethe
+
+    def recording(chain, nbar, opts=None):
+        solved.append(tuple(nbar))
+        return original(chain, nbar, opts)
+
+    monkeypatch.setattr(cli, "solve_bethe", recording)
     cfg = tmp_path / "n3l5.cfg"
-    cfg.write_text("N = 3\nL = 5\nseed = 7\n")
+    cfg.write_text("N = 3\nL = 5\nseed = 1\n")
     code, report = run(["spectrum", "--config", str(cfg)])
-    assert code == 2
-    assert report is None
-    assert "cap" in capsys.readouterr().err
+    assert code == 0
+    assert len(solved) == 21 and (5, 5) in solved
+    assert [c.residual for c in report.checks] == [0.0]
 
 
 def test_verify_samples_clear_of_r_matrix_poles(tmp_path, capsys):
@@ -193,15 +202,57 @@ def test_check_wall_times_exclude_solving(tmp_path, monkeypatch, capsys):
     assert all(c.wall_time < 0.25 for c in report.checks)
 
 
-def test_failed_solve_fails_the_checks_that_read_it(tmp_path, capsys):
-    cfg = tmp_path / "nine.cfg"
-    cfg.write_text("N = 2\nL = 9\nsectors = 9\nseed = 7\n")
+def test_failed_solve_fails_the_checks_that_read_it(tmp_path, monkeypatch, capsys):
+    def failing(chain, nbar, opts=None):
+        raise BetheLabError(f"no roots for {nbar}")
+
+    monkeypatch.setattr(cli, "solve_bethe", failing)
+    cfg = tmp_path / "fail.cfg"
+    cfg.write_text("N = 2\nL = 4\nsectors = 2\nseed = 7\n")
     code, report = run(["verify", "--config", str(cfg)])
     assert code == 1
     assert len(report.checks) == 3  # on-shell, tau-in-spectrum, residue
     for check in report.checks:
         assert not check.passed
-        assert check.error == "CapacityError: sector size 9 exceeds cap 8"
+        assert check.error == "BetheLabError: no roots for (2,)"
+
+
+def test_a_vanishing_vector_fails_the_on_shell_check(tmp_path, monkeypatch, capsys):
+    def vanishing(chain, params, points):
+        raise DegenerateVectorError("vanishing vector")
+
+    monkeypatch.setattr(cli, "on_shell_residuals", vanishing)
+    cfg = tmp_path / "vanish.cfg"
+    cfg.write_text("N = 2\nL = 4\nsectors = 2\nseed = 7\n")
+    code, report = run(["verify", "--config", str(cfg)])
+    assert code == 1
+    onshell = [c for c in report.checks if c.check_id.endswith("/on-shell")]
+    assert len(onshell) == 1
+    assert onshell[0].residual == math.inf
+    assert not onshell[0].passed
+
+
+def test_a_moved_root_fails_the_solve_check(tmp_path, monkeypatch, capsys):
+    original = cli.solve_bethe
+
+    def move_one(chain, nbar, opts=None):
+        result = original(chain, nbar, opts)
+        sol = result.solutions[0]
+        roots = list(sol.params.values[0])
+        roots[0] *= 1 + 1e-8
+        result.solutions[0] = dataclasses.replace(
+            sol, params=BetheParameterSet((tuple(roots),)))
+        return result
+
+    monkeypatch.setattr(cli, "solve_bethe", move_one)
+    cfg = tmp_path / "move.cfg"
+    cfg.write_text("N = 2\nL = 4\nsectors = 2\nseed = 3\n")
+    code, report = run(["solve", "--config", str(cfg)])
+    assert code == 1
+    by_id = {c.check_id: c for c in report.checks}
+    assert not by_id["solve/chain0/sector2"].passed
+    assert by_id["solve/chain0/sector2"].residual > 1e3 * cli.SOLVE_TOL
+    assert by_id["solve/chain0/sector2/complete"].passed
 
 
 def test_complete_check_fails_on_a_dropped_root_set(tmp_path, monkeypatch, capsys):
