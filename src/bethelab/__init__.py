@@ -27,7 +27,6 @@ from .gauss import (
     zero_mode_set,
 )
 from .kernels import (
-    RationalFunction,
     bethe_residual,
     bethe_rhs,
     nesting_overlap,

@@ -9,7 +9,7 @@ Config files are flat ``key = value`` text; ``#`` starts a comment. Keys:
     sectors         "all" or semicolon list of comma tuples, e.g. "1,0; 1,1"
     chains          number of random chain replicas (default 1)
     seed            unsigned 64-bit integer
-    tol_identity, pole_margin
+    tol_identity    float in (0, 1e-3) (default 1e-10)
     out             report path
     suites          comma list of suite names (for the `all` subcommand)
 
@@ -38,24 +38,24 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import __version__
-from .context import BetheParameterSet, DeformationContext, sample_annulus
+from .context import POLE_MARGIN, BetheParameterSet, DeformationContext, sample_annulus
 from .errors import (BetheLabError, CapacityError, ConfigError, DegenerateVectorError,
                      DomainError, SamplingExhaustedError)
 from .gauss import (CoordinateIdentity, coordinate_identity_residual,
                     gauss_decompose, normal_order_transfer_residual, zero_mode_set)
-from .kernels import (RationalFunction, nesting_overlap, nesting_overlap_alt,
+from .kernels import (nesting_overlap, nesting_overlap_alt,
                       partial_fraction_residual, same_type_weight, shift_weight,
                       split_weight, string_overlap, top_split_weight,
                       transfer_eigenvalue, transfer_eigenvalue_residue)
 from .qsym import (cyclic_identity_sides, decomposition_sides, qsym_values,
                    shift_expansion_backward, shift_expansion_forward)
-from .repcore import (ChainSpec, monodromy, permutation_operator, r_matrix, rll_residual,
-                      transfer, transfer_commutator_residual, vacuum_data,
+from .repcore import (ChainSpec, monodromy, permutation_operator, pole_distance, r_matrix,
+                      rll_residual, transfer, transfer_commutator_residual, vacuum_data,
                       vacuum_residuals, yang_baxter_residual, zero_mode_residuals)
 from .report import CheckRecord, Report, encode_complex, inputs_digest
 from .solver import (SolveResult, admissible_sectors, backward_errors, sector_multiplicity,
                      solve_bethe, spectrum_reconcile)
-from .vectors import (expected_occupancy, is_admissible, on_shell_residuals,
+from .vectors import (UNWANTED_CAP, expected_occupancy, is_admissible, on_shell_residuals,
                       unwanted_decomposition)
 
 # `solve/*/sector*` tolerance on the backward error |A - eps B| / (|A| + |eps B|)
@@ -83,7 +83,6 @@ class RunConfig:
     chains: int = 1
     seed: int = 0
     tol_identity: float = 1e-10
-    pole_margin: float = 1e-3
     out: str = ""
     suites: tuple[str, ...] = SUITES
     raw: dict = field(default_factory=dict)
@@ -133,7 +132,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg.chains = take("chains", int, cfg.chains)
     cfg.seed = take("seed", int, cfg.seed)
     cfg.tol_identity = take("tol_identity", float, cfg.tol_identity)
-    cfg.pole_margin = take("pole_margin", float, cfg.pole_margin)
     cfg.out = take("out", str, cfg.out)
     cfg.suites = take("suites", lambda text: tuple(
         s.strip() for s in text.split(",") if s.strip()), cfg.suites)
@@ -181,8 +179,7 @@ def materialize(cfg: RunConfig) -> Materialized:
     else:
         q = _parse_complex(cfg.q_spec)
     try:
-        ctx = DeformationContext(q=q, tol_identity=cfg.tol_identity, seed=cfg.seed,
-                                 pole_margin=cfg.pole_margin)
+        ctx = DeformationContext(q=q, tol_identity=cfg.tol_identity, seed=cfg.seed)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -293,7 +290,7 @@ def _chain_inputs(chain: ChainSpec) -> dict:
 # --- yang-baxter ---
 
 
-def suite_yang_baxter(mat: Materialized, cfg: RunConfig) -> list[Check]:
+def suite_yang_baxter(mat: Materialized) -> list[Check]:
     ctx = mat.ctx
     checks = []
     for N in (2, 3, 4):
@@ -345,7 +342,7 @@ def suite_yang_baxter(mat: Materialized, cfg: RunConfig) -> list[Check]:
 # --- rll ---
 
 
-def suite_rll(mat: Materialized, cfg: RunConfig) -> list[Check]:
+def suite_rll(mat: Materialized) -> list[Check]:
     checks = []
     for c, chain in enumerate(mat.chains):
         ctx = chain.ctx
@@ -396,7 +393,7 @@ def suite_rll(mat: Materialized, cfg: RunConfig) -> list[Check]:
 # --- gauss ---
 
 
-def suite_gauss(mat: Materialized, cfg: RunConfig) -> list[Check]:
+def suite_gauss(mat: Materialized) -> list[Check]:
     checks = []
     for c, chain in enumerate(mat.chains):
         base = f"gauss/chain{c}"
@@ -460,7 +457,7 @@ def _identity_indices(kind: CoordinateIdentity, N: int) -> list[tuple[int, int]]
 # --- identities (scalar + qsym) ---
 
 
-def suite_identities(mat: Materialized, cfg: RunConfig) -> list[Check]:
+def suite_identities(mat: Materialized) -> list[Check]:
     ctx = mat.ctx
     q = ctx.q
     checks = []
@@ -470,7 +467,7 @@ def suite_identities(mat: Materialized, cfg: RunConfig) -> list[Check]:
         def overlap_thunk(k=k):
             rng = ctx.rng(f"overlap:{k}")
             for _ in range(25):
-                upper, lower = _overlap_points(rng, k, ctx)
+                upper, lower = _overlap_points(rng, k)
                 a = nesting_overlap(upper, lower, ctx)
                 b = nesting_overlap_alt(upper, lower, ctx)
                 yield abs(a - b) / max(abs(a), abs(b))
@@ -574,13 +571,13 @@ def suite_identities(mat: Materialized, cfg: RunConfig) -> list[Check]:
     return checks
 
 
-def _overlap_points(rng, k: int, ctx: DeformationContext) -> tuple[list, list]:
-    """Separated (upper, lower) k-tuples with every |u - l| > pole_margin *
+def _overlap_points(rng, k: int) -> tuple[list, list]:
+    """Separated (upper, lower) k-tuples with every |u - l| > POLE_MARGIN *
     max(|u|, |l|), clear of the coupling pole u = l of both overlap forms.
     Draws that are not rejected are the plain `_separated` draws."""
     for _ in range(100):
         upper, lower = _separated(rng, k), _separated(rng, k)
-        if all(abs(u - l) > ctx.pole_margin * max(abs(u), abs(l))
+        if all(abs(u - l) > POLE_MARGIN * max(abs(u), abs(l))
                for u in upper for l in lower):
             return upper, lower
     raise SamplingExhaustedError("could not sample overlap points clear of the coupling pole")
@@ -610,7 +607,7 @@ def _separated(rng, n: int) -> list[complex]:
 # --- solve / verify / spectrum / offshell ---
 
 
-def suite_solve(mat: Materialized, cfg: RunConfig) -> list[Check]:
+def suite_solve(mat: Materialized) -> list[Check]:
     checks = []
     for c, chain in enumerate(mat.chains):
         for nbar in mat.sectors:
@@ -636,7 +633,7 @@ def suite_solve(mat: Materialized, cfg: RunConfig) -> list[Check]:
     return checks
 
 
-def suite_verify(mat: Materialized, cfg: RunConfig) -> list[Check]:
+def suite_verify(mat: Materialized) -> list[Check]:
     checks = []
     for c, chain in enumerate(mat.chains):
         for nbar in mat.sectors:
@@ -647,11 +644,9 @@ def suite_verify(mat: Materialized, cfg: RunConfig) -> list[Check]:
             sector = ((chain, nbar),)
 
             def onshell_thunk(result, chain=chain, nbar=nbar, c=c):
-                _, lambdas = vacuum_data(chain)
                 rng = chain.ctx.rng(f"verify:{c}:{nbar}")
                 for sol in result:
-                    points = (_sample_clear_of_poles(rng, lambdas, chain.ctx)
-                              for _ in range(20))
+                    points = (_sample_clear_of_poles(rng, chain) for _ in range(20))
                     try:
                         pairs = on_shell_residuals(chain, sol.params, points)
                     except DegenerateVectorError:
@@ -667,7 +662,7 @@ def suite_verify(mat: Materialized, cfg: RunConfig) -> list[Check]:
             def tau_match_thunk(result, chain=chain, nbar=nbar, c=c):
                 _, lambdas = vacuum_data(chain)
                 rng = chain.ctx.rng(f"verify-tau:{c}:{nbar}")
-                t = _sample_clear_of_poles(rng, lambdas, chain.ctx)
+                t = _sample_clear_of_poles(rng, chain)
                 block = transfer(chain, t).blocks[expected_occupancy(chain.L, nbar)]
                 eigs = np.linalg.eigvals(block)
                 for sol in result:
@@ -696,22 +691,19 @@ def suite_verify(mat: Materialized, cfg: RunConfig) -> list[Check]:
     return checks
 
 
-def _sample_clear_of_poles(rng, lambdas: list[RationalFunction],
-                           ctx: DeformationContext) -> complex:
-    """Annulus point t with min_l |q t - z_l/q| > pole_margin * max(|t|, |z_l|).
-
-    The vacuum eigenvalue lambda_2 has its poles exactly at the R-matrix poles
-    t = z_l / q^2 of the monodromy, so its pole distance is the one to keep
-    clear. Draws that are not rejected are the plain annulus draws.
+def _sample_clear_of_poles(rng, chain: ChainSpec) -> complex:
+    """Annulus point t whose `pole_distance` from the R-matrix poles of
+    `chain` exceeds POLE_MARGIN. Draws that are not rejected are the plain
+    annulus draws.
     """
     for _ in range(100):
         t = complex(sample_annulus(rng, 1)[0])
-        if lambdas[1].distance(t) > ctx.pole_margin:
+        if pole_distance(chain, t) > POLE_MARGIN:
             return t
     raise SamplingExhaustedError("could not sample clear of the R-matrix poles")
 
 
-def suite_spectrum(mat: Materialized, cfg: RunConfig) -> list[Check]:
+def suite_spectrum(mat: Materialized) -> list[Check]:
     checks = []
     for c, chain in enumerate(mat.chains):
         inputs = _chain_inputs(chain)
@@ -732,13 +724,13 @@ def suite_spectrum(mat: Materialized, cfg: RunConfig) -> list[Check]:
     return checks
 
 
-def suite_offshell(mat: Materialized, cfg: RunConfig) -> list[Check]:
+def suite_offshell(mat: Materialized) -> list[Check]:
     if any(chain.N != 2 for chain in mat.chains):
         raise ConfigError("offshell suite requires N = 2")
     checks = []
     for c, chain in enumerate(mat.chains):
         inputs = _chain_inputs(chain)
-        sizes = tuple(n for n in range(1, min(chain.L, 4) + 1)
+        sizes = tuple(n for n in range(1, min(chain.L, UNWANTED_CAP) + 1)
                       if math.comb(chain.L, n) >= n)
 
         checks.append(Check(
@@ -830,7 +822,7 @@ def run_command(argv: list[str]) -> tuple[int, Report | None]:
         suite_names = cfg.suites if args.command == "all" else (args.command,)
         checks: list[Check] = []
         for name in suite_names:
-            checks.extend(SUITE_BUILDERS[name](mat, cfg))
+            checks.extend(SUITE_BUILDERS[name](mat))
     except (ConfigError, CapacityError, DomainError, SamplingExhaustedError,
             OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -844,7 +836,6 @@ def run_command(argv: list[str]) -> tuple[int, Report | None]:
         materialized={
             "q": encode_complex(mat.ctx.q),
             "tol_identity": mat.ctx.tol_identity,
-            "pole_margin": mat.ctx.pole_margin,
             "chains": [_chain_inputs(ch) for ch in mat.chains],
             "sectors": [list(s) for s in mat.sectors],
         },

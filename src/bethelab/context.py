@@ -14,6 +14,10 @@ from .errors import DomainError
 
 MAX_RANK = 8
 
+# relative distance |pole factor| / max(|x|, |y|) at or below which a kernel
+# raises PoleError; sampled spectral points keep farther than this from poles
+POLE_MARGIN = 1e-3
+
 ANNULUS_LO = 0.5
 ANNULUS_HI = 2.0
 
@@ -33,7 +37,6 @@ class DeformationContext:
     q: complex
     tol_identity: float = 1e-10
     seed: int = 0
-    pole_margin: float = 1e-3
 
     def __post_init__(self):
         q = complex(self.q)
@@ -44,8 +47,6 @@ class DeformationContext:
                 raise DomainError(f"q^{2 * k} is numerically a root of unity; q={q}")
         if not 0 < self.tol_identity < 1e-3:
             raise DomainError(f"tol_identity must lie in (0, 1e-3), got {self.tol_identity}")
-        if self.pole_margin <= 0:
-            raise DomainError("pole_margin must be positive")
 
     def rng(self, label: str = "") -> np.random.Generator:
         """Deterministic generator for the stream named by `label`."""

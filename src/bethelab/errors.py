@@ -14,7 +14,7 @@ class DomainError(BetheLabError):
 
 
 class CapacityError(BetheLabError):
-    """A size cap was exceeded (Hilbert-space dimension, excitation count)."""
+    """A size cap was exceeded (Hilbert-space dimension, number of q-symmetrized variables)."""
 
 
 class SamplingExhaustedError(BetheLabError):

@@ -7,24 +7,22 @@ spectral variables; every kernel is a finite product/sum of the two atoms
     crossing(t, u)  = (q t - u/q) / (t - u)
 
 and therefore homogeneous of degree zero under simultaneous scaling of all
-spectral arguments. Evaluation points too close to a denominator zero raise
-PoleError instead of returning garbage.
+spectral arguments. Evaluation points within POLE_MARGIN (relative) of a
+denominator zero raise PoleError instead of returning garbage.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .context import BetheParameterSet, DeformationContext
+from .context import POLE_MARGIN, BetheParameterSet, DeformationContext
 from .errors import DomainError, PoleError
 
 LambdaLike = Callable[[complex], complex]
 
 
-def _guard(num: complex, scale: float, margin: float, what: str) -> None:
+def _guard(num: complex, scale: float, what: str, margin: float = POLE_MARGIN) -> None:
     if abs(num) <= margin * max(scale, 1e-300):
         raise PoleError(f"{what}: denominator {abs(num):.3e} below margin")
 
@@ -32,14 +30,14 @@ def _guard(num: complex, scale: float, margin: float, what: str) -> None:
 def coupling(x: complex, y: complex, ctx: DeformationContext) -> complex:
     """(q - q^-1 x/y) / (1 - x/y), the weight attached to an ordered pair."""
     q = ctx.q
-    _guard(y - x, max(abs(x), abs(y)), ctx.pole_margin, "coupling")
+    _guard(y - x, max(abs(x), abs(y)), "coupling")
     return (q - x / (q * y)) / (1.0 - x / y)
 
 
 def crossing(t: complex, u: complex, ctx: DeformationContext) -> complex:
     """(q t - q^-1 u) / (t - u)."""
     q = ctx.q
-    _guard(t - u, max(abs(t), abs(u)), ctx.pole_margin, "crossing")
+    _guard(t - u, max(abs(t), abs(u)), "crossing")
     return (q * t - u / q) / (t - u)
 
 
@@ -49,17 +47,16 @@ def crossing(t: complex, u: complex, ctx: DeformationContext) -> complex:
 
 def _tau_terms(lambdas: Sequence[LambdaLike], params: BetheParameterSet,
                t: complex, ctx: DeformationContext,
-               margin: float | None = None) -> list[complex]:
+               margin: float = POLE_MARGIN) -> list[complex]:
     q = ctx.q
-    margin = ctx.pole_margin if margin is None else margin
     terms = []
     for i in range(1, len(lambdas) + 1):
         term = complex(lambdas[i - 1](t))
         for u in params.type_values(i - 1):
-            _guard(t - u, max(abs(t), abs(u)), margin, "transfer_eigenvalue")
+            _guard(t - u, max(abs(t), abs(u)), "transfer_eigenvalue", margin)
             term *= (q * t - u / q) / (t - u)
         for u in params.type_values(i):
-            _guard(t - u, max(abs(t), abs(u)), margin, "transfer_eigenvalue")
+            _guard(t - u, max(abs(t), abs(u)), "transfer_eigenvalue", margin)
             term *= (t / q - q * u) / (t - u)
         terms.append(term)
     return terms
@@ -84,13 +81,13 @@ def bethe_rhs(i: int, j: int, params: BetheParameterSet, ctx: DeformationContext
     for m, u in enumerate(params.type_values(i), start=1):
         if m == j:
             continue
-        _guard(tji / q - q * u, max(abs(tji), abs(u)), ctx.pole_margin, "bethe_rhs")
+        _guard(tji / q - q * u, max(abs(tji), abs(u)), "bethe_rhs")
         rhs *= (q * tji - u / q) / (tji / q - q * u)
     for u in params.type_values(i - 1):
-        _guard(q * tji - u / q, max(abs(tji), abs(u)), ctx.pole_margin, "bethe_rhs")
+        _guard(q * tji - u / q, max(abs(tji), abs(u)), "bethe_rhs")
         rhs *= (tji - u) / (q * tji - u / q)
     for u in params.type_values(i + 1):
-        _guard(tji - u, max(abs(tji), abs(u)), ctx.pole_margin, "bethe_rhs")
+        _guard(tji - u, max(abs(tji), abs(u)), "bethe_rhs")
         rhs *= (tji / q - q * u) / (tji - u)
     return rhs
 
@@ -159,8 +156,7 @@ def nesting_overlap(upper: Sequence[complex], lower: Sequence[complex],
     k = len(upper)
     out = 1.0 + 0j
     for m in range(k):
-        _guard(upper[m] - lower[m], max(abs(upper[m]), abs(lower[m])),
-               ctx.pole_margin, "nesting_overlap")
+        _guard(upper[m] - lower[m], max(abs(upper[m]), abs(lower[m])), "nesting_overlap")
         out *= 1.0 / (1.0 - lower[m] / upper[m])
         for mp in range(m + 1, k):
             out *= coupling(lower[mp], upper[m], ctx)
@@ -176,8 +172,7 @@ def nesting_overlap_alt(upper: Sequence[complex], lower: Sequence[complex],
     k = len(upper)
     out = 1.0 + 0j
     for m in range(k):
-        _guard(upper[m] - lower[m], max(abs(upper[m]), abs(lower[m])),
-               ctx.pole_margin, "nesting_overlap_alt")
+        _guard(upper[m] - lower[m], max(abs(upper[m]), abs(lower[m])), "nesting_overlap_alt")
         out *= 1.0 / (1.0 - lower[m] / upper[m])
         for mp in range(m):
             out *= coupling(lower[m], upper[mp], ctx)
@@ -236,8 +231,7 @@ def top_split_weight(m: int, params: BetheParameterSet, ctx: DeformationContext)
     for a in range(1, m):
         top_a = params.value(a, nbar[a - 1])
         top_next = params.value(a + 1, nbar[a])
-        _guard(top_next - top_a, max(abs(top_a), abs(top_next)), ctx.pole_margin,
-               "top_split_weight")
+        _guard(top_next - top_a, max(abs(top_a), abs(top_next)), "top_split_weight")
         out *= 1.0 / (1.0 - top_a / top_next)
         for jj in range(1, nbar[a]):
             out *= coupling(top_a, params.value(a + 1, jj), ctx)
@@ -259,7 +253,7 @@ def shift_weight(m: int, j: int, params: BetheParameterSet, ctx: DeformationCont
     for a in range(m + 1, j - 1):
         x = params.value(a, 1)
         y = params.value(a + 1, 1)
-        _guard(y - x, max(abs(x), abs(y)), ctx.pole_margin, "shift_weight")
+        _guard(y - x, max(abs(x), abs(y)), "shift_weight")
         out *= (x / y) / (1.0 - x / y)
         for kk in range(2, nbar[a - 1] + 1):
             out *= coupling(params.value(a, kk), y, ctx)
@@ -302,26 +296,3 @@ def partial_fraction_residual(j: int, t: complex, points: Sequence[complex]) -> 
     third /= (t - pts[-1]) * (t - pts[0])
     return abs(first - second - third)
 
-
-# ---------------------------------------------------------------------------
-# rational functions and probabilistic equality
-
-
-@dataclass(frozen=True)
-class RationalFunction:
-    """Black-box rational function: named slots, a pointwise evaluator, and an
-    optional relative distance to the declared pole locus."""
-
-    slots: tuple[str, ...]
-    fn: Callable[..., complex]
-    pole_distance: Callable[..., float] | None = None
-
-    def __call__(self, *args: complex) -> complex:
-        if len(args) != len(self.slots):
-            raise DomainError(f"expected {len(self.slots)} arguments, got {len(args)}")
-        return complex(self.fn(*args))
-
-    def distance(self, *args: complex) -> float:
-        if self.pole_distance is None:
-            return math.inf
-        return float(self.pole_distance(*args))

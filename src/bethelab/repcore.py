@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import DeformationContext
-from .errors import CapacityError, DomainError, PoleError
-from .kernels import RationalFunction
+from .errors import CapacityError, DomainError
+from .kernels import LambdaLike, _guard
 
 DIMENSION_CAP = 4096
 
@@ -253,8 +253,7 @@ def r_matrix(u: complex, v: complex, N: int, ctx: DeformationContext) -> np.ndar
 def _r_coefficients(u: complex, v: complex, ctx: DeformationContext):
     q = ctx.q
     den = q * u - v / q
-    if abs(den) <= ctx.pole_margin * max(abs(u), abs(v), 1e-300):
-        raise PoleError(f"R-matrix pole: |qu - v/q| = {abs(den):.3e}")
+    _guard(den, max(abs(u), abs(v)), "R-matrix pole")
     return (u - v) / den, (q - 1 / q) * u / den, (q - 1 / q) * v / den
 
 
@@ -495,7 +494,7 @@ def _probes(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def vacuum_data(chain: ChainSpec) -> tuple[np.ndarray, list[RationalFunction]]:
+def vacuum_data(chain: ChainSpec) -> tuple[np.ndarray, list[LambdaLike]]:
     """Reference vector e_1^(x)L and the N diagonal eigenvalue functions.
 
     lambda_1(t) = kappa_1 and lambda_i(t) = kappa_i prod_l (t - z_l)/(qt - z_l/q)
@@ -509,19 +508,20 @@ def vacuum_data(chain: ChainSpec) -> tuple[np.ndarray, list[RationalFunction]]:
 
     def make(i):
         if i == 1:
-            return RationalFunction(("t",), lambda t: chain.kappa[0] + 0j)
-
-        def fn(t, _i=i):
-            return chain.kappa[_i - 1] * complex(np.prod((t - z) / (q * t - z / q)))
-
-        def dist(t):
-            if len(z) == 0:
-                return np.inf
-            return float(min(abs(q * t - zl / q) / max(abs(t), abs(zl)) for zl in z))
-
-        return RationalFunction(("t",), fn, dist)
+            return lambda t: chain.kappa[0] + 0j
+        return lambda t: chain.kappa[i - 1] * complex(np.prod((t - z) / (q * t - z / q)))
 
     return omega, [make(i) for i in range(1, chain.N + 1)]
+
+
+def pole_distance(chain: ChainSpec, t: complex) -> float:
+    """min_l |q t - z_l/q| / max(|t|, |z_l|): the relative distance of t from
+    the R-matrix poles t = z_l/q^2 of the monodromy, which are also the poles
+    of lambda_i, i >= 2 (inf on an empty chain). The R-matrix at (t, z_l)
+    raises PoleError where this is at most POLE_MARGIN."""
+    q = chain.ctx.q
+    return min((abs(q * t - zl / q) / max(abs(t), abs(zl)) for zl in chain.z),
+               default=np.inf)
 
 
 def rll_residual(chain: ChainSpec, u: complex, v: complex, rng: np.random.Generator) -> float:

@@ -22,11 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import BetheParameterSet
-from .errors import DegenerateVectorError, DomainError, IllPosedDecompositionError, PoleError
-from .kernels import bethe_residual, same_type_weight, transfer_eigenvalue
+from .errors import DegenerateVectorError, DomainError, IllPosedDecompositionError
+from .kernels import same_type_weight, transfer_eigenvalue
 from .repcore import ChainSpec, entry_apply, transfer_apply, vacuum_data
 
 RANK_DEFICIENCY_TOL = 1e-8
+
+# most excitations `unwanted_decomposition` takes
+UNWANTED_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -51,15 +54,6 @@ def expected_occupancy(L: int, nbar: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(counts[c] - counts[c + 1] for c in range(len(nbar) + 1))
 
 
-def _check_parameters_clear_of_poles(chain: ChainSpec, params: BetheParameterSet) -> None:
-    q = chain.ctx.q
-    margin = chain.ctx.pole_margin
-    for t in params.type_values(1):
-        for zl in chain.z:
-            if abs(q * t - zl / q) <= margin * max(abs(t), abs(zl)):
-                raise PoleError(f"type-1 parameter {t} hits an R-matrix pole at site {zl}")
-
-
 def nested_vector(chain: ChainSpec, params: BetheParameterSet) -> BetheVector:
     """Plain off-shell vector by recursion over the rank.
 
@@ -73,7 +67,6 @@ def nested_vector(chain: ChainSpec, params: BetheParameterSet) -> BetheVector:
         warnings.warn(f"inadmissible sector {nbar} for L={chain.L}: vector vanishes",
                       stacklevel=2)
         return BetheVector(chain, params, np.zeros(chain.dim, dtype=complex))
-    _check_parameters_clear_of_poles(chain, params)
     vec = _nested(chain, params)
     return BetheVector(chain, params, vec)
 
@@ -160,7 +153,6 @@ class UnwantedReport:
     closed_form: tuple[complex, ...]
     fit_residual: float
     remainder_norm: float
-    bethe_residuals: tuple[complex, ...]
     scale: float
 
 
@@ -201,8 +193,8 @@ def unwanted_decomposition(chain: ChainSpec, params: BetheParameterSet,
     if chain.N != 2:
         raise DomainError("unwanted-term decomposition is a rank-2 operation")
     n = params.nbar[0]
-    if n > 4:
-        raise DomainError("unwanted-term decomposition capped at 4 excitations")
+    if n > UNWANTED_CAP:
+        raise DomainError(f"unwanted-term decomposition capped at {UNWANTED_CAP} excitations")
     _, lambdas = vacuum_data(chain)
     w = nested_vector(chain, params)
     tau = transfer_eigenvalue(lambdas, params, t, chain.ctx)
@@ -224,14 +216,11 @@ def unwanted_decomposition(chain: ChainSpec, params: BetheParameterSet,
             "resample t or enlarge the chain")
     coeff, *_ = np.linalg.lstsq(A, r, rcond=None)
     fit = float(np.linalg.norm(A @ coeff - r) / max(np.linalg.norm(r), 1e-300))
-    residuals = tuple(bethe_residual(1, m, params, lambdas, chain.ctx)
-                      for m in range(1, n + 1))
     scale = float(np.linalg.norm(Tw) / max(w.norm, 1e-300))
     return UnwantedReport(
         coefficients=tuple(complex(c) for c in coeff),
         closed_form=unwanted_closed_form(chain, params, t),
         fit_residual=fit,
         remainder_norm=float(np.linalg.norm(r) / max(w.norm, 1e-300)),
-        bethe_residuals=residuals,
         scale=scale,
     )

@@ -50,10 +50,11 @@ def test_capacity_cap_named_on_exit_2(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["sector = 1", "tol_operator = 1e-10", "n_samples = 25"])
+@pytest.mark.parametrize("line", ["sector = 1", "tol_operator = 1e-10", "n_samples = 25",
+                                  "pole_margin = 1e-3"])
 def test_unknown_config_key_exits_2(tmp_path, capsys, line):
     # `sector` is a typo of `sectors`; `tol_operator` and `n_samples` were
-    # options no check read
+    # options no check read; the pole margin is the constant POLE_MARGIN
     cfg = tmp_path / "typo.cfg"
     cfg.write_text(f"N = 2\nL = 3\nseed = 3\n{line}\n")
     code, report = run(["verify", "--config", str(cfg)])
@@ -75,7 +76,7 @@ def test_gauss_builds_one_zero_mode_set_per_chain(tmp_path, monkeypatch, capsys)
     calls = []
     original = cli.zero_mode_set
     monkeypatch.setattr(cli, "zero_mode_set", lambda chain: calls.append(chain) or original(chain))
-    cli.suite_gauss(cli.materialize(cli.RunConfig(N=3, L=2, seed=7)), None)
+    cli.suite_gauss(cli.materialize(cli.RunConfig(N=3, L=2, seed=7)))
     assert calls == []
     cfg = tmp_path / "n3l2.cfg"
     cfg.write_text("N = 3\nL = 2\nseed = 7\n")
@@ -86,7 +87,7 @@ def test_gauss_builds_one_zero_mode_set_per_chain(tmp_path, monkeypatch, capsys)
 
 
 def test_overlap_points_are_drawn_clear_of_the_coupling_pole(capsys):
-    # at this seed an overlap draw lands within pole_margin of the coupling
+    # at this seed an overlap draw lands within POLE_MARGIN of the coupling
     # pole u = l; it is drawn again instead of failing with PoleError
     code, report = run(["identities", "--seed", "4835314820880129"])
     assert code == 0
@@ -296,6 +297,19 @@ def test_all_suites_at_n2l4_on_two_chains(tmp_path, capsys):
     code, report = run(["all", "--config", str(cfg)])
     assert code == 0
     assert sum(c.check_id.endswith("/complete") for c in report.checks) == 10
+
+
+def test_offshell_vanishing_holds_at_a_near_string(tmp_path, capsys):
+    # sector (2,) of this chain has a root set with t_j ~ q^2 t_k closer than
+    # POLE_MARGIN, a pole of the Bethe equations' right side; its unwanted
+    # coefficients still vanish
+    cfg = tmp_path / "n2l6.cfg"
+    cfg.write_text("N = 2\nL = 6\nseed = 6\n")
+    code, report = run(["offshell", "--config", str(cfg)])
+    assert code == 0
+    [vanishing] = [c for c in report.checks if c.check_id.endswith("on-shell-vanishing")]
+    assert not vanishing.error
+    assert vanishing.residual <= 1e-8
 
 
 def test_check_phase_imports_no_numpy_ma(tmp_path):

@@ -9,7 +9,6 @@ from bethelab import (
     DeformationContext,
     DomainError,
     PoleError,
-    RationalFunction,
     bethe_residual,
     nesting_overlap,
     nesting_overlap_alt,
@@ -30,7 +29,7 @@ TOL = 1e-12
 
 
 def const(v):
-    return RationalFunction(("t",), lambda t: v + 0j)
+    return lambda t: v + 0j
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +66,7 @@ def test_tau_residue_vanishes_exactly_on_one_magnon_root(ctx):
     # one-site rank-2 chain in scalar form: lam1 = kap1, lam2 = kap2 (t-z)/(qt-z/q)
     q = ctx.q
     z, kap1, kap2 = 1.3 + 0.2j, 1.1, 0.8 + 0.5j
-    lam2 = RationalFunction(("t",), lambda t: kap2 * (t - z) / (q * t - z / q))
+    lam2 = lambda t: kap2 * (t - z) / (q * t - z / q)
     lambdas = [const(kap1), lam2]
     tstar = z * (kap1 / q - kap2) / (kap1 * q - kap2)
     params = BetheParameterSet(((tstar,),))
@@ -109,8 +108,7 @@ def test_bethe_residual_trivial_when_lambdas_equal(ctx):
 def test_bethe_residual_one_magnon_closed_form(ctx):
     q = ctx.q
     z, kap1, kap2 = 0.9 - 0.4j, 1.3 + 0.1j, 0.7
-    lambdas = [const(kap1),
-               RationalFunction(("t",), lambda t: kap2 * (t - z) / (q * t - z / q))]
+    lambdas = [const(kap1), lambda t: kap2 * (t - z) / (q * t - z / q)]
     tstar = z * (kap1 / q - kap2) / (kap1 * q - kap2)
     assert abs(bethe_residual(1, 1, BetheParameterSet(((tstar,),)), lambdas, ctx)) < 1e-13
     off = BetheParameterSet(((tstar * 1.1,),))

@@ -11,7 +11,6 @@ from bethelab import (
     DeformationContext,
     DomainError,
     PoleError,
-    RationalFunction,
     apply_monodromy,
     entry_apply,
     monodromy,
@@ -27,8 +26,10 @@ from bethelab import (
     zero_modes,
 )
 from bethelab import repcore
+from bethelab.context import POLE_MARGIN
 from bethelab.repcore import (_point_coefficients, _r_coefficients, _zero_mode_coefficients,
-                              permutation_operator, weight_basis, zero_mode_residuals)
+                              permutation_operator, pole_distance, weight_basis,
+                              zero_mode_residuals)
 
 from conftest import dense_monodromy, dense_zero_modes, make_chain, separated_points
 
@@ -154,6 +155,23 @@ def test_r_matrix_pole(ctx):
     v = 1.3 + 0.4j
     with pytest.raises(PoleError):
         r_matrix(v / q ** 2, v, 2, ctx)
+
+
+def test_pole_distance_is_where_the_r_matrix_guard_raises(ctx, rng):
+    chain = make_chain(2, 3, ctx, rng)
+    q = ctx.q
+    v = np.zeros(chain.dim, dtype=complex)
+    v[0] = 1.0
+    for rel, near in ((0.5, True), (3.0, False)):
+        t = chain.z[1] / q ** 2 * (1 + rel * POLE_MARGIN)
+        assert (pole_distance(chain, t) <= POLE_MARGIN) == near
+        if near:
+            with pytest.raises(PoleError):
+                entry_apply(chain, t, 1, 2, v)
+        else:
+            entry_apply(chain, t, 1, 2, v)
+    empty = ChainSpec(N=2, L=0, z=(), kappa=(1.0, 2.0), ctx=ctx)
+    assert pole_distance(empty, 0.7) == np.inf
 
 
 def test_yang_baxter_random_points(ctx, rng):
@@ -293,7 +311,7 @@ def _perturb_vacuum(monkeypatch):
     def perturbed(chain):
         omega, lambdas = exact(chain)
         lam = lambdas[-1]
-        lambdas[-1] = RationalFunction(("t",), lambda t: lam(t) * (1 + 1e-6))
+        lambdas[-1] = lambda t: lam(t) * (1 + 1e-6)
         return omega, lambdas
 
     monkeypatch.setattr(repcore, "vacuum_data", perturbed)

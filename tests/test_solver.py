@@ -14,6 +14,7 @@ from bethelab import (
     vacuum_data,
 )
 from bethelab import cli, on_shell_residuals
+from bethelab.context import POLE_MARGIN
 from bethelab.solver import (_Homotopy, _solve, _start_points, backward_errors,
                              sector_multiplicity)
 
@@ -242,7 +243,7 @@ def test_nested_spectrum_at_n3l3_seed7(tmp_path, capsys):
 @pytest.fixture(scope="module")
 def near_string():
     # N=2, L=10, seed 7, sector (5,) has one root set with a pair
-    # t_j ~ q^2 t_k closer than pole_margin, where `bethe_residual`'s right
+    # t_j ~ q^2 t_k closer than POLE_MARGIN, where `bethe_residual`'s right
     # side has a pole; returns the chain, the solve result, that root set
     # and the index of one root of the pair
     chain = cli.materialize(cli.RunConfig(N=2, L=10, seed=7, sectors_spec="5")).chains[0]
@@ -252,7 +253,7 @@ def near_string():
         t = np.array(sol.params.values[0])
         gap = np.abs(t[:, None] / q - q * t) / np.maximum(np.abs(t[:, None]), np.abs(t))
         np.fill_diagonal(gap, np.inf)
-        if np.min(gap) < chain.ctx.pole_margin:
+        if np.min(gap) < POLE_MARGIN:
             return chain, result, sol.params, int(np.argmin(np.min(gap, axis=1)))
     pytest.fail("no near-string root set")
 
@@ -261,9 +262,8 @@ def test_a_near_string_root_set_is_accepted_and_on_shell(near_string):
     chain, result, params, _ = near_string
     assert len(result) == sector_multiplicity(10, (5,))
     assert backward_errors(chain, (5,), [params])[0] <= cli.SOLVE_TOL
-    _, lambdas = vacuum_data(chain)
     rng = chain.ctx.rng("near-string")
-    points = [cli._sample_clear_of_poles(rng, lambdas, chain.ctx) for _ in range(5)]
+    points = [cli._sample_clear_of_poles(rng, chain) for _ in range(5)]
     assert max(r for r, _ in on_shell_residuals(chain, params, points)) <= 1e-8
 
 

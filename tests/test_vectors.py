@@ -8,6 +8,8 @@ from bethelab import (
     DegenerateVectorError,
     DomainError,
     IllPosedDecompositionError,
+    PoleError,
+    bethe_residual,
     is_admissible,
     modified_vector,
     monodromy,
@@ -102,6 +104,15 @@ def test_weight_support_sweep(ctx, rng):
                 assert peak > 0, (N, L, nbar)
                 for idx in np.flatnonzero(np.abs(w.vector) > 1e-12 * peak):
                     assert occupancy(int(idx), N, L) == want, (N, L, nbar)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_a_type1_root_on_an_r_matrix_pole_raises(ctx, rng, N):
+    chain = make_chain(N, 3, ctx, rng)
+    roots = (chain.z[0] / ctx.q ** 2, 0.9 + 0.3j)
+    params = BetheParameterSet((roots,) + ((1.1 - 0.2j,),) * (N - 2))
+    with pytest.raises(PoleError):
+        nested_vector(chain, params)
 
 
 def test_inadmissible_sector_warns_and_vanishes(ctx, rng):
@@ -240,9 +251,11 @@ def test_unwanted_single_root_tracks_bethe_residual(ctx, rng):
     t = complex(sample_annulus(rng, 1)[0])
     rep = unwanted_decomposition(chain, BetheParameterSet(((tstar,),)), t)
     assert abs(rep.coefficients[0]) <= 1e-8 * rep.scale
-    rep_off = unwanted_decomposition(chain, BetheParameterSet(((tstar * 1.15,),)), t)
+    off = BetheParameterSet(((tstar * 1.15,),))
+    rep_off = unwanted_decomposition(chain, off, t)
     assert abs(rep_off.coefficients[0]) > 1e-3 * rep_off.scale
-    assert abs(rep_off.bethe_residuals[0]) > 1e-3
+    _, lambdas = vacuum_data(chain)
+    assert abs(bethe_residual(1, 1, off, lambdas, ctx)) > 1e-3
 
 
 @pytest.mark.parametrize("n,L", [(1, 2), (2, 3), (3, 4), (4, 5)])
