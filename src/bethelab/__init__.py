@@ -70,18 +70,15 @@ from .solver import (
     BetheSolution,
     ReconcileReport,
     SolveResult,
-    SolverOptions,
     admissible_sectors,
     solve_bethe,
     spectrum_reconcile,
 )
 from .vectors import (
-    BetheVector,
     UnwantedReport,
     is_admissible,
     modified_vector,
     nested_vector,
-    on_shell_residual,
     on_shell_residuals,
     unwanted_closed_form,
     unwanted_decomposition,

@@ -169,6 +169,7 @@ class Materialized:
     ctx: DeformationContext
     chains: list[ChainSpec]
     sectors: list[tuple[int, ...]]
+    tol_identity: float
 
 
 def materialize(cfg: RunConfig) -> Materialized:
@@ -179,7 +180,7 @@ def materialize(cfg: RunConfig) -> Materialized:
     else:
         q = _parse_complex(cfg.q_spec)
     try:
-        ctx = DeformationContext(q=q, tol_identity=cfg.tol_identity, seed=cfg.seed)
+        ctx = DeformationContext(q=q, seed=cfg.seed)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -214,7 +215,8 @@ def materialize(cfg: RunConfig) -> Materialized:
             if len(nbar) != cfg.N - 1:
                 raise ConfigError(f"sector {nbar} needs {cfg.N - 1} entries")
             sectors.append(nbar)
-    return Materialized(ctx=ctx, chains=chains, sectors=sectors)
+    return Materialized(ctx=ctx, chains=chains, sectors=sectors,
+                        tol_identity=cfg.tol_identity)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +463,7 @@ def suite_identities(mat: Materialized) -> list[Check]:
     ctx = mat.ctx
     q = ctx.q
     checks = []
-    tol = ctx.tol_identity
+    tol = mat.tol_identity
 
     for k in range(1, 6):
         def overlap_thunk(k=k):
@@ -835,7 +837,7 @@ def run_command(argv: list[str]) -> tuple[int, Report | None]:
         config=cfg.raw,
         materialized={
             "q": encode_complex(mat.ctx.q),
-            "tol_identity": mat.ctx.tol_identity,
+            "tol_identity": mat.tol_identity,
             "chains": [_chain_inputs(ch) for ch in mat.chains],
             "sectors": [list(s) for s in mat.sectors],
         },

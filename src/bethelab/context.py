@@ -28,14 +28,13 @@ def _label_entropy(label: str) -> int:
 
 @dataclass(frozen=True)
 class DeformationContext:
-    """Deformation parameter q together with the identity tolerance and RNG policy.
+    """Deformation parameter q together with the RNG policy.
 
     q must be generic: nonzero and q^(2k) != 1 for k up to 2*MAX_RANK, so that
     no denominator of the trigonometric kernels can degenerate identically.
     """
 
     q: complex
-    tol_identity: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
@@ -45,8 +44,6 @@ class DeformationContext:
         for k in range(1, 2 * MAX_RANK + 1):
             if abs(q ** (2 * k) - 1.0) < 1e-9:
                 raise DomainError(f"q^{2 * k} is numerically a root of unity; q={q}")
-        if not 0 < self.tol_identity < 1e-3:
-            raise DomainError(f"tol_identity must lie in (0, 1e-3), got {self.tol_identity}")
 
     def rng(self, label: str = "") -> np.random.Generator:
         """Deterministic generator for the stream named by `label`."""
@@ -55,10 +52,9 @@ class DeformationContext:
         )
 
 
-def sample_annulus(rng: np.random.Generator, n: int,
-                   lo: float = ANNULUS_LO, hi: float = ANNULUS_HI) -> np.ndarray:
-    """n complex points, area-uniform on the annulus lo <= |z| <= hi."""
-    r = np.sqrt(rng.uniform(lo * lo, hi * hi, n))
+def sample_annulus(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n complex points, area-uniform on the annulus ANNULUS_LO <= |z| <= ANNULUS_HI."""
+    r = np.sqrt(rng.uniform(ANNULUS_LO * ANNULUS_LO, ANNULUS_HI * ANNULUS_HI, n))
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
     return r * np.exp(1j * theta)
 
@@ -101,16 +97,6 @@ class BetheParameterSet:
 
     def value(self, a: int, j: int) -> complex:
         return self.values[a - 1][j - 1]
-
-    def min_relative_separation(self) -> float:
-        """Smallest same-type relative gap (inf when fewer than two entries)."""
-        best = np.inf
-        for grp in self.values:
-            for i in range(len(grp)):
-                for k in range(i + 1, len(grp)):
-                    sep = abs(grp[i] - grp[k]) / max(abs(grp[i]), abs(grp[k]))
-                    best = min(best, sep)
-        return best
 
     def replace_type(self, a: int, new_values) -> "BetheParameterSet":
         vals = list(self.values)

@@ -14,7 +14,7 @@ the elimination, the zero modes, the screenings and the identities all run on
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class GaussData:
     k: tuple[GradedOperator, ...]
     F: dict[tuple[int, int], GradedOperator]
     E: dict[tuple[int, int], GradedOperator]
-    cond: tuple[float, ...] = field(default_factory=tuple)
 
     @property
     def N(self) -> int:
@@ -82,7 +81,6 @@ def gauss_decompose(Lop: GradedLOperator) -> GaussData:
     k: list[GradedOperator] = [None] * N  # type: ignore[list-item]
     F: dict[tuple[int, int], GradedOperator] = {}
     E: dict[tuple[int, int], GradedOperator] = {}
-    conds: list[float] = [0.0] * N
     for b in range(N, 0, -1):
         kb = work[(b, b)]
         cond = kb.cond()
@@ -90,14 +88,13 @@ def gauss_decompose(Lop: GradedLOperator) -> GaussData:
             raise SingularCoordinateError(
                 f"diagonal coordinate {b} singular at t={Lop.point} (cond={cond:.2e})")
         k[b - 1] = kb
-        conds[b - 1] = cond
         for a in range(1, b):
             F[(b, a)] = work[(a, b)].right_divide(kb)
             E[(a, b)] = work[(b, a)].left_divide(kb)
         for a in range(1, b):
             for c in range(1, b):
                 work[(a, c)] = work[(a, c)] - F[(b, a)] @ kb @ E[(c, b)]
-    return GaussData(point=Lop.point, k=tuple(k), F=F, E=E, cond=tuple(conds))
+    return GaussData(point=Lop.point, k=tuple(k), F=F, E=E)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ spectral variables; every kernel is a finite product/sum of the two atoms
     crossing(t, u)  = (q t - u/q) / (t - u)
 
 and therefore homogeneous of degree zero under simultaneous scaling of all
-spectral arguments. Evaluation points within POLE_MARGIN (relative) of a
-denominator zero raise PoleError instead of returning garbage.
+spectral arguments. `coupling` is a kernel of its own; `_tau_terms` applies
+the crossing factor inline, once per parameter of the type below each term.
+Evaluation points within POLE_MARGIN (relative) of a denominator zero raise
+PoleError instead of returning garbage.
 """
 from __future__ import annotations
 
@@ -21,6 +23,10 @@ from .errors import DomainError, PoleError
 
 LambdaLike = Callable[[complex], complex]
 
+# circle of `transfer_eigenvalue_residue`: radius relative to the root, points
+RESIDUE_RADIUS = 1e-4
+RESIDUE_POINTS = 64
+
 
 def _guard(num: complex, scale: float, what: str, margin: float = POLE_MARGIN) -> None:
     if abs(num) <= margin * max(scale, 1e-300):
@@ -32,13 +38,6 @@ def coupling(x: complex, y: complex, ctx: DeformationContext) -> complex:
     q = ctx.q
     _guard(y - x, max(abs(x), abs(y)), "coupling")
     return (q - x / (q * y)) / (1.0 - x / y)
-
-
-def crossing(t: complex, u: complex, ctx: DeformationContext) -> complex:
-    """(q t - q^-1 u) / (t - u)."""
-    q = ctx.q
-    _guard(t - u, max(abs(t), abs(u)), "crossing")
-    return (q * t - u / q) / (t - u)
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +104,7 @@ def bethe_residual(i: int, j: int, params: BetheParameterSet,
 
 
 def transfer_eigenvalue_residue(lambdas: Sequence[LambdaLike], params: BetheParameterSet,
-                                a: int, j: int, ctx: DeformationContext,
-                                radius_rel: float = 1e-4,
-                                n_points: int = 64) -> tuple[float, float]:
+                                a: int, j: int, ctx: DeformationContext) -> tuple[float, float]:
     """Contour residue of the eigenvalue at t = t_j^a, with a local scale.
 
     Returns (|net residue|, scale) / |t_j^a|, where the scale is the largest
@@ -116,14 +113,14 @@ def transfer_eigenvalue_residue(lambdas: Sequence[LambdaLike], params: BethePara
     cancellation quality independently of the contour radius.
     """
     center = params.value(a, j)
-    r = radius_rel * abs(center)
+    r = RESIDUE_RADIUS * abs(center)
     n_terms = len(lambdas)
     acc = np.zeros(n_terms, dtype=complex)
-    for k in range(n_points):
-        w = np.exp(2j * np.pi * k / n_points)
+    for k in range(RESIDUE_POINTS):
+        w = np.exp(2j * np.pi * k / RESIDUE_POINTS)
         terms = _tau_terms(lambdas, params, center + r * w, ctx, margin=1e-12)
         acc += w * np.asarray(terms)
-    acc *= r / n_points
+    acc *= r / RESIDUE_POINTS
     residue = abs(acc.sum()) / abs(center)
     scale = float(np.max(np.abs(acc))) / abs(center)
     return residue, scale
@@ -197,24 +194,21 @@ def string_overlap(params: BetheParameterSet, ctx: DeformationContext) -> comple
     return out
 
 
-def split_weight(params: BetheParameterSet, sbar: Sequence[int], ctx: DeformationContext,
-                 lbar: Sequence[int] | None = None,
-                 rbar: Sequence[int] | None = None) -> complex:
-    """Cross-type weight created when each type-a segment (l_a, r_a] is split
+def split_weight(params: BetheParameterSet, sbar: Sequence[int],
+                 ctx: DeformationContext) -> complex:
+    """Cross-type weight created when each type-a range (0, n_a] is split
     at s_a: couples the high part of type a to the low part of type a+1."""
-    K = len(params.values)
-    lbar = tuple(lbar) if lbar is not None else (0,) * K
-    rbar = tuple(rbar) if rbar is not None else params.nbar
+    nbar = params.nbar
     sbar = tuple(sbar)
-    if not (len(lbar) == len(rbar) == len(sbar) == K):
+    if len(sbar) != len(nbar):
         raise DomainError("split indices must cover every type")
-    for a in range(K):
-        if not lbar[a] <= sbar[a] <= rbar[a]:
-            raise DomainError(f"need l <= s <= r for type {a + 1}")
+    for a, (s, n) in enumerate(zip(sbar, nbar), start=1):
+        if not 0 <= s <= n:
+            raise DomainError(f"need 0 <= s <= n for type {a}")
     out = 1.0 + 0j
-    for a in range(1, K):
-        for ell in range(sbar[a - 1] + 1, rbar[a - 1] + 1):
-            for ellp in range(lbar[a] + 1, sbar[a] + 1):
+    for a in range(1, len(nbar)):
+        for ell in range(sbar[a - 1] + 1, nbar[a - 1] + 1):
+            for ellp in range(1, sbar[a] + 1):
                 out *= coupling(params.value(a, ell), params.value(a + 1, ellp), ctx)
     return out
 

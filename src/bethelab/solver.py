@@ -19,7 +19,7 @@ a Newton corrector on the analytic Jacobian and a step size per path.
 These cleared equations are the only form of the Bethe equations here.
 Each endpoint gets POLISH_STEPS Newton steps on H at s = 1 and is accepted
 when the backward error |A - eps_a B| / (|A| + |eps_a B|) of every equation
-is below `tol_root`: the relative change of the two sides that makes the
+is below TOL_ROOT: the relative change of the two sides that makes the
 point an exact root. It has no pole where two roots of a type form a
 near-string t_j ~ q^2 t_k, so such genuine root sets are kept. A path
 that is lost, or whose endpoint is rejected or coincides with another
@@ -31,7 +31,7 @@ Everything is deterministic given (chain, sector, seed).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,18 +54,12 @@ DIVERGED = 1e8           # a root this far out is on its way to infinity
 POLISH_STEPS = 2         # Newton steps on H at s = 1 at each endpoint
 COINCIDE_TOL = 1e-8      # relative distance of two equal root sets
 
-
-@dataclass(frozen=True)
-class SolverOptions:
-    tol_root: float = 1e-12
-    min_separation: float = 1e-6
-    min_inhom_distance: float = 1e-6
-    min_abs: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("tol_root", "min_separation", "min_inhom_distance", "min_abs"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
+# acceptance of an endpoint: largest backward error of its equations
+TOL_ROOT = 1e-12
+# admissibility margins of an accepted root set
+MIN_ABS = 1e-8               # smallest |t|
+MIN_INHOM_DISTANCE = 1e-6    # relative distance of a root from every site
+MIN_SEPARATION = 1e-6        # relative distance of two roots of one type
 
 
 @dataclass(frozen=True)
@@ -79,7 +73,7 @@ class BetheSolution:
 class SolveResult:
     """Root sets of one sector. `attempts` counts tracked paths (retries
     included), `converged` the endpoints whose polished backward error is
-    below `tol_root`, and `inadmissible` those of them that fail the margins."""
+    below TOL_ROOT, and `inadmissible` those of them that fail the margins."""
     solutions: list[BetheSolution]
     attempts: int = 0
     converged: int = 0
@@ -92,9 +86,9 @@ class SolveResult:
         return len(self.solutions)
 
 
-def _canonical_key(values: list[list[complex]], digits: int = 8):
+def _canonical_key(values: list[list[complex]]):
     return tuple(
-        tuple(sorted((round(v.real, digits), round(v.imag, digits)) for v in grp))
+        tuple(sorted((round(v.real, 8), round(v.imag, 8)) for v in grp))
         for grp in values
     )
 
@@ -230,11 +224,12 @@ def _start_points(nbar: tuple[int, ...], sites: np.ndarray, q: complex) -> np.nd
     return np.array(list(rec(tuple(sites), 0)), dtype=complex)
 
 
-def solve_bethe(chain: ChainSpec, nbar, opts: SolverOptions | None = None) -> SolveResult:
+def solve_bethe(chain: ChainSpec, nbar, opts=None) -> SolveResult:
     """The admissible root sets of sector nbar at the endpoints of the twist
     homotopy; deterministic for fixed (chain, nbar, seed). A sector returns at
-    most `sector_multiplicity` root sets, fewer when paths are lost."""
-    opts = opts or SolverOptions()
+    most `sector_multiplicity` root sets, fewer when paths are lost. `opts` is
+    ignored: it is kept only for the benchmark's wrapper, which passes it
+    positionally."""
     nbar = tuple(int(n) for n in nbar)
     if len(nbar) != chain.N - 1:
         raise DomainError(f"sector needs {chain.N - 1} entries, got {len(nbar)}")
@@ -266,9 +261,9 @@ def solve_bethe(chain: ChainSpec, nbar, opts: SolverOptions | None = None) -> So
                 H, J, _ = hom.evaluate(x, ones)
                 x = x - _solve(J, H)
             err = hom.backward_error(x)
-        good = np.all(err < opts.tol_root, axis=1)
+        good = np.all(err < TOL_ROOT, axis=1)
         result.converged += int(np.sum(good))
-        admissible = _admissible(x * scale, cuts, chain, opts)
+        admissible = _admissible(x * scale, cuts, chain)
         result.inadmissible += int(np.sum(good & ~admissible))
         reached = np.flatnonzero(good & admissible)
         # the condition of the Jacobian with every row scaled to unit size
@@ -334,16 +329,15 @@ def sector_multiplicity(L: int, nbar) -> int:
     return out
 
 
-def _admissible(x: np.ndarray, cuts: np.ndarray, chain: ChainSpec,
-                opts: SolverOptions) -> np.ndarray:
+def _admissible(x: np.ndarray, cuts: np.ndarray, chain: ChainSpec) -> np.ndarray:
     """Which root sets x (P, M) keep the margins: no root near 0 or at a
     site, no two roots of one type together."""
-    ok = np.all(np.abs(x) >= opts.min_abs, axis=1)
-    ok &= np.all(_relative_gap(x[:, :, None], np.asarray(chain.z)) >= opts.min_inhom_distance,
+    ok = np.all(np.abs(x) >= MIN_ABS, axis=1)
+    ok &= np.all(_relative_gap(x[:, :, None], np.asarray(chain.z)) >= MIN_INHOM_DISTANCE,
                  axis=(1, 2))
     for g in np.split(x, cuts, axis=1):
         i, k = np.triu_indices(g.shape[1], 1)
-        ok &= np.all(_relative_gap(g[:, i], g[:, k]) >= opts.min_separation, axis=1)
+        ok &= np.all(_relative_gap(g[:, i], g[:, k]) >= MIN_SEPARATION, axis=1)
     return ok
 
 
@@ -365,18 +359,11 @@ def admissible_sectors(chain: ChainSpec):
 
 @dataclass
 class ReconcileReport:
-    t_probe: complex
+    """Eigenvalues matched, states in all, and the already claimed
+    eigenvalues that candidates met within MATCH_TOL."""
     matched: int
     total_states: int
-    bethe_count: int
     duplicates: int
-    unmatched_eigenvalues: list[complex] = field(default_factory=list)
-    ambiguous: bool = False
-
-    @property
-    def complete(self) -> bool:
-        return (self.matched == self.total_states == self.bethe_count
-                and self.duplicates == 0)
 
 
 def spectrum_reconcile(chain: ChainSpec, solutions_by_sector: dict,
@@ -388,24 +375,20 @@ def spectrum_reconcile(chain: ChainSpec, solutions_by_sector: dict,
     block, weight `expected_occupancy(L, nbar)`. Each candidate claims the
     nearest unclaimed eigenvalue of that block within MATCH_TOL (relative),
     sectors taken in sorted order; the report counts matches and duplicates
-    over all blocks and flags ambiguity when some block has a near-degenerate
-    pair at the tolerance.
+    over all blocks.
     """
     blocks = transfer(chain, t_probe).blocks
     _, lambdas = vacuum_data(chain)
     eigs = {nu: np.linalg.eigvals(M) for nu, M in blocks.items()}
-    ambiguous = any(_min_relative_gap(e) < MATCH_TOL for e in eigs.values())
 
     claimed: dict[tuple[int, ...], set[int]] = {nu: set() for nu in eigs}
     duplicates = 0
     matched = 0
-    bethe_count = 0
     for nbar, sols in sorted(solutions_by_sector.items()):
         nu = expected_occupancy(chain.L, tuple(nbar))
         if nu not in eigs:
             raise DomainError(f"sector {nbar} has no weight block at L={chain.L}")
         for sol in sols:
-            bethe_count += 1
             tau = transfer_eigenvalue(lambdas, sol.params, t_probe, chain.ctx)
             rel = np.abs(eigs[nu] - tau) / np.maximum(np.abs(eigs[nu]), 1e-300)
             hit = None
@@ -420,19 +403,4 @@ def spectrum_reconcile(chain: ChainSpec, solutions_by_sector: dict,
             if hit is not None:
                 claimed[nu].add(hit)
                 matched += 1
-    unmatched = [complex(e[i]) for nu, e in eigs.items()
-                 for i in range(len(e)) if i not in claimed[nu]]
-    return ReconcileReport(
-        t_probe=t_probe, matched=matched, total_states=chain.dim,
-        bethe_count=bethe_count, duplicates=duplicates,
-        unmatched_eigenvalues=unmatched, ambiguous=ambiguous)
-
-
-def _min_relative_gap(eigs: np.ndarray) -> float:
-    """Smallest |e_i - e_k| / max(|e_i|, |e_k|) over pairs of `eigs`; inf
-    for fewer than two."""
-    i, k = np.triu_indices(len(eigs), 1)
-    if len(i) == 0:
-        return np.inf
-    scale = np.maximum(np.maximum(np.abs(eigs[i]), np.abs(eigs[k])), 1e-300)
-    return float(np.min(np.abs(eigs[i] - eigs[k]) / scale))
+    return ReconcileReport(matched=matched, total_states=chain.dim, duplicates=duplicates)

@@ -32,17 +32,6 @@ RANK_DEFICIENCY_TOL = 1e-8
 UNWANTED_CAP = 4
 
 
-@dataclass(frozen=True)
-class BetheVector:
-    chain: ChainSpec
-    params: BetheParameterSet
-    vector: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
-
-
 def is_admissible(chain: ChainSpec, nbar: tuple[int, ...]) -> bool:
     """Sector shape check: L >= n_1 >= n_2 >= ... >= n_{N-1} >= 0."""
     seq = (chain.L,) + tuple(nbar)
@@ -54,7 +43,7 @@ def expected_occupancy(L: int, nbar: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(counts[c] - counts[c + 1] for c in range(len(nbar) + 1))
 
 
-def nested_vector(chain: ChainSpec, params: BetheParameterSet) -> BetheVector:
+def nested_vector(chain: ChainSpec, params: BetheParameterSet) -> np.ndarray:
     """Plain off-shell vector by recursion over the rank.
 
     Inadmissible layouts return the zero vector with a warning (zero is the
@@ -66,9 +55,8 @@ def nested_vector(chain: ChainSpec, params: BetheParameterSet) -> BetheVector:
     if not is_admissible(chain, nbar):
         warnings.warn(f"inadmissible sector {nbar} for L={chain.L}: vector vanishes",
                       stacklevel=2)
-        return BetheVector(chain, params, np.zeros(chain.dim, dtype=complex))
-    vec = _nested(chain, params)
-    return BetheVector(chain, params, vec)
+        return np.zeros(chain.dim, dtype=complex)
+    return _nested(chain, params)
 
 
 def _nested(chain: ChainSpec, params: BetheParameterSet) -> np.ndarray:
@@ -99,7 +87,7 @@ def _nested(chain: ChainSpec, params: BetheParameterSet) -> np.ndarray:
     return vecs @ aux[idx]
 
 
-def modified_vector(chain: ChainSpec, params: BetheParameterSet) -> BetheVector:
+def modified_vector(chain: ChainSpec, params: BetheParameterSet) -> np.ndarray:
     """Plain vector rescaled by the pair weight and the vacuum eigenvalues of
     the next-type diagonal coordinate at each parameter."""
     plain = nested_vector(chain, params)
@@ -108,7 +96,7 @@ def modified_vector(chain: ChainSpec, params: BetheParameterSet) -> BetheVector:
     for a in range(2, chain.N + 1):
         for t in params.type_values(a - 1):
             pref *= lambdas[a - 1](t)
-    return BetheVector(chain, params, pref * plain.vector)
+    return pref * plain
 
 
 def on_shell_residuals(chain: ChainSpec, params: BetheParameterSet,
@@ -123,7 +111,8 @@ def on_shell_residuals(chain: ChainSpec, params: BetheParameterSet,
     poles in their order.
     """
     w = modified_vector(chain, params)
-    if w.norm < 1e-12:
+    norm = float(np.linalg.norm(w))
+    if norm < 1e-12:
         raise DegenerateVectorError(
             f"vanishing vector in sector {params.nbar} (L={chain.L})")
     _, lambdas = vacuum_data(chain)
@@ -133,15 +122,9 @@ def on_shell_residuals(chain: ChainSpec, params: BetheParameterSet,
         taus.append(transfer_eigenvalue(lambdas, params, t, chain.ctx))
     if not ts:
         return []
-    Tw = transfer_apply(chain, ts, np.broadcast_to(w.vector[:, None], (chain.dim, len(ts))))
-    return [(float(np.linalg.norm(Tw[:, p] - tau * w.vector) / w.norm), tau)
+    Tw = transfer_apply(chain, ts, np.broadcast_to(w[:, None], (chain.dim, len(ts))))
+    return [(float(np.linalg.norm(Tw[:, p] - tau * w) / norm), tau)
             for p, tau in enumerate(taus)]
-
-
-def on_shell_residual(chain: ChainSpec, params: BetheParameterSet,
-                      t: complex) -> tuple[float, complex]:
-    """`on_shell_residuals` at the single point t."""
-    return on_shell_residuals(chain, params, (t,))[0]
 
 
 @dataclass(frozen=True)
@@ -198,8 +181,9 @@ def unwanted_decomposition(chain: ChainSpec, params: BetheParameterSet,
     _, lambdas = vacuum_data(chain)
     w = nested_vector(chain, params)
     tau = transfer_eigenvalue(lambdas, params, t, chain.ctx)
-    Tw = transfer_apply(chain, t, w.vector)
-    r = Tw - tau * w.vector
+    Tw = transfer_apply(chain, t, w)
+    r = Tw - tau * w
+    norm = max(float(np.linalg.norm(w)), 1e-300)
 
     # column m: T_{1,2}(t) prod_{j != m} T_{1,2}(t_j) Omega, highest j acting first
     roots = params.type_values(1)
@@ -216,11 +200,11 @@ def unwanted_decomposition(chain: ChainSpec, params: BetheParameterSet,
             "resample t or enlarge the chain")
     coeff, *_ = np.linalg.lstsq(A, r, rcond=None)
     fit = float(np.linalg.norm(A @ coeff - r) / max(np.linalg.norm(r), 1e-300))
-    scale = float(np.linalg.norm(Tw) / max(w.norm, 1e-300))
+    scale = float(np.linalg.norm(Tw) / norm)
     return UnwantedReport(
         coefficients=tuple(complex(c) for c in coeff),
         closed_form=unwanted_closed_form(chain, params, t),
         fit_residual=fit,
-        remainder_norm=float(np.linalg.norm(r) / max(w.norm, 1e-300)),
+        remainder_norm=float(np.linalg.norm(r) / norm),
         scale=scale,
     )

@@ -256,23 +256,35 @@ def test_a_moved_root_fails_the_solve_check(tmp_path, monkeypatch, capsys):
     assert by_id["solve/chain0/sector2/complete"].passed
 
 
-def test_complete_check_fails_on_a_dropped_root_set(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("defect, seed, suites",
+                         [(lambda sols: sols[1:], 3, "solve"),
+                          (lambda sols: sols + sols[:1], 11, "solve, spectrum")],
+                         ids=["dropped", "repeated"])
+def test_complete_check_fails_on_a_dropped_root_set(tmp_path, monkeypatch, capsys,
+                                                    defect, seed, suites):
+    # one root set too few or too many in sector (2,) fails its `complete`
+    # check; a repeated one also claims its eigenvalue twice, which the
+    # spectrum check counts as a duplicate
     original = cli.solve_bethe
 
-    def drop_one(chain, nbar, opts=None):
+    def defective(chain, nbar, opts=None):
         result = original(chain, nbar, opts)
-        result.solutions = result.solutions[1:]
+        if nbar == (2,):
+            result.solutions = defect(result.solutions)
         return result
 
-    monkeypatch.setattr(cli, "solve_bethe", drop_one)
-    cfg = tmp_path / "drop.cfg"
-    cfg.write_text("N = 2\nL = 4\nsectors = 2\nseed = 3\n")
-    code, report = run(["solve", "--config", str(cfg)])
+    monkeypatch.setattr(cli, "solve_bethe", defective)
+    cfg = tmp_path / "defect.cfg"
+    cfg.write_text(f"N = 2\nL = 4\nsectors = 2\nseed = {seed}\nsuites = {suites}\n")
+    code, report = run(["all", "--config", str(cfg)])
     assert code == 1
     by_id = {c.check_id: c for c in report.checks}
     assert by_id["solve/chain0/sector2"].passed
     assert not by_id["solve/chain0/sector2/complete"].passed
     assert by_id["solve/chain0/sector2/complete"].residual == 1.0
+    if "spectrum" in suites:
+        assert not by_id["spectrum/chain0"].passed
+        assert by_id["spectrum/chain0"].residual == 1.0
 
 
 def test_equal_twists_do_not_pass_the_complete_check(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 from bethelab import (
     BetheParameterSet,
     DomainError,
-    SolverOptions,
     admissible_sectors,
     bethe_residual,
     sample_annulus,
@@ -15,8 +14,8 @@ from bethelab import (
 )
 from bethelab import cli, on_shell_residuals
 from bethelab.context import POLE_MARGIN
-from bethelab.solver import (_Homotopy, _solve, _start_points, backward_errors,
-                             sector_multiplicity)
+from bethelab.solver import (MIN_SEPARATION, _admissible, _Homotopy, _solve, _start_points,
+                             backward_errors, sector_multiplicity)
 
 from conftest import make_chain
 
@@ -48,16 +47,30 @@ def test_sector_counts_rank2_length2(ctx, rng):
 
 def test_solutions_satisfy_equations_and_margins(ctx, rng):
     chain = make_chain(2, 3, ctx, rng)
-    opts = SolverOptions()
     _, lambdas = vacuum_data(chain)
-    result = solve_bethe(chain, (2,), opts)
+    result = solve_bethe(chain, (2,))
     assert len(result) == 3
     for sol in result:
         assert np.isfinite(sol.jacobian_condition)
         for i in range(1, chain.N):
             for j in range(1, sol.params.nbar[i - 1] + 1):
                 assert abs(bethe_residual(i, j, sol.params, lambdas, ctx)) < 1e-10
-        assert sol.params.min_relative_separation() >= opts.min_separation
+        (u, v), = sol.params.values
+        assert abs(u - v) / max(abs(u), abs(v)) >= MIN_SEPARATION
+
+
+def test_admissibility_margins_reject_planted_defects(ctx, rng):
+    # a genuine root set keeps the margins; a root next to a site, a root
+    # next to 0 and two type-1 roots next to each other each break one
+    chain = make_chain(2, 4, ctx, rng)
+    sol = solve_bethe(chain, (2,)).solutions[0]
+    t1, t2 = sol.params.values[0]
+    cuts = np.cumsum((2,))[:-1]
+    assert _admissible(np.array([[t1, t2]]), cuts, chain).tolist() == [True]
+    defects = np.array([[chain.z[0] * (1 + 1e-7), t2],
+                        [1e-9 * t1 / abs(t1), t2],
+                        [t1, t1 * (1 + 1e-7)]])
+    assert _admissible(defects, cuts, chain).tolist() == [False, False, False]
 
 
 def test_solver_is_deterministic(ctx, rng):
@@ -90,7 +103,8 @@ def test_spectrum_reconcile_rank2(ctx, rng):
             for nbar in admissible_sectors(chain)}
     rep = spectrum_reconcile(chain, sols, 1.7 + 0.4j)
     assert rep.total_states == 4
-    assert rep.complete
+    assert rep.matched == rep.total_states == sum(map(len, sols.values()))
+    assert rep.duplicates == 0
 
 
 def test_spectrum_reconcile_rank3(ctx, rng):
@@ -99,9 +113,9 @@ def test_spectrum_reconcile_rank3(ctx, rng):
             for nbar in admissible_sectors(chain)}
     rep = spectrum_reconcile(chain, sols, 0.9 - 0.3j)
     assert rep.total_states == 9
-    assert rep.bethe_count == 9
-    assert rep.complete
-    assert not rep.ambiguous
+    assert sum(map(len, sols.values())) == 9
+    assert rep.matched == rep.total_states
+    assert rep.duplicates == 0
 
 
 def test_spectrum_reconcile_flags_missing_sector(ctx, rng):
@@ -109,19 +123,18 @@ def test_spectrum_reconcile_flags_missing_sector(ctx, rng):
     sols = {(0,): solve_bethe(chain, (0,)).solutions}
     rep = spectrum_reconcile(chain, sols, 1.1)
     assert rep.matched == 1
-    assert len(rep.unmatched_eigenvalues) == 3
-    assert not rep.complete
+    assert rep.total_states - rep.matched == 3
 
 
 def test_spectrum_reconcile_above_the_old_dense_cap(ctx, rng):
     # 512 states, past the 256 that a dense eigensolve was capped at; the
     # empty root set matches the one state of its own weight block
     chain = make_chain(2, 9, ctx, rng)
-    rep = spectrum_reconcile(chain, {(0,): solve_bethe(chain, (0,)).solutions}, 1.0)
+    sols = solve_bethe(chain, (0,)).solutions
+    rep = spectrum_reconcile(chain, {(0,): sols}, 1.0)
     assert rep.total_states == 512
-    assert rep.matched == rep.bethe_count == 1
-    assert len(rep.unmatched_eigenvalues) == 511
-    assert not rep.complete
+    assert rep.matched == len(sols) == 1
+    assert rep.total_states - rep.matched == 511
 
 
 def test_spectrum_reconcile_matches_within_the_weight_block(ctx, rng):
@@ -136,7 +149,6 @@ def test_spectrum_reconcile_matches_within_the_weight_block(ctx, rng):
     assert spectrum_reconcile(chain, {(1,): sols}, t).matched == 8
     rep = spectrum_reconcile(chain, {(2,): sols}, t)
     assert rep.matched == 0
-    assert rep.bethe_count == 8
 
 
 
