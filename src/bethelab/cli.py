@@ -395,59 +395,81 @@ def suite_rll(mat: Materialized) -> list[Check]:
 # --- gauss ---
 
 
+IDENTITY_ANCHORS = {
+    CoordinateIdentity.F_LOWERING: "(q - 1/q) F_{j,i} = S_i(F_{j,i+1})",
+    CoordinateIdentity.E_LOWERING: "(q - 1/q) E_{i,j} = S^_i(E_{i+1,j})",
+    CoordinateIdentity.E_ITERATED: "E_{i,j} from iterated dual screenings",
+    CoordinateIdentity.CARTAN_SHIFT: "S^_i(psi_{i+1}) = (q - 1/q) psi_{i+1} E_{i,i+1}",
+}
+
+
 def suite_gauss(mat: Materialized) -> list[Check]:
     checks = []
     for c, chain in enumerate(mat.chains):
-        base = f"gauss/chain{c}"
         inputs = _chain_inputs(chain)
-        # built by the first identity check that runs, shared by the others
-        chain_zero_modes = functools.cache(lambda chain=chain: zero_mode_set(chain))
-
-        def recon_thunk(chain=chain, c=c):
-            rng = chain.ctx.rng(f"gauss-recon:{c}")
-            for _ in range(5):
-                t = complex(sample_annulus(rng, 1)[0])
-                T = monodromy(chain, t)
-                yield (gauss_decompose(T).reconstruct() - T).norm() / T.norm()
-
-        checks.append(Check(f"{base}/reconstruction",
-                            "L = (1 + F) . k . (1 + E)",
-                            1e-10, inputs, recon_thunk))
-
-        def normal_thunk(chain=chain, c=c):
-            rng = chain.ctx.rng(f"gauss-normal:{c}")
-            for _ in range(5):
-                t = complex(sample_annulus(rng, 1)[0])
-                yield normal_order_transfer_residual(chain, t)
-
-        checks.append(Check(f"{base}/normal-order-transfer",
-                            "trace T = sum_i ( k_i + sum_{j>i} F_{j,i} k_j E_{i,j} )",
-                            1e-10, inputs, normal_thunk))
-
-        kinds = {
-            CoordinateIdentity.F_LOWERING: "(q - 1/q) F_{j,i} = S_i(F_{j,i+1})",
-            CoordinateIdentity.E_LOWERING: "(q - 1/q) E_{i,j} = S^_i(E_{i+1,j})",
-            CoordinateIdentity.E_ITERATED: "E_{i,j} from iterated dual screenings",
-            CoordinateIdentity.CARTAN_SHIFT: "S^_i(psi_{i+1}) = (q - 1/q) psi_{i+1} E_{i,i+1}",
-        }
-        for kind, anchor in kinds.items():
-            pairs = _identity_indices(kind, chain.N)
-            if not pairs:
-                continue
-
-            def identity_thunk(chain=chain, kind=kind, pairs=pairs, c=c,
-                               zero_modes=chain_zero_modes):
-                rng = chain.ctx.rng(f"gauss-{kind.value}:{c}")
-                zm = zero_modes()
-                for _ in range(5):
-                    t = complex(sample_annulus(rng, 1)[0])
-                    data = gauss_decompose(monodromy(chain, t))
-                    for ij in pairs:
-                        yield coordinate_identity_residual(kind, ij, data, zm)
-
-            checks.append(Check(f"{base}/{kind.value}", anchor,
-                                1e-9, inputs, identity_thunk))
+        identities = [(kind, pairs) for kind in IDENTITY_ANCHORS
+                      if (pairs := _identity_indices(kind, chain.N))]
+        # run by the first gauss check of the chain, replayed by the others
+        gauss_pass = functools.cache(functools.partial(_gauss_pass, chain, c, identities))
+        specs = [("reconstruction", "L = (1 + F) . k . (1 + E)", 1e-10),
+                 ("normal-order-transfer",
+                  "trace T = sum_i ( k_i + sum_{j>i} F_{j,i} k_j E_{i,j} )", 1e-10),
+                 *((kind.value, IDENTITY_ANCHORS[kind], 1e-9) for kind, _ in identities)]
+        for name, anchor, tolerance in specs:
+            checks.append(Check(f"gauss/chain{c}/{name}", anchor, tolerance, inputs,
+                                functools.partial(_replay, gauss_pass, name)))
     return checks
+
+
+def _gauss_pass(chain: ChainSpec, c: int,
+                identities: list[tuple[CoordinateIdentity, list[tuple[int, int]]]]
+                ) -> dict[str, tuple[list[float], BetheLabError | None]]:
+    """Every gauss check of chain `c` on one decomposition per point: at each
+    of 5 points drawn from the `gauss-recon:{c}` stream, build the monodromy
+    once, decompose it once, and evaluate the reconstruction, the
+    normal-ordered transfer and every coordinate identity on that one
+    `GaussData`. Returns, per check name, its residuals in draw order and the
+    error that stopped it (None if none). An error at a point stops every
+    check; a zero-mode error stops only the identity checks."""
+    residuals: dict[str, list[float]] = {
+        name: [] for name in ("reconstruction", "normal-order-transfer",
+                              *(kind.value for kind, _ in identities))}
+    errors: dict[str, BetheLabError] = {}
+    zm = None
+    if identities:
+        try:
+            zm = zero_mode_set(chain)
+        except BetheLabError as exc:
+            errors = dict.fromkeys((kind.value for kind, _ in identities), exc)
+    rng = chain.ctx.rng(f"gauss-recon:{c}")
+    try:
+        for _ in range(5):
+            t = complex(sample_annulus(rng, 1)[0])
+            T = monodromy(chain, t)
+            data = gauss_decompose(T)
+            residuals["reconstruction"].append((data.reconstruct() - T).norm() / T.norm())
+            # drop each grid once read: `transfer` and the next point build their
+            # own (peak RSS 202 -> 177 MB at N=3, L=7)
+            del T
+            residuals["normal-order-transfer"].append(normal_order_transfer_residual(chain, data))
+            if zm is not None:
+                for kind, pairs in identities:
+                    residuals[kind.value].extend(
+                        coordinate_identity_residual(kind, ij, data, zm) for ij in pairs)
+            del data
+    except BetheLabError as exc:
+        # an identity check stopped by its zero modes reports that error
+        errors = dict.fromkeys(residuals, exc) | errors
+    return {name: (values, errors.get(name)) for name, values in residuals.items()}
+
+
+def _replay(gauss_pass: Callable[[], dict], name: str) -> Iterable[float]:
+    """Check `name`'s residuals from its chain's Gauss pass, then the error
+    that stopped it, if any."""
+    values, error = gauss_pass()[name]
+    yield from values
+    if error is not None:
+        raise error
 
 
 def _identity_indices(kind: CoordinateIdentity, N: int) -> list[tuple[int, int]]:

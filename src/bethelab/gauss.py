@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularCoordinateError
-from .repcore import (ChainSpec, GradedLOperator, GradedOperator, monodromy, transfer,
-                      zero_modes)
+from .repcore import ChainSpec, GradedLOperator, GradedOperator, transfer, zero_modes
 
 COND_CAP = 1e12
 
@@ -188,11 +187,10 @@ def coordinate_identity_residual(kind: CoordinateIdentity, indices: tuple[int, i
     raise DomainError(f"unknown identity kind {kind}")
 
 
-def normal_order_transfer_residual(chain: ChainSpec, t: complex) -> float:
-    """Residual of trace(T) against its Gauss-coordinate expansion
-    sum_i (k_i + sum_{j>i} F_{j,i} k_j E_{i,j}). The trace is
-    `transfer(chain, t)`, built from its own monodromy."""
-    data = gauss_decompose(monodromy(chain, t))
+def normal_order_transfer_residual(chain: ChainSpec, data: GaussData) -> float:
+    """Residual of trace(T) against the expansion of the Gauss coordinates
+    `data` of T: sum_i (k_i + sum_{j>i} F_{j,i} k_j E_{i,j}). The trace is
+    `transfer(chain, data.point)`, built from its own monodromy."""
     N = chain.N
     acc = data.k[0]
     for i in range(2, N + 1):
@@ -200,4 +198,4 @@ def normal_order_transfer_residual(chain: ChainSpec, t: complex) -> float:
     for i in range(1, N + 1):
         for j in range(i + 1, N + 1):
             acc = acc + data.F[(j, i)] @ data.k[j - 1] @ data.E[(i, j)]
-    return _rel_norm(transfer(chain, t), acc)
+    return _rel_norm(transfer(chain, data.point), acc)

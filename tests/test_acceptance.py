@@ -140,7 +140,7 @@ def test_criterion_04_gauss_suite(ctx):
                 rec = (np.linalg.norm(data.reconstruct().dense() - T)
                        / np.linalg.norm(T))
                 worst_rec = max(worst_rec, float(rec))
-                worst_norm = max(worst_norm, bl.normal_order_transfer_residual(chain, t))
+                worst_norm = max(worst_norm, bl.normal_order_transfer_residual(chain, data))
                 for kind in CoordinateIdentity:
                     for ij in _identity_pairs(kind, N):
                         worst_ident = max(

@@ -15,7 +15,8 @@ import bethelab
 from bethelab import (BetheParameterSet, DeformationContext, cli, sample_annulus,
                       vacuum_residuals)
 from bethelab.cli import run_command
-from bethelab.errors import BetheLabError, DegenerateVectorError, DomainError
+from bethelab.errors import (BetheLabError, DegenerateVectorError, DomainError,
+                             SingularCoordinateError)
 from bethelab.report import report_fingerprint
 
 
@@ -71,19 +72,98 @@ def test_offshell_requires_rank2(tmp_path, capsys):
 
 
 def test_gauss_builds_one_zero_mode_set_per_chain(tmp_path, monkeypatch, capsys):
-    # the four identity checks of a chain share its zero-mode set, built by
-    # the first of them to run, not by the suite builder (timed as set-up)
-    calls = []
-    original = cli.zero_mode_set
-    monkeypatch.setattr(cli, "zero_mode_set", lambda chain: calls.append(chain) or original(chain))
-    cli.suite_gauss(cli.materialize(cli.RunConfig(N=3, L=2, seed=7)))
-    assert calls == []
-    cfg = tmp_path / "n3l2.cfg"
-    cfg.write_text("N = 3\nL = 2\nseed = 7\n")
+    # the six checks of a chain share one Gauss pass: 5 monodromies, 5
+    # decompositions and one zero-mode set, built by the first check that
+    # runs, not by the suite builder (timed as set-up)
+    calls = {"monodromy": [], "gauss_decompose": [], "zero_mode_set": []}
+    for name, log in calls.items():
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda arg, *rest, original=original, log=log:
+                            log.append(arg) or original(arg, *rest))
+    cli.suite_gauss(cli.materialize(cli.RunConfig(N=3, L=3, chains=2, seed=7)))
+    assert calls == {"monodromy": [], "gauss_decompose": [], "zero_mode_set": []}
+    cfg = tmp_path / "n3l3.cfg"
+    cfg.write_text("N = 3\nL = 3\nchains = 2\nseed = 7\n")
     code, report = run(["gauss", "--config", str(cfg)])
     assert code == 0
-    assert len(report.checks) == 6
-    assert len(calls) == 1
+    assert len(report.checks) == 12
+    chains = list(dict.fromkeys(calls["monodromy"]))
+    assert len(chains) == 2
+    assert [calls["monodromy"].count(chain) for chain in chains] == [5, 5]
+    assert len(calls["gauss_decompose"]) == 10
+    assert calls["zero_mode_set"] == chains
+
+
+def _gauss_records(**config):
+    mat = cli.materialize(cli.RunConfig(N=3, L=3, chains=2, seed=7, **config))
+    return {r.check_id: r for r in cli._run_checks(cli.suite_gauss(mat), 1)}
+
+
+IDENTITY_CHECKS = ("f-lowering", "e-lowering", "e-iterated", "cartan-shift")
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_gauss_point_error_fails_every_check_of_its_chain(monkeypatch, failing):
+    # a singular coordinate at a chain's 3rd point stops all six checks of
+    # that chain with its error; the other chain's checks are as before
+    baseline = _gauss_records()
+    original = cli.gauss_decompose
+    count = [0]
+
+    def decompose(T):
+        count[0] += 1
+        if count[0] == 5 * failing + 3:
+            raise SingularCoordinateError("planted at the 3rd point")
+        return original(T)
+
+    monkeypatch.setattr(cli, "gauss_decompose", decompose)
+    records = _gauss_records()
+    assert records.keys() == baseline.keys() and len(records) == 12
+    for check_id, record in records.items():
+        if check_id.startswith(f"gauss/chain{failing}/"):
+            assert record.error == "SingularCoordinateError: planted at the 3rd point"
+            assert record.residual == math.inf and not record.passed
+        else:
+            assert record.error == "" and record.passed
+            assert record.residual == baseline[check_id].residual
+
+
+def test_gauss_zero_mode_error_fails_only_the_identity_checks(monkeypatch):
+    baseline = _gauss_records()
+
+    def zero_mode_set(chain):
+        raise SingularCoordinateError("planted in the zero modes")
+
+    monkeypatch.setattr(cli, "zero_mode_set", zero_mode_set)
+    records = _gauss_records()
+    assert records.keys() == baseline.keys()
+    for check_id, record in records.items():
+        if check_id.rsplit("/", 1)[1] in IDENTITY_CHECKS:
+            assert record.error == "SingularCoordinateError: planted in the zero modes"
+            assert record.residual == math.inf and not record.passed
+        else:
+            assert record.error == "" and record.passed
+            assert record.residual == baseline[check_id].residual
+
+
+def test_gauss_checks_each_compute_their_own_residuals(monkeypatch):
+    # a relative error of 1e-6 planted in F_{3,1} of the shared decomposition
+    # shows in the reconstruction and in the f-lowering identity alike, and
+    # in no identity that reads only E and k
+    original = cli.gauss_decompose
+
+    def decompose(T):
+        data = original(T)
+        return dataclasses.replace(data, F={**data.F, (3, 1): (1 + 1e-6) * data.F[(3, 1)]})
+
+    monkeypatch.setattr(cli, "gauss_decompose", decompose)
+    records = _gauss_records()
+    for c in (0, 1):
+        for name in ("reconstruction", "f-lowering"):
+            record = records[f"gauss/chain{c}/{name}"]
+            assert record.error == "" and not record.passed
+        for name in ("e-lowering", "e-iterated", "cartan-shift"):
+            assert records[f"gauss/chain{c}/{name}"].passed
 
 
 def test_overlap_points_are_drawn_clear_of_the_coupling_pole(capsys):

@@ -236,9 +236,26 @@ def test_identity_index_validation(ctx, rng):
 def test_normal_order_transfer(ctx, rng, N, L):
     chain = make_chain(N, L, ctx, rng)
     t = complex(sample_annulus(rng, 1)[0])
-    assert normal_order_transfer_residual(chain, t) < 1e-10
+    assert normal_order_transfer_residual(chain, gauss_decompose(monodromy(chain, t))) < 1e-10
 
 
 def test_normal_order_transfer_empty_chain(ctx):
     chain = ChainSpec(N=2, L=0, z=(), kappa=(1.3, 0.8), ctx=ctx)
-    assert normal_order_transfer_residual(chain, 0.7) < 1e-14
+    assert normal_order_transfer_residual(chain, gauss_decompose(monodromy(chain, 0.7))) < 1e-14
+
+
+def test_normal_order_transfer_checks_the_decomposition_it_is_given(ctx, rng):
+    # the residual of a decomposition passed in equals, bit for bit, the one
+    # computed from a decomposition built afresh at the same point
+    chain = make_chain(3, 3, ctx, rng)
+    t = complex(sample_annulus(rng, 1)[0])
+    fresh = gauss_decompose(monodromy(chain, t))
+    acc = fresh.k[0]
+    for i in range(2, 4):
+        acc = acc + fresh.k[i - 1]
+    for i in range(1, 4):
+        for j in range(i + 1, 4):
+            acc = acc + fresh.F[(j, i)] @ fresh.k[j - 1] @ fresh.E[(i, j)]
+    trace = transfer(chain, t)
+    built = (trace - acc).norm() / max(trace.norm(), acc.norm(), 1e-300)
+    assert normal_order_transfer_residual(chain, gauss_decompose(monodromy(chain, t))) == built
