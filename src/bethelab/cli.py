@@ -49,9 +49,9 @@ from .kernels import (nesting_overlap, nesting_overlap_alt,
                       transfer_eigenvalue, transfer_eigenvalue_residue)
 from .qsym import (cyclic_identity_sides, decomposition_sides, qsym_values,
                    shift_expansion_backward, shift_expansion_forward)
-from .repcore import (ChainSpec, monodromy, permutation_operator, pole_distance, r_matrix,
-                      rll_residual, transfer, transfer_commutator_residual, vacuum_data,
-                      vacuum_residuals, yang_baxter_residual, zero_mode_residuals)
+from .repcore import (ChainSpec, monodromy, permutation_operator, r_matrix, rll_residual,
+                      transfer, transfer_commutator_residual, vacuum_data, vacuum_residuals,
+                      yang_baxter_residual, zero_mode_residuals)
 from .report import CheckRecord, Report, encode_complex, inputs_digest
 from .solver import (SolveResult, admissible_sectors, backward_errors, sector_multiplicity,
                      solve_bethe, spectrum_reconcile)
@@ -670,7 +670,7 @@ def suite_verify(mat: Materialized) -> list[Check]:
             def onshell_thunk(result, chain=chain, nbar=nbar, c=c):
                 rng = chain.ctx.rng(f"verify:{c}:{nbar}")
                 for sol in result:
-                    points = (_sample_clear_of_poles(rng, chain) for _ in range(20))
+                    points = (_sample_clear_of_roots(rng, sol.params) for _ in range(20))
                     try:
                         pairs = on_shell_residuals(chain, sol.params, points)
                     except DegenerateVectorError:
@@ -686,7 +686,7 @@ def suite_verify(mat: Materialized) -> list[Check]:
             def tau_match_thunk(result, chain=chain, nbar=nbar, c=c):
                 _, lambdas = vacuum_data(chain)
                 rng = chain.ctx.rng(f"verify-tau:{c}:{nbar}")
-                t = _sample_clear_of_poles(rng, chain)
+                t = _sample_clear_of_roots(rng, *(sol.params for sol in result))
                 block = transfer(chain, t).blocks[expected_occupancy(chain.L, nbar)]
                 eigs = np.linalg.eigvals(block)
                 for sol in result:
@@ -698,9 +698,7 @@ def suite_verify(mat: Materialized) -> list[Check]:
                                 "tau(t) matches a weight-block transfer eigenvalue",
                                 1e-8, inputs, tau_match_thunk, sector))
 
-            def residue_thunk(result, chain=chain, nbar=nbar):
-                if sum(nbar) == 0:
-                    return
+            def residue_thunk(result, chain=chain):
                 _, lambdas = vacuum_data(chain)
                 for sol in result:
                     for a in range(1, chain.N):
@@ -715,16 +713,16 @@ def suite_verify(mat: Materialized) -> list[Check]:
     return checks
 
 
-def _sample_clear_of_poles(rng, chain: ChainSpec) -> complex:
-    """Annulus point t whose `pole_distance` from the R-matrix poles of
-    `chain` exceeds POLE_MARGIN. Draws that are not rejected are the plain
-    annulus draws.
-    """
+def _sample_clear_of_roots(rng, *sets: BetheParameterSet) -> complex:
+    """Annulus point t with |t - u| > POLE_MARGIN max(|t|, |u|) for every root
+    u of `sets`, where tau(t) has its poles. Draws that are not rejected are
+    the plain annulus draws."""
+    roots = [u for params in sets for group in params.values for u in group]
     for _ in range(100):
         t = complex(sample_annulus(rng, 1)[0])
-        if pole_distance(chain, t) > POLE_MARGIN:
+        if all(abs(t - u) > POLE_MARGIN * max(abs(t), abs(u)) for u in roots):
             return t
-    raise SamplingExhaustedError("could not sample clear of the R-matrix poles")
+    raise SamplingExhaustedError("could not sample clear of the Bethe roots")
 
 
 def suite_spectrum(mat: Materialized) -> list[Check]:
@@ -736,7 +734,7 @@ def suite_spectrum(mat: Materialized) -> list[Check]:
         def spectrum_thunk(*results, chain=chain, c=c, nbars=nbars):
             sols = {nbar: result.solutions for nbar, result in zip(nbars, results)}
             rng = chain.ctx.rng(f"spectrum:{c}")
-            t = complex(sample_annulus(rng, 1)[0])
+            t = _sample_clear_of_roots(rng, *(sol.params for result in results for sol in result))
             rep = spectrum_reconcile(chain, sols, t)
             missing = rep.total_states - rep.matched
             yield float(missing + rep.duplicates)
@@ -775,10 +773,10 @@ def suite_offshell(mat: Materialized) -> list[Check]:
             rng = chain.ctx.rng(f"offshell-vanish:{c}")
             for result in results:
                 for sol in result:
-                    t = complex(sample_annulus(rng, 1)[0])
+                    t = _sample_clear_of_roots(rng, sol.params)
                     rep = unwanted_decomposition(chain, sol.params, t)
-                    scale = max(rep.scale, 1e-300)
-                    yield from (abs(cm) / scale for cm in rep.coefficients)
+                    yield from (abs(cm) / scale
+                                for cm, scale in zip(rep.coefficients, rep.scales))
 
         checks.append(Check(f"offshell/chain{c}/on-shell-vanishing",
                             "unwanted coefficients vanish at solver roots",
@@ -796,7 +794,7 @@ def _offshell_thunk(chain: ChainSpec, stream: str, sizes: tuple[int, ...],
         rng = chain.ctx.rng(stream)
         for n in sizes:
             params = BetheParameterSet((tuple(_separated(rng, n)),))
-            t = complex(sample_annulus(rng, 1)[0])
+            t = _sample_clear_of_roots(rng, params)
             yield from metric(unwanted_decomposition(chain, params, t))
     return thunk
 

@@ -14,8 +14,9 @@ from .errors import DomainError
 
 MAX_RANK = 8
 
-# relative distance |pole factor| / max(|x|, |y|) at or below which a kernel
-# raises PoleError; sampled spectral points keep farther than this from poles
+# relative distance |pole factor| / max(|x|, |y|) at or below which a scalar
+# kernel or `r_matrix` raises PoleError; points where tau(t) is evaluated keep
+# farther than this from its poles, the Bethe roots
 POLE_MARGIN = 1e-3
 
 ANNULUS_LO = 0.5

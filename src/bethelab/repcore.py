@@ -11,16 +11,18 @@ Conventions fixed here and locked by tests:
     triangular.
 
 The R-matrix entries are laid out in one place, `_r_table`, from a
-coefficient triple (b, cu, cv): keep[k, m] = R[km, km] and move[k, m] =
-R[km, mk]. `r_matrix` is the dense R built from that table at spectral points
-(u, v). The monodromy has one matrix-free kernel, `apply_monodromy`, which
-applies the table site by site to a batch of aux (x) quantum vectors: each
-site costs two elementwise products on the whole batch, keep . X +
-move . swap(X), and the batch may carry one coefficient triple per spectral
-point, so T(t) at many points is one call. `transfer_apply` (at one point or
-one point per column group) and `entry_apply` are T(t) v and T_{i,j}(t) v
-through it. The two spectral-limit operators pass their limiting triples in
-closed form, never by large-argument evaluation.
+coefficient quadruple (a, b, cu, cv): keep[k, m] = R[km, km] (a on the
+diagonal, b off it) and move[k, m] = R[km, mk]. The dense `r_matrix` has
+a = 1, so R(u, u) = P, and a pole at u = v/q^2. The monodromy is built from
+the pole-free R, q u - v/q times that one, so `monodromy`, `transfer`,
+`transfer_apply`, `entry_apply` and `vacuum_data` give
+prod_l (q t - z_l/q) . T(t), which has no pole. Its one matrix-free kernel,
+`apply_monodromy`, applies the table site by site to a batch of aux (x)
+quantum vectors: each site costs two elementwise products on the whole
+batch, keep . X + move . swap(X), and the batch may carry one quadruple per
+spectral point, so T(t) at many points is one call. The two spectral limits
+pass their quadruples (a = 1) in closed form, never by large-argument
+evaluation.
 
 Weight grading: every R-matrix factor keeps the colour counts of aux (x) site,
 so T_{i,j}(t) maps quantum weight nu to nu + e_j - e_i. The operator grids
@@ -37,6 +39,7 @@ instead of forming the operators (Freivalds-style verification).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,26 +249,29 @@ def frobenius(*arrays: np.ndarray) -> float:
 
 
 def r_matrix(u: complex, v: complex, N: int, ctx: DeformationContext) -> np.ndarray:
-    """Trigonometric R-matrix on C^N (x) C^N at spectral points (u, v)."""
-    return _r_from_coefficients(_r_coefficients(u, v, ctx), N)
+    """Trigonometric R-matrix on C^N (x) C^N at spectral points (u, v), 1 on
+    the diagonal; raises PoleError within POLE_MARGIN of its pole u = v/q^2."""
+    a, b, cu, cv = _r_polynomial(u, v, ctx.q)
+    _guard(a, max(abs(u), abs(v)), "R-matrix pole")
+    return _r_from_coefficients((1.0, b / a, cu / a, cv / a), N)
 
 
-def _r_coefficients(u: complex, v: complex, ctx: DeformationContext):
-    q = ctx.q
-    den = q * u - v / q
-    _guard(den, max(abs(u), abs(v)), "R-matrix pole")
-    return (u - v) / den, (q - 1 / q) * u / den, (q - 1 / q) * v / den
+def _r_polynomial(u, v, q):
+    """Entries (a, b, cu, cv) of the pole-free R, `r_matrix` times q u - v/q."""
+    return q * u - v / q, u - v, (q - 1 / q) * u, (q - 1 / q) * v
+
+
+def _r_dense(u, v, N: int, q) -> np.ndarray:
+    return _r_from_coefficients(_r_polynomial(u, v, q), N)
 
 
 def _r_table(coeffs, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """The R-matrix entry layout for a coefficient triple (b, cu, cv):
-    keep[k, m] = R[km, km] (1 on the diagonal, b off it) and move[k, m] =
-    R[km, mk] (0 on the diagonal, cu above it, cv below). The triple's entries
-    are scalars, or arrays of length P (one value per spectral point), which
-    make the tables (P, N, N)."""
-    b = np.asarray(coeffs[0])
-    values = np.array([np.ones_like(b), b, coeffs[1], coeffs[2], np.zeros_like(b)],
-                      dtype=complex)
+    """The R-matrix entry layout for a coefficient quadruple (a, b, cu, cv):
+    keep[k, m] = R[km, km] (a on the diagonal, b off it) and move[k, m] =
+    R[km, mk] (0 on the diagonal, cu above it, cv below). The quadruple's
+    entries are all scalars, or all arrays of length P (one value per
+    spectral point), which make the tables (P, N, N)."""
+    values = np.array([*coeffs, np.zeros_like(coeffs[1])], dtype=complex)
     keep, move = _r_layout(N)
     values = np.moveaxis(values, 0, -1)
     return values[..., keep], values[..., move]
@@ -273,13 +279,13 @@ def _r_table(coeffs, N: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _r_layout(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where `_r_table` takes each entry from among (1, b, cu, cv, 0)."""
+    """Where `_r_table` takes each entry from among (a, b, cu, cv, 0)."""
     k, m = np.indices((N, N))
     return np.where(k == m, 0, 1), np.select([k < m, k > m], [2, 3], 4)
 
 
-def _r_from_coefficients(coeffs: tuple[complex, complex, complex], N: int) -> np.ndarray:
-    """The dense R-matrix of a coefficient triple, from its `_r_table`."""
+def _r_from_coefficients(coeffs, N: int) -> np.ndarray:
+    """The dense R-matrix of a coefficient quadruple, from its `_r_table`."""
     keep, move = _r_table(coeffs, N)
     k, m = np.indices((N, N))
     R = np.zeros((N, N, N, N), dtype=complex)
@@ -293,7 +299,7 @@ def apply_monodromy(chain: ChainSpec, coeffs: list, X: np.ndarray) -> np.ndarray
 
     `X` is laid out batch-last as (N, dim, B) for one spectral point, or as
     (P, N, dim, B) for P points; `coeffs` holds one R-matrix coefficient
-    triple per site, whose entries are scalars for one point or arrays of
+    quadruple per site, whose entries are scalars for one point or arrays of
     length P, one value per point. The factors act one site at a time,
     R_{a,1} first: each touches only the auxiliary leg and its own site's
     leg, and is two elementwise products on the whole batch,
@@ -337,19 +343,19 @@ def _apply_sites(chain: ChainSpec, tables: list, X: np.ndarray) -> np.ndarray:
 
 
 def _point_coefficients(chain: ChainSpec, t) -> list:
-    """Per-site R coefficient triples at the point t, or, for a list of
-    points, per-site triples of arrays with one entry per point (the form
-    `apply_monodromy` takes for a (P, N, dim, B) batch); the points are
-    checked for poles in their order."""
+    """Per-site pole-free R coefficient quadruples at the point t, or, for a
+    list of points, per-site quadruples of arrays with one entry per point
+    (the form `apply_monodromy` takes for a (P, N, dim, B) batch)."""
+    q = chain.ctx.q
     if not isinstance(t, list):
-        return [_r_coefficients(t, zl, chain.ctx) for zl in chain.z]
-    per_point = [[_r_coefficients(tp, zl, chain.ctx) for zl in chain.z] for tp in t]
-    return [tuple(np.array(c) for c in zip(*site)) for site in zip(*per_point)]
+        return [_r_polynomial(t, zl, q) for zl in chain.z]
+    return [tuple(np.array(c) for c in zip(*(_r_polynomial(tp, zl, q) for tp in t)))
+            for zl in chain.z]
 
 
-def _zero_mode_coefficients(q: complex) -> tuple[tuple[complex, complex, complex], ...]:
-    """Per-site coefficient triples of the t -> infinity and t -> 0 limits."""
-    return (1 / q, (q - 1 / q) / q, 0.0), (q + 0j, 0.0, 1 - q * q)
+def _zero_mode_coefficients(q: complex) -> tuple[tuple[complex, ...], ...]:
+    """Per-site quadruples (a = 1) of the t -> infinity and t -> 0 limits."""
+    return (1.0, 1 / q, (q - 1 / q) / q, 0.0), (1.0, q + 0j, 0.0, 1 - q * q)
 
 
 @functools.lru_cache(maxsize=None)
@@ -387,7 +393,7 @@ def _weight_sectors(N: int, L: int) -> list[tuple[list, np.ndarray, list]]:
     return out
 
 
-def _graded_grid(chain: ChainSpec, coeffs: list[tuple[complex, complex, complex]],
+def _graded_grid(chain: ChainSpec, coeffs: list[tuple[complex, ...]],
                  point: complex | None) -> GradedLOperator:
     """Graded block grid: the monodromy applied to each total weight W's
     states alone. Site by site, R_{a,l} keeps a state's amplitude (factor
@@ -415,7 +421,7 @@ def _graded_grid(chain: ChainSpec, coeffs: list[tuple[complex, complex, complex]
 
 
 def monodromy(chain: ChainSpec, t: complex) -> GradedLOperator:
-    """The monodromy T(t) as a graded grid; raises PoleError near R-matrix poles."""
+    """The pole-free monodromy prod_l (q t - z_l/q) . T(t) as a graded grid."""
     return _graded_grid(chain, _point_coefficients(chain, t), t)
 
 
@@ -423,10 +429,7 @@ def transfer(chain: ChainSpec, t: complex) -> GradedOperator:
     """Trace of the monodromy over the auxiliary space, sum_i T_{i,i}(t): a
     weight-preserving operator, one block per weight."""
     T = monodromy(chain, t)
-    out = T.entry(1, 1)
-    for i in range(2, chain.N + 1):
-        out = out + T.entry(i, i)
-    return out
+    return sum((T.entry(i, i) for i in range(2, chain.N + 1)), T.entry(1, 1))
 
 
 def transfer_apply(chain: ChainSpec, t, v: np.ndarray) -> np.ndarray:
@@ -495,33 +498,16 @@ def _probes(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def vacuum_data(chain: ChainSpec) -> tuple[np.ndarray, list[LambdaLike]]:
-    """Reference vector e_1^(x)L and the N diagonal eigenvalue functions.
-
-    lambda_1(t) = kappa_1 and lambda_i(t) = kappa_i prod_l (t - z_l)/(qt - z_l/q)
-    for i >= 2; the contract T_{i,j} Omega = 0 (i > j), T_{i,i} Omega =
-    lambda_i Omega is verified by tests, not assumed.
-    """
+    """Reference vector e_1^(x)L and the N diagonal eigenvalue functions of
+    the pole-free monodromy, lambda_1(t) = kappa_1 prod_l (q t - z_l/q) and
+    lambda_i(t) = kappa_i prod_l (t - z_l) for i >= 2. Tests verify, not
+    assume, T_{i,j} Omega = 0 (i > j) and T_{i,i} Omega = lambda_i Omega."""
     omega = np.zeros(chain.dim, dtype=complex)
     omega[0] = 1.0
-    q = chain.ctx.q
-    z = np.asarray(chain.z)
-
-    def make(i):
-        if i == 1:
-            return lambda t: chain.kappa[0] + 0j
-        return lambda t: chain.kappa[i - 1] * complex(np.prod((t - z) / (q * t - z / q)))
-
-    return omega, [make(i) for i in range(1, chain.N + 1)]
-
-
-def pole_distance(chain: ChainSpec, t: complex) -> float:
-    """min_l |q t - z_l/q| / max(|t|, |z_l|): the relative distance of t from
-    the R-matrix poles t = z_l/q^2 of the monodromy, which are also the poles
-    of lambda_i, i >= 2 (inf on an empty chain). The R-matrix at (t, z_l)
-    raises PoleError where this is at most POLE_MARGIN."""
-    q = chain.ctx.q
-    return min((abs(q * t - zl / q) / max(abs(t), abs(zl)) for zl in chain.z),
-               default=np.inf)
+    q, z, (first, *rest) = chain.ctx.q, chain.z, chain.kappa
+    lambdas = [lambda t: first * math.prod(q * t - zl / q for zl in z)]
+    lambdas += [lambda t, k=k: k * math.prod(t - zl for zl in z) for k in rest]
+    return omega, lambdas
 
 
 def rll_residual(chain: ChainSpec, u: complex, v: complex, rng: np.random.Generator) -> float:
@@ -530,11 +516,12 @@ def rll_residual(chain: ChainSpec, u: complex, v: complex, rng: np.random.Genera
     PROBES random vectors drawn from `rng`.
 
     Each monodromy acts on its own auxiliary leg through `apply_monodromy`,
-    with the other leg carried in the batch, so no block grid is built.
+    with the other leg carried in the batch, so no block grid is built. The
+    relation is homogeneous in R, so R is the pole-free one.
     """
     N, d = chain.N, chain.dim
     X = _probes(rng, (N, N, d))
-    R = r_matrix(u, v, N, chain.ctx)
+    R = _r_dense(u, v, N, chain.ctx.q)
     at_u, at_v = _point_coefficients(chain, u), _point_coefficients(chain, v)
 
     def on_leg(coeffs, leg, Y):

@@ -15,6 +15,7 @@ vector, not equality.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -90,40 +91,48 @@ def _nested(chain: ChainSpec, params: BetheParameterSet) -> np.ndarray:
 def modified_vector(chain: ChainSpec, params: BetheParameterSet) -> np.ndarray:
     """Plain vector rescaled by the pair weight and the vacuum eigenvalues of
     the next-type diagonal coordinate at each parameter."""
-    plain = nested_vector(chain, params)
+    return _prefactor(chain, params) * nested_vector(chain, params)
+
+
+def _prefactor(chain: ChainSpec, params: BetheParameterSet) -> complex:
     _, lambdas = vacuum_data(chain)
-    pref = same_type_weight(params, chain.ctx)
-    for a in range(2, chain.N + 1):
-        for t in params.type_values(a - 1):
-            pref *= lambdas[a - 1](t)
-    return pref * plain
+    return same_type_weight(params, chain.ctx) * math.prod(
+        lambdas[a](t) for a in range(1, chain.N) for t in params.type_values(a))
+
+
+def _creation_scale(chain: ChainSpec, params: BetheParameterSet) -> float:
+    """Size of the pole-free creation operators: prod over type-a roots t of
+    |kappa_a| prod_s max(|t|, |s|), s the z_l (a = 1) or type-(a-1) roots."""
+    levels = zip(chain.kappa, (chain.z,) + params.values, params.values)
+    return math.prod(abs(kappa) * math.prod(max(abs(t), abs(s)) for s in sites)
+                     for kappa, sites, roots in levels for t in roots)
 
 
 def on_shell_residuals(chain: ChainSpec, params: BetheParameterSet,
                        points: Iterable[complex]) -> list[tuple[float, complex]]:
-    """Eigenvector residual ||T(t) w - tau w|| / ||w|| of the modified vector
-    at each point t, together with the eigenvalue candidate tau(t).
+    """Eigenvector residual ||T(t) w - tau w|| / max(||T(t) w||, |tau| ||w||)
+    of the modified vector w at each point t, which no normalization of T
+    changes, together with the eigenvalue candidate tau(t).
 
-    The vector is built once; `points` is consumed only after it is found
+    w is vanishing (DegenerateVectorError) when ||w|| <= 1e-12 |prefactor|
+    `_creation_scale`. `points` is consumed only after w is found
     non-degenerate, so a lazily drawn sequence draws nothing for a vanishing
-    vector. Each point's tau is taken as it is drawn; T(t) w at every point
-    is then one `transfer_apply` call, which checks the points for R-matrix
-    poles in their order.
+    vector; T(t) w at every point is then one `transfer_apply` call.
     """
-    w = modified_vector(chain, params)
+    pref = _prefactor(chain, params)
+    w = pref * nested_vector(chain, params)
     norm = float(np.linalg.norm(w))
-    if norm < 1e-12:
+    if norm <= 1e-12 * abs(pref) * _creation_scale(chain, params):
         raise DegenerateVectorError(
             f"vanishing vector in sector {params.nbar} (L={chain.L})")
-    _, lambdas = vacuum_data(chain)
-    ts, taus = [], []
-    for t in points:
-        ts.append(t)
-        taus.append(transfer_eigenvalue(lambdas, params, t, chain.ctx))
+    ts = list(points)
     if not ts:
         return []
+    _, lambdas = vacuum_data(chain)
+    taus = [transfer_eigenvalue(lambdas, params, t, chain.ctx) for t in ts]
     Tw = transfer_apply(chain, ts, np.broadcast_to(w[:, None], (chain.dim, len(ts))))
-    return [(float(np.linalg.norm(Tw[:, p] - tau * w) / norm), tau)
+    return [(float(np.linalg.norm(Tw[:, p] - tau * w)
+                   / max(float(np.linalg.norm(Tw[:, p])), abs(tau) * norm, 1e-300)), tau)
             for p, tau in enumerate(taus)]
 
 
@@ -135,8 +144,9 @@ class UnwantedReport:
     coefficients: tuple[complex, ...]
     closed_form: tuple[complex, ...]
     fit_residual: float
-    remainder_norm: float
-    scale: float
+    remainder_norm: float  # ||T(t) w - tau w|| / ||T(t) w||
+    # ||T(t) w|| / ||Phi_m||: c_m / scales[m] is |c_m Phi_m| against |T(t) w|
+    scales: tuple[float, ...]
 
 
 def unwanted_closed_form(chain: ChainSpec, params: BetheParameterSet,
@@ -183,7 +193,6 @@ def unwanted_decomposition(chain: ChainSpec, params: BetheParameterSet,
     tau = transfer_eigenvalue(lambdas, params, t, chain.ctx)
     Tw = transfer_apply(chain, t, w)
     r = Tw - tau * w
-    norm = max(float(np.linalg.norm(w)), 1e-300)
 
     # column m: T_{1,2}(t) prod_{j != m} T_{1,2}(t_j) Omega, highest j acting first
     roots = params.type_values(1)
@@ -193,18 +202,21 @@ def unwanted_decomposition(chain: ChainSpec, params: BetheParameterSet,
         others = np.arange(n) != pos
         A[:, others] = entry_apply(chain, roots[pos], 1, 2, A[:, others])
     A = entry_apply(chain, t, 1, 2, A)
-    sv = np.linalg.svd(A, compute_uv=False)
+    # unit columns: the pole-free T gives column m a factor 1 / prod_l (q t_m - z_l/q)
+    sizes = np.linalg.norm(A, axis=0)
+    unit = A / np.maximum(sizes, 1e-300)
+    sv = np.linalg.svd(unit, compute_uv=False)
     if sv[0] == 0 or sv[-1] / sv[0] < RANK_DEFICIENCY_TOL:
         raise IllPosedDecompositionError(
             f"candidate basis rank-deficient (sv ratio {sv[-1] / max(sv[0], 1e-300):.2e}); "
             "resample t or enlarge the chain")
-    coeff, *_ = np.linalg.lstsq(A, r, rcond=None)
-    fit = float(np.linalg.norm(A @ coeff - r) / max(np.linalg.norm(r), 1e-300))
-    scale = float(np.linalg.norm(Tw) / norm)
+    coeff, *_ = np.linalg.lstsq(unit, r, rcond=None)
+    fit = float(np.linalg.norm(unit @ coeff - r) / max(np.linalg.norm(r), 1e-300))
+    size = max(float(np.linalg.norm(Tw)), 1e-300)
     return UnwantedReport(
-        coefficients=tuple(complex(c) for c in coeff),
+        coefficients=tuple(complex(c) for c in coeff / sizes),
         closed_form=unwanted_closed_form(chain, params, t),
         fit_residual=fit,
-        remainder_norm=float(np.linalg.norm(r) / norm),
-        scale=scale,
+        remainder_norm=float(np.linalg.norm(r)) / size,
+        scales=tuple(size / float(c) for c in sizes),
     )

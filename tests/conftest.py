@@ -43,10 +43,18 @@ def separated_points(rng, n, min_sep=0.1):
     return _distinct(rng, n, min_sep)
 
 
+def pole_free_factor(chain, t):
+    """prod_l (q t - z_l/q): the kernel's monodromy is this times the
+    normalized T(t) built from `r_matrix`."""
+    q = chain.ctx.q
+    return complex(np.prod([q * t - zl / q for zl in chain.z]))
+
+
 def dense_grid(chain, coeffs):
     """(N, N, dim, dim) block grid of `apply_monodromy` applied to the
     aux (x) identity basis X[j, :, j, :] = I_dim: the dense oracle for the
-    graded grids."""
+    graded grids, in the normalization of `coeffs`: pole-free for
+    `dense_monodromy`, 1 on the R diagonal for `dense_zero_modes`."""
     N, d = chain.N, chain.dim
     Y = apply_monodromy(chain, coeffs, np.eye(N * d, dtype=complex).reshape(N, d, N * d))
     return Y.reshape(N, d, N, d).transpose(0, 2, 1, 3)

@@ -303,9 +303,10 @@ def test_criterion_09_unwanted_terms(ctx):
             worst_fit = max(worst_fit, rep.fit_residual)
             for got, want in zip(rep.coefficients, rep.closed_form):
                 worst_closed = max(worst_closed, abs(got - want) / max(abs(want), 1e-300))
-            for cm, rm in zip(rep.coefficients, bethe_residuals(chain, params)):
-                c_small = abs(cm) <= 1e-8 * rep.scale
-                c_large = abs(cm) >= 1e-3 * rep.scale
+            for cm, scale, rm in zip(rep.coefficients, rep.scales,
+                                     bethe_residuals(chain, params)):
+                c_small = abs(cm) <= 1e-8 * scale
+                c_large = abs(cm) >= 1e-3 * scale
                 r_small = abs(rm) <= 1e-8
                 r_large = abs(rm) >= 1e-3
                 if (c_small and r_large) or (r_small and c_large):
@@ -318,8 +319,8 @@ def test_criterion_09_unwanted_terms(ctx):
         for sol in solved(chain, (n,)):
             t = complex(bl.sample_annulus(rng, 1)[0])
             rep = bl.unwanted_decomposition(chain, sol.params, t)
-            big = max((abs(c) for c in rep.coefficients), default=0.0)
-            worst_onshell = max(worst_onshell, big / rep.scale)
+            big = max((abs(c) / s for c, s in zip(rep.coefficients, rep.scales)), default=0.0)
+            worst_onshell = max(worst_onshell, big)
             r_ok = all(abs(rm) <= 1e-8 for rm in bethe_residuals(chain, sol.params))
             if not r_ok:
                 contradictions += 1

@@ -252,6 +252,31 @@ def test_verify_samples_clear_of_r_matrix_poles(tmp_path, capsys):
     assert all(not c.error for c in report.checks)
 
 
+def test_verify_samples_clear_of_the_bethe_roots(tmp_path, capsys):
+    # a draw of the on-shell stream of this chain lands within POLE_MARGIN of
+    # a root of the set being checked, a pole of tau(t); it is drawn again
+    cfg = tmp_path / "roots.cfg"
+    cfg.write_text("N = 2\nL = 10\nseed = 18\nsectors = 8\n")
+    code, report = run(["verify", "--config", str(cfg)])
+    assert code == 0
+    assert all(not c.error for c in report.checks)
+
+
+@pytest.mark.parametrize("command,stream", [("spectrum", "spectrum:0"),
+                                            ("offshell", "offshell-vanish:0")])
+def test_tau_samples_clear_of_the_bethe_roots(tmp_path, capsys, command, stream):
+    # z puts the one root of sector (1,) on the first point the check draws
+    # from `stream`, a pole of tau(t); the check must draw again
+    q, seed, (k1, k2) = 1.45, 11, (1.2, 0.8)
+    t0 = complex(sample_annulus(DeformationContext(q=q, seed=seed).rng(stream), 1)[0])
+    cfg = tmp_path / "root.cfg"
+    cfg.write_text(f"N = 2\nL = 1\nq = {q}\nz = {t0 * (k1 * q - k2) / (k1 / q - k2)!r}\n"
+                   f"kappa = {k1}, {k2}\nseed = {seed}\n")
+    code, report = run([command, "--config", str(cfg)])
+    assert code == 0
+    assert all(not c.error for c in report.checks)
+
+
 def test_each_sector_solved_once_under_the_pool(tmp_path, monkeypatch, capsys):
     solved = []
     original = cli.solve_bethe

@@ -26,12 +26,11 @@ from bethelab import (
     zero_modes,
 )
 from bethelab import repcore
-from bethelab.context import POLE_MARGIN
-from bethelab.repcore import (_point_coefficients, _r_coefficients, _zero_mode_coefficients,
-                              permutation_operator, pole_distance, weight_basis,
-                              zero_mode_residuals)
+from bethelab.repcore import (_point_coefficients, _zero_mode_coefficients,
+                              permutation_operator, weight_basis, zero_mode_residuals)
 
-from conftest import dense_monodromy, dense_zero_modes, make_chain, separated_points
+from conftest import (dense_monodromy, dense_zero_modes, make_chain, pole_free_factor,
+                      separated_points)
 
 
 def slow_embed(op, N, L, site):
@@ -62,6 +61,8 @@ def slow_embed(op, N, L, site):
 
 
 def slow_monodromy(chain, t):
+    """The normalized T(t), a product of dense embedded `r_matrix` factors
+    (1 on the diagonal); the kernel's T(t) is `pole_free_factor` times it."""
     N, L, d = chain.N, chain.L, chain.dim
     full = np.kron(np.diag(chain.kappa), np.eye(d)).astype(complex)
     for site in range(L, 0, -1):
@@ -70,8 +71,9 @@ def slow_monodromy(chain, t):
 
 
 def slow_rll_residual(chain, u, v):
-    """The exchange relation from four dense (N^2, N^2, d, d) products: the
-    reference for the probe-vector check in `rll_residual`."""
+    """The exchange relation from four dense (N^2, N^2, d, d) products, with
+    the normalized `r_matrix` on the auxiliary legs: the reference for the
+    probe-vector check in `rll_residual`."""
     N, d = chain.N, chain.dim
     Tu = monodromy(chain, u).dense()
     Tv = monodromy(chain, v).dense()
@@ -157,23 +159,6 @@ def test_r_matrix_pole(ctx):
         r_matrix(v / q ** 2, v, 2, ctx)
 
 
-def test_pole_distance_is_where_the_r_matrix_guard_raises(ctx, rng):
-    chain = make_chain(2, 3, ctx, rng)
-    q = ctx.q
-    v = np.zeros(chain.dim, dtype=complex)
-    v[0] = 1.0
-    for rel, near in ((0.5, True), (3.0, False)):
-        t = chain.z[1] / q ** 2 * (1 + rel * POLE_MARGIN)
-        assert (pole_distance(chain, t) <= POLE_MARGIN) == near
-        if near:
-            with pytest.raises(PoleError):
-                entry_apply(chain, t, 1, 2, v)
-        else:
-            entry_apply(chain, t, 1, 2, v)
-    empty = ChainSpec(N=2, L=0, z=(), kappa=(1.0, 2.0), ctx=ctx)
-    assert pole_distance(empty, 0.7) == np.inf
-
-
 def test_yang_baxter_random_points(ctx, rng):
     for N in (2, 3, 4):
         for _ in range(5):
@@ -200,7 +185,7 @@ def test_monodromy_matches_slow_assembly(ctx, rng, N, L):
     chain = make_chain(N, L, ctx, rng)
     t = 1.4 + 0.8j
     fast = monodromy(chain, t).dense()
-    slow = slow_monodromy(chain, t)
+    slow = pole_free_factor(chain, t) * slow_monodromy(chain, t)
     assert np.max(np.abs(fast - slow)) < 1e-13
 
 
@@ -209,7 +194,7 @@ def test_apply_monodromy_matches_dense_blocks(ctx, rng, monkeypatch, N, L):
     chain = make_chain(N, L, ctx, rng)
     d = chain.dim
     t = 1.4 + 0.8j
-    coeffs = [_r_coefficients(t, zl, ctx) for zl in chain.z]
+    coeffs = _point_coefficients(chain, t)
     blocks = monodromy(chain, t).dense()
     for B in (1, 3):
         X = random_batch(rng, (N, d, B))
@@ -264,10 +249,52 @@ def test_apply_monodromy_matches_dense_blocks(ctx, rng, monkeypatch, N, L):
                     assert np.all(Y[i] == 0)
 
 
+def _clear_of_poles(chain, rng):
+    """An annulus point at relative distance > 0.1 from every z_l/q^2."""
+    q = chain.ctx.q
+    while True:
+        t = complex(sample_annulus(rng, 1)[0])
+        if all(abs(q * t - zl / q) > 0.1 * max(abs(t), abs(zl)) for zl in chain.z):
+            return t
+
+
+@pytest.mark.parametrize("N,L", [(2, 3), (3, 2), (2, 8)])
+def test_every_monodromy_routine_is_the_pole_free_factor_times_the_normalized_one(
+        ctx, rng, N, L):
+    chain = make_chain(N, L, ctx, rng)
+    omega, lambdas = vacuum_data(chain)
+    v = random_batch(rng, chain.dim)
+    t = _clear_of_poles(chain, rng)
+    normalized = slow_monodromy(chain, t)
+    want = pole_free_factor(chain, t) * normalized
+    got = monodromy(chain, t).dense()
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    Tv = sum(want[i, i] for i in range(N)) @ v
+    assert np.max(np.abs(transfer_apply(chain, t, v) - Tv)) <= 1e-13 * np.max(np.abs(Tv))
+    Ev = want[0, N - 1] @ v
+    assert np.max(np.abs(entry_apply(chain, t, 1, N, v) - Ev)) <= 1e-13 * np.max(np.abs(Ev))
+    for i in range(N):
+        lam = pole_free_factor(chain, t) * (normalized[i, i] @ omega)[0]
+        assert abs(lambdas[i](t) - lam) <= 1e-13 * abs(lam)
+
+
+def test_every_monodromy_routine_is_finite_on_an_r_matrix_pole(ctx, rng):
+    chain = make_chain(3, 2, ctx, rng)
+    t = chain.z[0] / ctx.q ** 2
+    with pytest.raises(PoleError):
+        r_matrix(t, chain.z[0], chain.N, ctx)
+    v = random_batch(rng, chain.dim)
+    _, lambdas = vacuum_data(chain)
+    assert np.all(np.isfinite(monodromy(chain, t).dense()))
+    assert np.all(np.isfinite(transfer_apply(chain, t, v)))
+    assert np.all(np.isfinite(entry_apply(chain, t, 1, 2, v)))
+    assert all(np.isfinite(lam(t)) for lam in lambdas)
+
+
 def test_rank2_transfer_trace_against_direct_assembly(ctx, rng):
     chain = make_chain(2, 1, ctx, rng)
     t = 0.8 - 0.3j
-    direct = slow_monodromy(chain, t)
+    direct = pole_free_factor(chain, t) * slow_monodromy(chain, t)
     tr = transfer(chain, t).dense()
     assert np.allclose(tr, direct[0, 0] + direct[1, 1])
 
@@ -291,18 +318,20 @@ def test_rll_residual_matches_dense_products(ctx, rng, N, L):
 def _deform_r(monkeypatch):
     # b -> b (1 + u / 10) breaks the Yang-Baxter equation, and with it the
     # exchange relation, commutativity and the vacuum eigenvalues
-    exact = repcore._r_coefficients
+    exact = repcore._r_polynomial
 
-    def deformed(u, v, ctx):
-        b, cu, cv = exact(u, v, ctx)
-        return b * (1 + u / 10), cu, cv
+    def deformed(u, v, q):
+        a, b, cu, cv = exact(u, v, q)
+        return a, b * (1 + u / 10), cu, cv
 
-    monkeypatch.setattr(repcore, "_r_coefficients", deformed)
+    monkeypatch.setattr(repcore, "_r_polynomial", deformed)
 
 
 def _swap_r_arguments(monkeypatch):
-    exact = repcore.r_matrix
-    monkeypatch.setattr(repcore, "r_matrix", lambda u, v, N, ctx: exact(v, u, N, ctx))
+    # in the auxiliary R of the exchange relation, dense and pole-free alike
+    for name in ("r_matrix", "_r_dense"):
+        exact = getattr(repcore, name)
+        monkeypatch.setattr(repcore, name, lambda u, v, N, q, exact=exact: exact(v, u, N, q))
 
 
 def _perturb_vacuum(monkeypatch):
@@ -387,7 +416,8 @@ def test_vacuum_single_site_eigenvalue(ctx, rng):
     t = 1.9 + 0.2j
     T = monodromy(chain, t)
     omega, lambdas = vacuum_data(chain)
-    want = chain.kappa[1] * (t - z) / (q * t - z / q)
+    assert abs(lambdas[0](t) - chain.kappa[0] * (q * t - z / q)) < 1e-13
+    want = chain.kappa[1] * (t - z)
     assert abs(lambdas[1](t) - want) < 1e-13
     assert np.linalg.norm(T.entry(2, 2).dense() @ omega - want * omega) < 1e-13
 
@@ -439,8 +469,9 @@ def test_zero_modes_triangular_and_match_limits(ctx, rng):
                 assert np.max(np.abs(plus.entry(i, j).dense())) == 0.0
             if i < j:
                 assert np.max(np.abs(minus.entry(i, j).dense())) == 0.0
-    big = monodromy(chain, 1e8).dense()
-    small = monodromy(chain, 1e-8).dense()
+    # the limits are of the normalized T(t)
+    big = monodromy(chain, 1e8).dense() / pole_free_factor(chain, 1e8)
+    small = monodromy(chain, 1e-8).dense() / pole_free_factor(chain, 1e-8)
     assert np.max(np.abs(plus.dense() - big)) < 1e-6
     assert np.max(np.abs(minus.dense() - small)) < 1e-6
 

@@ -12,10 +12,11 @@ from bethelab import (
     spectrum_reconcile,
     vacuum_data,
 )
-from bethelab import cli, on_shell_residuals
+from bethelab import cli, modified_vector, on_shell_residuals, unwanted_decomposition
 from bethelab.context import POLE_MARGIN
 from bethelab.solver import (MIN_SEPARATION, _admissible, _Homotopy, _solve, _start_points,
                              backward_errors, sector_multiplicity)
+from bethelab.vectors import UNWANTED_CAP
 
 from conftest import make_chain
 
@@ -275,8 +276,55 @@ def test_a_near_string_root_set_is_accepted_and_on_shell(near_string):
     assert len(result) == sector_multiplicity(10, (5,))
     assert backward_errors(chain, (5,), [params])[0] <= cli.SOLVE_TOL
     rng = chain.ctx.rng("near-string")
-    points = [cli._sample_clear_of_poles(rng, chain) for _ in range(5)]
+    points = [cli._sample_clear_of_roots(rng, params) for _ in range(5)]
     assert max(r for r, _ in on_shell_residuals(chain, params, points)) <= 1e-8
+
+
+@pytest.fixture(scope="module", params=[(1, (8,)), (18, (4,))],
+                ids=["seed1-sector8", "seed18-sector4"])
+def near_pole(request):
+    # N=2, L=10: the accepted root set whose type-1 root lies nearest an
+    # R-matrix pole z_l/q^2 (9.3e-4 and 3.6e-4 relative), where the homotopy
+    # starts every type-1 root; returns the chain, that root set, the root's
+    # index and the pole
+    seed, nbar = request.param
+    chain = cli.materialize(cli.RunConfig(N=2, L=10, seed=seed)).chains[0]
+    q, z = chain.ctx.q, np.array(chain.z)
+    best = None
+    for sol in solve_bethe(chain, nbar):
+        t = np.array(sol.params.values[0])
+        dist = np.abs(q * t[:, None] - z / q) / np.maximum(np.abs(t[:, None]), np.abs(z))
+        k, l = np.unravel_index(np.argmin(dist), dist.shape)
+        if best is None or dist[k, l] < best[0]:
+            best = dist[k, l], sol.params, int(k), z[l] / q ** 2
+    assert best[0] < POLE_MARGIN
+    return (chain,) + best[1:]
+
+
+def test_a_root_set_next_to_an_r_matrix_pole_is_on_shell(near_pole):
+    chain, params, _, _ = near_pole
+    assert np.all(np.isfinite(modified_vector(chain, params)))
+    rng = chain.ctx.rng("near-pole")
+    points = [cli._sample_clear_of_roots(rng, params) for _ in range(5)]
+    assert max(r for r, _ in on_shell_residuals(chain, params, points)) <= 1e-8
+    if params.nbar[0] <= UNWANTED_CAP:
+        rep = unwanted_decomposition(chain, params, points[0])
+        assert max(abs(c) / s for c, s in zip(rep.coefficients, rep.scales)) <= 1e-8
+
+
+def test_that_root_moved_onto_the_pole_fails_on_shell(near_pole):
+    # a planted non-root set: the near-pole root placed on the pole itself
+    chain, params, k, pole = near_pole
+    roots = list(params.values[0])
+    roots[k] = pole
+    planted = BetheParameterSet((tuple(roots),))
+    assert np.all(np.isfinite(modified_vector(chain, planted)))
+    rng = chain.ctx.rng("near-pole")
+    points = [cli._sample_clear_of_roots(rng, planted) for _ in range(5)]
+    assert min(r for r, _ in on_shell_residuals(chain, planted, points)) > 1e-8
+    if planted.nbar[0] <= UNWANTED_CAP:
+        rep = unwanted_decomposition(chain, planted, points[0])
+        assert max(abs(c) / s for c, s in zip(rep.coefficients, rep.scales)) > 1e-8
 
 
 def _moved(params, k, rel=1e-8):

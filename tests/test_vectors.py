@@ -5,10 +5,10 @@ import pytest
 
 from bethelab import (
     BetheParameterSet,
+    ChainSpec,
     DegenerateVectorError,
     DomainError,
     IllPosedDecompositionError,
-    PoleError,
     bethe_residual,
     is_admissible,
     modified_vector,
@@ -106,12 +106,15 @@ def test_weight_support_sweep(ctx, rng):
 
 
 @pytest.mark.parametrize("N", [2, 3])
-def test_a_type1_root_on_an_r_matrix_pole_raises(ctx, rng, N):
+def test_a_non_root_set_on_an_r_matrix_pole_fails_on_shell(ctx, rng, N):
+    # the pole-free monodromy builds a finite vector with a type-1 parameter
+    # on the pole z_1/q^2 of the normalized R; off shell, it is no eigenvector
     chain = make_chain(N, 3, ctx, rng)
     roots = (chain.z[0] / ctx.q ** 2, 0.9 + 0.3j)
     params = BetheParameterSet((roots,) + ((1.1 - 0.2j,),) * (N - 2))
-    with pytest.raises(PoleError):
-        nested_vector(chain, params)
+    assert np.all(np.isfinite(nested_vector(chain, params)))
+    residuals = on_shell_residuals(chain, params, sample_annulus(rng, 5))
+    assert min(resid for resid, _ in residuals) > 1e-3
 
 
 def test_inadmissible_sector_warns_and_vanishes(ctx, rng):
@@ -196,6 +199,25 @@ def test_random_parameters_are_not_eigenvectors(ctx, rng):
     assert hits >= 9
 
 
+def test_on_shell_and_unwanted_residuals_are_the_same_at_every_scale(ctx, rng):
+    # scaling z, the parameters and t by c scales the pole-free T(t) by c^L
+    # and the vectors by powers of c; residuals relative to both sides stay put
+    chain = make_chain(2, 4, ctx, rng)
+    c = 10.0
+    scaled = ChainSpec(N=2, L=4, z=tuple(c * z for z in chain.z), kappa=chain.kappa, ctx=ctx)
+    params = BetheParameterSet((tuple(separated_points(rng, 2)),))
+    t = complex(sample_annulus(rng, 1)[0])
+    [(resid, _)] = on_shell_residuals(chain, params, [t])
+    [(resid_c, _)] = on_shell_residuals(scaled, params.scaled(c), [c * t])
+    assert resid > 1e-3
+    assert abs(resid_c - resid) <= 1e-12 * resid
+    reps = (unwanted_decomposition(chain, params, t),
+            unwanted_decomposition(scaled, params.scaled(c), c * t))
+    vanishing = [[abs(cm) / s for cm, s in zip(rep.coefficients, rep.scales)] for rep in reps]
+    assert min(vanishing[0]) > 1e-3
+    assert np.allclose(vanishing[1], vanishing[0], rtol=1e-12, atol=0)
+
+
 def test_degenerate_vector_error(ctx, rng):
     chain = make_chain(2, 1, ctx, rng)
     params = BetheParameterSet((tuple(separated_points(rng, 2)),))
@@ -249,10 +271,10 @@ def test_unwanted_single_root_tracks_bethe_residual(ctx, rng):
     tstar = z * (kap1 / q - kap2) / (kap1 * q - kap2)
     t = complex(sample_annulus(rng, 1)[0])
     rep = unwanted_decomposition(chain, BetheParameterSet(((tstar,),)), t)
-    assert abs(rep.coefficients[0]) <= 1e-8 * rep.scale
+    assert abs(rep.coefficients[0]) <= 1e-8 * rep.scales[0]
     off = BetheParameterSet(((tstar * 1.15,),))
     rep_off = unwanted_decomposition(chain, off, t)
-    assert abs(rep_off.coefficients[0]) > 1e-3 * rep_off.scale
+    assert abs(rep_off.coefficients[0]) > 1e-3 * rep_off.scales[0]
     _, lambdas = vacuum_data(chain)
     assert abs(bethe_residual(1, 1, off, lambdas, ctx)) > 1e-3
 
@@ -275,8 +297,8 @@ def test_unwanted_on_shell_roots_vanish(ctx, rng):
     for sol in result:
         t = complex(sample_annulus(rng, 1)[0])
         rep = unwanted_decomposition(chain, sol.params, t)
-        assert max(abs(c) for c in rep.coefficients) <= 1e-8 * rep.scale
-        assert rep.remainder_norm <= 1e-8 * rep.scale
+        assert all(abs(c) <= 1e-8 * s for c, s in zip(rep.coefficients, rep.scales))
+        assert rep.remainder_norm <= 1e-8
 
 
 def test_unwanted_rank_deficient_when_sector_is_full(ctx, rng):
