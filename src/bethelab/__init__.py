@@ -40,14 +40,7 @@ from .kernels import (
     transfer_eigenvalue,
     transfer_eigenvalue_residue,
 )
-from .qsym import (
-    TypedFunction,
-    exchange_factor,
-    pi_action,
-    qsym,
-    qsym_values,
-    sym_weight,
-)
+from .qsym import exchange_factor, qsym_values, sym_weight
 from .repcore import (
     ChainSpec,
     GradedLOperator,

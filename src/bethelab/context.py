@@ -99,10 +99,5 @@ class BetheParameterSet:
     def value(self, a: int, j: int) -> complex:
         return self.values[a - 1][j - 1]
 
-    def replace_type(self, a: int, new_values) -> "BetheParameterSet":
-        vals = list(self.values)
-        vals[a - 1] = tuple(new_values)
-        return BetheParameterSet(tuple(vals))
-
     def scaled(self, c: complex) -> "BetheParameterSet":
         return BetheParameterSet(tuple(tuple(c * v for v in grp) for grp in self.values))

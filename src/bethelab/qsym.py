@@ -1,4 +1,4 @@
-"""Deformed permutation action and q-symmetrization of typed scalar functions.
+"""Deformed permutation weights and q-symmetrization of scalar functions.
 
 The elementary action on adjacent slots (i, i+1) multiplies by
 
@@ -13,10 +13,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .context import BetheParameterSet, DeformationContext
 from .errors import CapacityError, DomainError
 
 FACTORIAL_CAP = 7
@@ -45,33 +43,6 @@ def _inversions(n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], .
     return tuple((perm, tuple((l, lp) for l in range(n) for lp in range(l + 1, n)
                               if perm[l] > perm[lp]))
                  for perm in itertools.permutations(range(n)))
-
-
-def adjacent_swap_plan(perm: Sequence[int]) -> list[int]:
-    """Adjacent-swap positions that turn the identity arrangement into `perm`."""
-    cur = list(range(len(perm)))
-    plan = []
-    for target in range(len(perm)):
-        src = cur.index(perm[target])
-        for pos in range(src, target, -1):
-            cur[pos - 1], cur[pos] = cur[pos], cur[pos - 1]
-            plan.append(pos - 1)
-    return plan
-
-
-def composed_action_weight(perm: Sequence[int], values: Sequence[complex],
-                           q: complex) -> tuple[complex, list[complex]]:
-    """Weight and rearranged values obtained by composing elementary swaps.
-
-    Must agree with sym_weight for every decomposition; the factor at each
-    step is taken from the arrangement current at that step.
-    """
-    vals = list(values)
-    w = 1.0 + 0j
-    for pos in adjacent_swap_plan(perm):
-        w *= exchange_factor(vals[pos], vals[pos + 1], q)
-        vals[pos], vals[pos + 1] = vals[pos + 1], vals[pos]
-    return w, vals
 
 
 def qsym_values(fn: Callable[..., complex], values: Sequence[complex], q: complex) -> complex:
@@ -107,64 +78,6 @@ def shuffle_permutations(n: int, s: int):
     for comb in itertools.combinations(range(n), s):
         rest = [x for x in range(n) if x not in comb]
         yield tuple(comb) + tuple(rest)
-
-
-@dataclass(frozen=True)
-class TypedFunction:
-    """Scalar function of a typed parameter set with a fixed layout."""
-
-    layout: tuple[int, ...]
-    fn: Callable[[BetheParameterSet], complex]
-
-    def __call__(self, params: BetheParameterSet) -> complex:
-        if params.nbar != self.layout:
-            raise DomainError(f"layout mismatch: expected {self.layout}, got {params.nbar}")
-        return complex(self.fn(params))
-
-
-def pi_action(G: TypedFunction, type_index: int, perm: Sequence[int],
-              ctx: DeformationContext) -> TypedFunction:
-    """Action of a single-type permutation, built from elementary swaps.
-
-    perm is 0-based over the slots of `type_index`; slots of other types are
-    untouched. The composed weight is independent of the decomposition.
-    """
-    if not (1 <= type_index <= len(G.layout)):
-        raise DomainError(f"type index {type_index} outside layout {G.layout}")
-    n = G.layout[type_index - 1]
-    if sorted(perm) != list(range(n)):
-        raise DomainError(f"not a permutation of {n} slots: {perm}")
-    perm = tuple(perm)
-
-    def evaluate(params: BetheParameterSet) -> complex:
-        vals = params.type_values(type_index)
-        w, rearranged = composed_action_weight(perm, vals, ctx.q)
-        return w * G(params.replace_type(type_index, rearranged))
-
-    return TypedFunction(layout=G.layout, fn=evaluate)
-
-
-def qsym(G: TypedFunction, ctx: DeformationContext) -> TypedFunction:
-    """Group average over the direct product of per-type permutation groups."""
-    for n in G.layout:
-        if n > FACTORIAL_CAP:
-            raise CapacityError(f"type count {n} exceeds cap {FACTORIAL_CAP}")
-
-    def evaluate(params: BetheParameterSet) -> complex:
-        groups = [list(itertools.permutations(range(n))) for n in G.layout]
-        tot = 0.0 + 0j
-        for combo in itertools.product(*groups):
-            w = 1.0 + 0j
-            new_values = []
-            for a, perm in enumerate(combo, start=1):
-                vals = params.type_values(a)
-                w *= sym_weight(perm, vals, ctx.q)
-                new_values.append(tuple(vals[p] for p in perm))
-            tot += w * G(BetheParameterSet(tuple(new_values)))
-        norm = math.prod(math.factorial(n) for n in G.layout)
-        return tot / norm
-
-    return TypedFunction(layout=G.layout, fn=evaluate)
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,15 @@ a Newton corrector on the analytic Jacobian and a step size per path.
 
 These cleared equations are the only form of the Bethe equations here.
 Each endpoint gets POLISH_STEPS Newton steps on H at s = 1 and is accepted
-when the backward error |A - eps_a B| / (|A| + |eps_a B|) of every equation
-is below TOL_ROOT: the relative change of the two sides that makes the
-point an exact root. It has no pole where two roots of a type form a
-near-string t_j ~ q^2 t_k, so such genuine root sets are kept. A path
-that is lost, or whose endpoint is rejected or coincides with another
-one, is tracked once more along a complex detour s = tau + gamma tau (1 - tau)
-(the gamma trick), gamma drawn from the `solve_bethe:{nbar}` stream. Root
-sets still missing after that are a reported shortfall, never filled in.
+when the backward error |A - eps_a B| / (|A| + |eps_a B|) of every
+equation, taken at the roots it returns, is below TOL_ROOT: the relative
+change of the two sides that makes the point an exact root. It has no pole
+where two roots of a type form a near-string t_j ~ q^2 t_k, so such
+genuine root sets are kept. A path that is lost, or whose endpoint is
+rejected or coincides with another one, is tracked once more along a
+complex detour s = tau + gamma tau (1 - tau) (the gamma trick), gamma drawn
+from the `solve_bethe:{nbar}` stream. Root sets still missing after that are
+a reported shortfall, never filled in.
 Everything is deterministic given (chain, sector, seed).
 """
 from __future__ import annotations
@@ -65,7 +66,6 @@ MIN_SEPARATION = 1e-6        # relative distance of two roots of one type
 @dataclass(frozen=True)
 class BetheSolution:
     params: BetheParameterSet
-    jacobian_condition: float
     multiplicity_key: tuple[tuple[tuple[float, float], ...], ...]
 
 
@@ -238,7 +238,7 @@ def solve_bethe(chain: ChainSpec, nbar, opts=None) -> SolveResult:
     M = sum(nbar)
     if M == 0:
         empty = BetheParameterSet(tuple(() for _ in nbar))
-        sol = BetheSolution(empty, 1.0, _canonical_key([[] for _ in nbar]))
+        sol = BetheSolution(empty, _canonical_key([[] for _ in nbar]))
         return SolveResult([sol], attempts=0, converged=1)
 
     hom, scale = _unit_homotopy(chain, nbar)
@@ -260,17 +260,16 @@ def solve_bethe(chain: ChainSpec, nbar, opts=None) -> SolveResult:
             for _ in range(POLISH_STEPS):
                 H, J, _ = hom.evaluate(x, ones)
                 x = x - _solve(J, H)
-            err = hom.backward_error(x)
+            # the roots as returned, measured as `backward_errors` measures them
+            roots = x * scale
+            err = hom.backward_error(roots / scale)
         good = np.all(err < TOL_ROOT, axis=1)
         result.converged += int(np.sum(good))
-        admissible = _admissible(x * scale, cuts, chain)
+        admissible = _admissible(roots, cuts, chain)
         result.inadmissible += int(np.sum(good & ~admissible))
         reached = np.flatnonzero(good & admissible)
-        # the condition of the Jacobian with every row scaled to unit size
-        J = hom.evaluate(x[reached], ones[reached])[1]
-        cond = np.linalg.cond(J / np.max(np.abs(J), axis=-1, keepdims=True))
         done = np.zeros(len(x), dtype=bool)
-        for p, c in zip(reached, cond):
+        for p in reached:
             # a root set that two first-pass paths reach is retried from
             # both, since nothing tells which of them jumped
             rivals = kept if detour else x[reached[reached != p]]
@@ -278,9 +277,9 @@ def solve_bethe(chain: ChainSpec, nbar, opts=None) -> SolveResult:
                 continue
             done[p] = True
             kept = np.vstack([kept, x[p]])
-            groups = [[complex(v) for v in g] for g in np.split(x[p] * scale, cuts)]
+            groups = [[complex(v) for v in g] for g in np.split(roots[p], cuts)]
             result.solutions.append(BetheSolution(
-                BetheParameterSet(tuple(map(tuple, groups))), float(c), _canonical_key(groups)))
+                BetheParameterSet(tuple(map(tuple, groups))), _canonical_key(groups)))
         todo = todo[~done]
     result.solutions.sort(key=lambda s: s.multiplicity_key)
     return result

@@ -90,7 +90,7 @@ def test_tau_residue_on_solver_roots(ctx, rng):
     for j in (1, 2):
         resid, scale = transfer_eigenvalue_residue(lambdas, params, 1, j, ctx)
         assert resid <= 1e-8 * scale
-    moved = params.replace_type(1, (params.value(1, 1) * 1.01, params.value(1, 2)))
+    moved = BetheParameterSet(((params.value(1, 1) * 1.01, params.value(1, 2)),))
     resid, scale = transfer_eigenvalue_residue(lambdas, moved, 1, 1, ctx)
     assert resid >= 1e-4 * scale
 

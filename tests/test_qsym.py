@@ -7,21 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bethelab import (
-    BetheParameterSet,
-    CapacityError,
-    DeformationContext,
-    DomainError,
-    TypedFunction,
-    exchange_factor,
-    pi_action,
-    qsym,
-    qsym_values,
-    sym_weight,
-)
+from bethelab import CapacityError, exchange_factor, qsym_values, sym_weight
 from bethelab.qsym import (
-    adjacent_swap_plan,
-    composed_action_weight,
     cyclic_identity_sides,
     decomposition_sides,
     partial_qsym_values,
@@ -53,98 +40,69 @@ def test_exchange_factor_involution(rng):
     assert abs(exchange_factor(x, y, q) * exchange_factor(y, x, q) - 1) < TOL
 
 
-def test_pi_identity_is_noop(ctx):
-    G = TypedFunction((2,), lambda p: p.value(1, 1) ** 2 / p.value(1, 2))
-    params = BetheParameterSet(((0.7, 1.8),))
-    acted = pi_action(G, 1, (0, 1), ctx)
-    assert abs(acted(params) - G(params)) < TOL
+def _swap_plans(perm):
+    """Two adjacent-swap sequences that turn the identity arrangement into
+    `perm`: one places the slots left to right, the other right to left."""
+    n = len(perm)
+    plans = []
+    for order in (range(n), reversed(range(n))):
+        cur, plan = list(range(n)), []
+        for target in order:
+            src = cur.index(perm[target])
+            step = 1 if src < target else -1
+            for pos in range(src, target, step):
+                lo = min(pos, pos + step)
+                cur[lo], cur[lo + 1] = cur[lo + 1], cur[lo]
+                plan.append(lo)
+        assert tuple(cur) == tuple(perm)
+        plans.append(plan)
+    return plans
 
 
-def test_pi_elementary_hand_value():
-    ctx = DeformationContext(q=1.5)
-    G = TypedFunction((2,), lambda p: 1.0 + 0j)
-    acted = pi_action(G, 1, (1, 0), ctx)
-    got = acted(BetheParameterSet(((1.0, 2.0),)))
-    assert abs(got - (-1 / 14)) < TOL
-
-
-def test_pi_squares_to_identity(ctx, rng):
-    G = TypedFunction((3,), lambda p: poly(*p.type_values(1)))
-    params = BetheParameterSet((tuple(separated_points(rng, 3)),))
-    swap = (1, 0, 2)
-    acted = pi_action(pi_action(G, 1, swap, ctx), 1, swap, ctx)
-    assert abs(acted(params) - G(params)) / abs(G(params)) < 1e-10
-
-
-def test_pi_rejects_cross_type_permutation(ctx):
-    G = TypedFunction((2, 1), lambda p: 1.0 + 0j)
-    with pytest.raises(DomainError):
-        pi_action(G, 3, (0,), ctx)
-    with pytest.raises(DomainError):
-        pi_action(G, 1, (0, 0), ctx)
+def _composed_weight(plan, values, q):
+    """Weight and rearranged values of a sequence of elementary swaps, each
+    factor taken from the arrangement current at its step."""
+    vals = list(values)
+    w = 1.0 + 0j
+    for pos in plan:
+        w *= exchange_factor(vals[pos], vals[pos + 1], q)
+        vals[pos], vals[pos + 1] = vals[pos + 1], vals[pos]
+    return w, vals
 
 
 def test_composed_weight_matches_inversion_formula(ctx, rng):
-    # path independence: the adjacent-swap construction must reproduce the
-    # closed inversion-pair weight for every permutation
+    # path independence: composing elementary swaps along either plan must
+    # reproduce the closed inversion-pair weight for every permutation
     q = ctx.q
     for n in (2, 3, 4):
         vals = separated_points(rng, n)
         for perm in itertools.permutations(range(n)):
-            w_plan, rearranged = composed_action_weight(perm, vals, q)
             w_closed = sym_weight(perm, vals, q)
-            assert abs(w_plan - w_closed) / abs(w_closed) < 1e-10
-            assert rearranged == [vals[p] for p in perm]
-
-
-def test_adjacent_swap_plan_realizes_permutation():
-    for perm in itertools.permutations(range(4)):
-        cur = list(range(4))
-        for pos in adjacent_swap_plan(perm):
-            cur[pos], cur[pos + 1] = cur[pos + 1], cur[pos]
-        assert tuple(cur) == perm
-
-
-def test_qsym_single_variable_unchanged(ctx):
-    G = TypedFunction((1, 1), lambda p: p.value(1, 1) * p.value(2, 1) ** 2)
-    params = BetheParameterSet(((0.8,), (1.4,)))
-    assert abs(qsym(G, ctx)(params) - G(params)) < TOL
+            for plan in _swap_plans(perm):
+                w_plan, rearranged = _composed_weight(plan, vals, q)
+                assert abs(w_plan - w_closed) / abs(w_closed) < 1e-10
+                assert rearranged == [vals[p] for p in perm]
 
 
 def test_qsym_hand_value():
     # q = 1.5, G = t_1, points (1, 2): (1/2)(1 + (-1/14) * 2) = 3/7
-    ctx = DeformationContext(q=1.5)
     got = qsym_values(lambda *t: t[0], (1.0, 2.0), 1.5)
     assert abs(got - 3 / 7) < TOL
-    G = TypedFunction((2,), lambda p: p.value(1, 1))
-    got2 = qsym(G, ctx)(BetheParameterSet(((1.0, 2.0),)))
-    assert abs(got2 - 3 / 7) < TOL
-
-
-def test_qsym_idempotent_multi_type(ctx, rng):
-    layout = (2, 2)
-    G = TypedFunction(layout, lambda p: poly(*(p.type_values(1) + p.type_values(2))))
-    params = BetheParameterSet((tuple(separated_points(rng, 2)),
-                                tuple(separated_points(rng, 2))))
-    once = qsym(G, ctx)(params)
-    twice = qsym(qsym(G, ctx), ctx)(params)
-    assert abs(once - twice) / abs(once) < 1e-10
 
 
 def test_qsym_output_is_invariant_under_pi(ctx, rng):
-    G = TypedFunction((3,), lambda p: poly(*p.type_values(1)))
-    params = BetheParameterSet((tuple(separated_points(rng, 3)),))
-    sym = qsym(G, ctx)
-    base = sym(params)
+    # q-symmetry: acting with sigma on the average, weight sym_weight(sigma, t)
+    # times the average at sigma t, gives the average back
+    vals = separated_points(rng, 3)
+    base = qsym_values(poly, vals, ctx.q)
     for perm in itertools.permutations(range(3)):
-        acted = pi_action(sym, 1, perm, ctx)(params)
+        acted = sym_weight(perm, vals, ctx.q) * qsym_values(poly, [vals[p] for p in perm], ctx.q)
         assert abs(acted - base) / abs(base) < 1e-10
 
 
 def test_qsym_capacity_cap(ctx):
-    G = TypedFunction((8,), lambda p: 1.0 + 0j)
     with pytest.raises(CapacityError):
-        qsym(G, ctx)
+        qsym_values(lambda *t: 1.0 + 0j, [float(k) for k in range(1, 9)], ctx.q)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

@@ -12,10 +12,11 @@ from bethelab import (
     spectrum_reconcile,
     vacuum_data,
 )
-from bethelab import cli, modified_vector, on_shell_residuals, unwanted_decomposition
+from bethelab import cli, modified_vector, on_shell_residuals, solver, unwanted_decomposition
 from bethelab.context import POLE_MARGIN
-from bethelab.solver import (MIN_SEPARATION, _admissible, _Homotopy, _solve, _start_points,
-                             backward_errors, sector_multiplicity)
+from bethelab.solver import (MIN_SEPARATION, POLISH_STEPS, _admissible, _Homotopy, _solve,
+                             _start_points, _unit_homotopy, backward_errors,
+                             sector_multiplicity)
 from bethelab.vectors import UNWANTED_CAP
 
 from conftest import make_chain
@@ -52,7 +53,6 @@ def test_solutions_satisfy_equations_and_margins(ctx, rng):
     result = solve_bethe(chain, (2,))
     assert len(result) == 3
     for sol in result:
-        assert np.isfinite(sol.jacobian_condition)
         for i in range(1, chain.N):
             for j in range(1, sol.params.nbar[i - 1] + 1):
                 assert abs(bethe_residual(i, j, sol.params, lambdas, ctx)) < 1e-10
@@ -241,6 +241,31 @@ def test_a_shortfall_is_reported_not_filled(ctx, rng, monkeypatch):
     assert len(result) == 0
     assert result.attempts == 12
     assert result.converged == 0
+
+
+def test_accepted_root_sets_pass_their_own_backward_error(ctx, rng, monkeypatch):
+    # the unit-scaled endpoint x and the stored roots (x * scale) / scale
+    # differ in the last bits; plant TOL_ROOT at the stored error of an
+    # endpoint whose unit-scaled error is below it, so accepting on x would
+    # return a root set that fails `backward_errors < TOL_ROOT`
+    chain = make_chain(2, 5, ctx, rng)
+    planted = 0
+    for nbar in ((3,), (4,)):
+        hom, scale = _unit_homotopy(chain, nbar)
+        starts = _start_points(nbar, hom.sites, ctx.q)
+        x = hom.track(starts, np.zeros(len(starts)))
+        for _ in range(POLISH_STEPS):
+            H, J, _ = hom.evaluate(x, np.ones(len(x)))
+            x = x - _solve(J, H)
+        unit = np.max(hom.backward_error(x), axis=1)
+        stored = np.max(hom.backward_error(x * scale / scale), axis=1)
+        for tol in stored[unit < stored]:
+            planted += 1
+            monkeypatch.setattr(solver, "TOL_ROOT", tol)
+            roots = [sol.params for sol in solve_bethe(chain, nbar)]
+            assert roots
+            assert np.all(backward_errors(chain, nbar, roots) < tol)
+    assert planted
 
 
 def test_nested_spectrum_at_n3l3_seed7(tmp_path, capsys):
