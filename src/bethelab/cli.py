@@ -16,13 +16,14 @@ Config files are flat ``key = value`` text; ``#`` starts a comment. Keys:
 Any other key is a configuration error. Command-line flags override file
 values.
 
-`_run_checks` solves every sector the checks declare, once each, and then
-runs the checks serially on the calling thread, in the order the suite
-builders return them. Each check's thunk yields one residual per random
-draw; `_run_checks` reduces them to the check's residual (the largest, NaN
-if any is NaN) and compares it with the tolerance. Exit codes: 0 all checks
-passed, 1 at least one tolerance failure, 2 invalid configuration or
-capacity cap.
+`_run_checks` runs every stage the checks declare (a sector's solve, a
+chain's Gauss pass), once each, and then runs the checks serially on the
+calling thread, in the order the suite builders return them. Each check's
+thunk yields one residual per random draw; `_run_checks` reduces them to
+the check's residual (the largest, NaN if any is NaN) and compares it with
+the tolerance. Exit codes: 0 all checks
+passed, 1 at least one tolerance failure, 2 invalid configuration (a sector
+listed twice, an inadmissible sector, no suite) or capacity cap.
 """
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ from .repcore import (ChainSpec, monodromy, permutation_operator, r_matrix, rll_
                       transfer, transfer_commutator_residual, vacuum_data, vacuum_residuals,
                       yang_baxter_residual, zero_mode_residuals)
 from .report import CheckRecord, Report, encode_complex, inputs_digest
-from .solver import (SolveResult, admissible_sectors, backward_errors, sector_multiplicity,
+from .solver import (admissible_sectors, backward_errors, sector_multiplicity,
                      solve_bethe, spectrum_reconcile)
 from .vectors import (UNWANTED_CAP, expected_occupancy, is_admissible, on_shell_residuals,
                       unwanted_decomposition)
@@ -214,7 +215,13 @@ def materialize(cfg: RunConfig) -> Materialized:
                 raise ConfigError(f"bad sector {part!r}") from exc
             if len(nbar) != cfg.N - 1:
                 raise ConfigError(f"sector {nbar} needs {cfg.N - 1} entries")
+            if not is_admissible(chains[0], nbar):
+                raise ConfigError(f"inadmissible sector {nbar} for L={cfg.L}")
+            if nbar in sectors:
+                raise ConfigError(f"sector {nbar} listed twice")
             sectors.append(nbar)
+    if not cfg.suites:
+        raise ConfigError("suites names no suite")
     return Materialized(ctx=ctx, chains=chains, sectors=sectors,
                         tol_identity=cfg.tol_identity)
 
@@ -223,43 +230,43 @@ def materialize(cfg: RunConfig) -> Materialized:
 # checks
 
 
-Sector = tuple[ChainSpec, tuple[int, ...]]
-
-
 @dataclass
 class Check:
     check_id: str
     anchor: str
     tolerance: float
     inputs: dict
-    # called with the solve results of `sectors`, in order; yields one
-    # residual per draw, which `_run_checks` reduces to the check's residual
+    # called with the results of `stages`, in order; yields one residual per
+    # draw, which `_run_checks` reduces to the check's residual
     thunk: Callable[..., Iterable[float]]
-    sectors: tuple[Sector, ...] = ()
+    # hashable (function, *args) calls such as (solve_bethe, chain, nbar)
+    stages: tuple[tuple, ...] = ()
 
 
 def _run_checks(checks: list[Check], workers: int) -> list[CheckRecord]:
-    """Solve each declared sector once, then run the checks one after the
-    other, in order; a failed solve fails the checks that declared its
-    sector. No check's wall time includes a solve. `workers` is ignored: it
-    is kept only for the benchmark's wrapper, which passes it positionally.
+    """Run each distinct declared stage once, then the checks one after the
+    other, in order; a stage that raises a BetheLabError fails exactly the
+    checks that declared it. No check's wall time includes a stage.
+    `workers` is ignored: it is kept only for the benchmark's wrapper, which
+    passes it positionally.
 
     A check's residual is the largest value its thunk yields (0.0 when it
     yields none), and NaN, which fails the check, when any yielded value is
     NaN: a plain running max would drop the NaN, since ``max(0.0, nan)`` is
     0.0."""
-    solved: dict[Sector, SolveResult | BetheLabError] = {}
+    done: dict[tuple, object] = {}
     for check in checks:
-        for chain, nbar in check.sectors:
-            if (chain, nbar) not in solved:
+        for stage in check.stages:
+            if stage not in done:
+                function, *args = stage
                 try:
-                    solved[chain, nbar] = solve_bethe(chain, nbar)
+                    done[stage] = function(*args)
                 except BetheLabError as exc:
-                    solved[chain, nbar] = exc
+                    done[stage] = exc
 
     def run_one(check: Check) -> CheckRecord:
         start = time.perf_counter()
-        results = [solved[key] for key in check.sectors]
+        results = [done[stage] for stage in check.stages]
         error = next((r for r in results if isinstance(r, BetheLabError)), None)
         residual = float("inf")
         if error is None:
@@ -407,30 +414,29 @@ def suite_gauss(mat: Materialized) -> list[Check]:
     checks = []
     for c, chain in enumerate(mat.chains):
         inputs = _chain_inputs(chain)
-        identities = [(kind, pairs) for kind in IDENTITY_ANCHORS
-                      if (pairs := _identity_indices(kind, chain.N))]
-        # run by the first gauss check of the chain, replayed by the others
-        gauss_pass = functools.cache(functools.partial(_gauss_pass, chain, c, identities))
+        identities = tuple((kind, pairs) for kind in IDENTITY_ANCHORS
+                           if (pairs := _identity_indices(kind, chain.N)))
+        stage = (_gauss_pass, chain, c, identities)
         specs = [("reconstruction", "L = (1 + F) . k . (1 + E)", 1e-10),
                  ("normal-order-transfer",
                   "trace T = sum_i ( k_i + sum_{j>i} F_{j,i} k_j E_{i,j} )", 1e-10),
                  *((kind.value, IDENTITY_ANCHORS[kind], 1e-9) for kind, _ in identities)]
         for name, anchor, tolerance in specs:
             checks.append(Check(f"gauss/chain{c}/{name}", anchor, tolerance, inputs,
-                                functools.partial(_replay, gauss_pass, name)))
+                                functools.partial(_replay, name), (stage,)))
     return checks
 
 
 def _gauss_pass(chain: ChainSpec, c: int,
-                identities: list[tuple[CoordinateIdentity, list[tuple[int, int]]]]
+                identities: tuple[tuple[CoordinateIdentity, tuple[tuple[int, int], ...]], ...]
                 ) -> dict[str, tuple[list[float], BetheLabError | None]]:
-    """Every gauss check of chain `c` on one decomposition per point: at each
-    of 5 points drawn from the `gauss-recon:{c}` stream, build the monodromy
-    once, decompose it once, and evaluate the reconstruction, the
-    normal-ordered transfer and every coordinate identity on that one
-    `GaussData`. Returns, per check name, its residuals in draw order and the
-    error that stopped it (None if none). An error at a point stops every
-    check; a zero-mode error stops only the identity checks."""
+    """The stage of every gauss check of chain `c`: at each of 5 points drawn
+    from the `gauss-recon:{c}` stream, build the monodromy once, decompose it
+    once, and evaluate the reconstruction, the normal-ordered transfer and
+    every coordinate identity on that one `GaussData`. Returns, per check
+    name, its residuals in draw order and the error that stopped it (None if
+    none): a zero-mode error stops only the identity checks. An error at a
+    point propagates, and so fails every check of the chain."""
     residuals: dict[str, list[float]] = {
         name: [] for name in ("reconstruction", "normal-order-transfer",
                               *(kind.value for kind, _ in identities))}
@@ -442,40 +448,36 @@ def _gauss_pass(chain: ChainSpec, c: int,
         except BetheLabError as exc:
             errors = dict.fromkeys((kind.value for kind, _ in identities), exc)
     rng = chain.ctx.rng(f"gauss-recon:{c}")
-    try:
-        for _ in range(5):
-            t = complex(sample_annulus(rng, 1)[0])
-            T = monodromy(chain, t)
-            data = gauss_decompose(T)
-            residuals["reconstruction"].append((data.reconstruct() - T).norm() / T.norm())
-            # drop each grid once read: `transfer` and the next point build their
-            # own (peak RSS 202 -> 177 MB at N=3, L=7)
-            del T
-            residuals["normal-order-transfer"].append(normal_order_transfer_residual(chain, data))
-            if zm is not None:
-                for kind, pairs in identities:
-                    residuals[kind.value].extend(
-                        coordinate_identity_residual(kind, ij, data, zm) for ij in pairs)
-            del data
-    except BetheLabError as exc:
-        # an identity check stopped by its zero modes reports that error
-        errors = dict.fromkeys(residuals, exc) | errors
+    for _ in range(5):
+        t = complex(sample_annulus(rng, 1)[0])
+        T = monodromy(chain, t)
+        data = gauss_decompose(T)
+        residuals["reconstruction"].append((data.reconstruct() - T).norm() / T.norm())
+        # drop each grid once read: `transfer` and the next point build their
+        # own (peak RSS 202 -> 177 MB at N=3, L=7)
+        del T
+        residuals["normal-order-transfer"].append(normal_order_transfer_residual(chain, data))
+        if zm is not None:
+            for kind, pairs in identities:
+                residuals[kind.value].extend(
+                    coordinate_identity_residual(kind, ij, data, zm) for ij in pairs)
+        del data
     return {name: (values, errors.get(name)) for name, values in residuals.items()}
 
 
-def _replay(gauss_pass: Callable[[], dict], name: str) -> Iterable[float]:
+def _replay(name: str, gauss_pass: dict) -> Iterable[float]:
     """Check `name`'s residuals from its chain's Gauss pass, then the error
     that stopped it, if any."""
-    values, error = gauss_pass()[name]
+    values, error = gauss_pass[name]
     yield from values
     if error is not None:
         raise error
 
 
-def _identity_indices(kind: CoordinateIdentity, N: int) -> list[tuple[int, int]]:
+def _identity_indices(kind: CoordinateIdentity, N: int) -> tuple[tuple[int, int], ...]:
     if kind is CoordinateIdentity.CARTAN_SHIFT:
-        return [(i, 0) for i in range(1, N - 1)]
-    return [(i, j) for j in range(1, N + 1) for i in range(1, j - 1)]
+        return tuple((i, 0) for i in range(1, N - 1))
+    return tuple((i, j) for j in range(1, N + 1) for i in range(1, j - 1))
 
 
 # --- identities (scalar + qsym) ---
@@ -635,11 +637,9 @@ def suite_solve(mat: Materialized) -> list[Check]:
     checks = []
     for c, chain in enumerate(mat.chains):
         for nbar in mat.sectors:
-            if not is_admissible(chain, nbar):
-                continue
             inputs = {**_chain_inputs(chain), "sector": list(nbar)}
             sector_id = "-".join(map(str, nbar))
-            sector = ((chain, nbar),)
+            sector = ((solve_bethe, chain, nbar),)
 
             def solve_thunk(result, chain=chain, nbar=nbar):
                 yield from backward_errors(chain, nbar, [sol.params for sol in result])
@@ -661,11 +661,9 @@ def suite_verify(mat: Materialized) -> list[Check]:
     checks = []
     for c, chain in enumerate(mat.chains):
         for nbar in mat.sectors:
-            if not is_admissible(chain, nbar):
-                continue
             inputs = {**_chain_inputs(chain), "sector": list(nbar)}
             sector_id = "-".join(map(str, nbar))
-            sector = ((chain, nbar),)
+            sector = ((solve_bethe, chain, nbar),)
 
             def onshell_thunk(result, chain=chain, nbar=nbar, c=c):
                 rng = chain.ctx.rng(f"verify:{c}:{nbar}")
@@ -742,7 +740,7 @@ def suite_spectrum(mat: Materialized) -> list[Check]:
         checks.append(Check(f"spectrum/chain{c}",
                             "every weight-block eigenvalue matched exactly once",
                             0.5, inputs, spectrum_thunk,
-                            tuple((chain, nbar) for nbar in nbars)))
+                            tuple((solve_bethe, chain, nbar) for nbar in nbars)))
     return checks
 
 
@@ -781,7 +779,7 @@ def suite_offshell(mat: Materialized) -> list[Check]:
         checks.append(Check(f"offshell/chain{c}/on-shell-vanishing",
                             "unwanted coefficients vanish at solver roots",
                             1e-8, inputs, vanishing_thunk,
-                            tuple((chain, (n,)) for n in sizes)))
+                            tuple((solve_bethe, chain, (n,)) for n in sizes)))
     return checks
 
 

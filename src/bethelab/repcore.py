@@ -26,9 +26,11 @@ evaluation.
 
 Weight grading: every R-matrix factor keeps the colour counts of aux (x) site,
 so T_{i,j}(t) maps quantum weight nu to nu + e_j - e_i. The operator grids
-(`monodromy`, `zero_modes`) hold each T_{i,j} as one small matrix per weight,
-built site by site on the states of one total weight W = nu + e_aux at a time,
-and never hold a dim x dim block; `transfer` is the weight-preserving sum of
+(`monodromy`, `zero_modes`) hold each T_{i,j} as one small matrix per weight
+and never hold a dim x dim block. Each nonzero entry is one product of one
+R factor per site along the one path the auxiliary colour takes through the
+sites (`_paths`), so a grid is L gathers and products over the N (2N - 1)^L
+paths, scattered into its blocks; `transfer` is the weight-preserving sum of
 the diagonal entries. `.dense()` gives the dense view, for tests and small
 chains.
 
@@ -122,10 +124,6 @@ def weight_basis(N: int, L: int) -> dict[tuple[int, ...], np.ndarray]:
 
 def _shifted(nu: tuple[int, ...], shift: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a + b for a, b in zip(nu, shift))
-
-
-def _difference(nu: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a - b for a, b in zip(nu, mu))
 
 
 @dataclass(frozen=True)
@@ -359,65 +357,68 @@ def _zero_mode_coefficients(q: complex) -> tuple[tuple[complex, ...], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _weight_sectors(N: int, L: int) -> list[tuple[list, np.ndarray, list]]:
-    """The aux (x) quantum states of each total weight W, which every R-matrix
-    factor keeps: e_b (x) |x> for every aux b and every x of weight W - e_b,
-    aux-major and each aux's states in `weight_basis` order.
+def _paths(N: int, L: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """The graded grid's entries as paths of the auxiliary colour, site 1
+    first: at a site of colour s the aux colour c passes it (factor
+    keep[c, s]) or, for s != c, trades places with it (move[s, c]). A source
+    e_b (x) |x> reaches each target e_a (x) |y> along at most one path, so
+    each entry is one product; there are N (2N - 1)^L paths.
 
-    Per W: the parts (aux b, source weight W - e_b, its slice of W's states),
-    the aux digit of every state, and per site (site 1 first) that site's
-    digit of every state and the position of the state with the two digits
-    exchanged, which is where an R factor moves the state's amplitude.
-    """
+    Returns, with the paths grouped by block: each path's index into every
+    site's flattened [keep | move] table, its flat position in its block, and
+    the blocks ((a + 1, b + 1), source weight, shape, slice of paths),
+    row-major in (a, b) and ascending in weight."""
     basis = weight_basis(N, L)
-    d = N ** L
-    unit = [tuple(int(a == b) for a in range(N)) for b in range(N)]
-    out = []
-    for W in sorted({_shifted(nu, e) for nu in basis for e in unit}):
-        parts, aux, index = [], [], []
-        for b in range(N):
-            nu = _difference(W, unit[b])
-            if nu in basis:
-                parts.append((b, nu, slice(len(index), len(index) + len(basis[nu]))))
-                aux += [b] * len(basis[nu])
-                index += list(basis[nu])
-        aux, index = np.array(aux), np.array(index)
-        position = np.zeros(N * d, dtype=int)
-        position[aux * d + index] = np.arange(len(index))
-        sites = []
-        for site in range(1, L + 1):
-            stride = N ** (L - site)
-            digit = index // stride % N
-            sites.append((digit, position[digit * d + index + (aux - digit) * stride]))
-        out.append((parts, aux, sites))
-    return out
+    weight, rank = np.empty((2, N ** L), dtype=np.int32)
+    for k, index in enumerate(basis.values()):
+        weight[index], rank[index] = k, np.arange(len(index))
+    fan = 2 * N - 1
+    path = np.arange(N * fan ** L, dtype=np.int32)
+    source = colour = path // fan ** L
+    x = y = np.zeros_like(path)
+    factor = np.empty((L, len(path)), dtype=np.min_scalar_type(2 * N * N - 1))
+    for site in range(L):
+        choice = path // fan ** (L - 1 - site) % fan
+        keep = choice < N
+        s = np.where(keep, choice, choice - N + (choice - N >= colour))
+        factor[site] = np.where(keep, colour * N + s, N * N + s * N + colour)
+        x, y = x * N + s, y * N + np.where(keep, s, colour)
+        colour = np.where(keep, colour, s)
+    key = (colour * N + source).astype(np.int64) * len(basis) + weight[x]
+    order = np.argsort(key, kind="stable")
+    key, x, y = key[order], x[order], y[order]
+    weights = list(basis)
+    starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist() + [len(key)]
+    blocks = []
+    for lo, hi in zip(starts, starts[1:]):
+        a, b = divmod(int(key[lo]) // len(basis), N)
+        nu, target = weights[weight[x[lo]]], weights[weight[y[lo]]]
+        blocks.append(((a + 1, b + 1), nu, (len(basis[target]), len(basis[nu])), slice(lo, hi)))
+    sizes = np.array([len(index) for index in basis.values()], dtype=np.int32)
+    position = rank[y] * sizes[weight[x]] + rank[x]
+    return factor[:, order], position, blocks
 
 
 def _graded_grid(chain: ChainSpec, coeffs: list[tuple[complex, ...]],
                  point: complex | None) -> GradedLOperator:
-    """Graded block grid: the monodromy applied to each total weight W's
-    states alone. Site by site, R_{a,l} keeps a state's amplitude (factor
-    keep[a, s] for aux digit a, site digit s) and moves it to the state with
-    a and s exchanged (factor move[s, a]), read from the same `_r_table` with
-    the same products and sums as `apply_monodromy`, so the blocks equal the
-    entries of that kernel applied to the aux (x) identity basis exactly.
-    The rows of aux a give T_{a,b} on the source weight W - e_b."""
-    N, L = chain.N, chain.L
-    unit = [tuple(int(a == b) for a in range(N)) for b in range(N)]
-    blocks: dict[tuple[int, int], dict] = {(i, j): {} for i in range(1, N + 1)
-                                            for j in range(1, N + 1)}
-    tables = [_r_table(coeff, N) for coeff in coeffs]
-    for parts, aux, sites in _weight_sectors(N, L):
-        Y = np.eye(len(aux), dtype=complex)
-        for (keep, move), (digit, swap) in zip(tables, sites):
-            Y = keep[aux, digit][:, None] * Y + move[digit, aux][swap][:, None] * Y[swap]
-        Y = np.asarray(chain.kappa)[aux][:, None] * Y
-        for a, _, rows in parts:
-            for b, nu, cols in parts:
-                blocks[(a + 1, b + 1)][nu] = Y[rows, cols]
-    entries = {(i, j): GradedOperator(L, _difference(unit[j - 1], unit[i - 1]), ops)
-               for (i, j), ops in blocks.items()}
-    return GradedLOperator(point=point, entries=entries)
+    """Graded block grid from the `_paths` plan: per site one gather from its
+    `_r_table` and one product, then kappa of the final colour, the factors
+    and order of `apply_monodromy`, so the blocks equal the entries of that
+    kernel applied to the aux (x) identity basis exactly."""
+    N = chain.N
+    factor, position, blocks = _paths(N, chain.L)
+    values = np.ones(len(position), dtype=complex)
+    for coeff, index in zip(coeffs, factor):
+        np.multiply(np.concatenate(_r_table(coeff, N), axis=None)[index], values, out=values)
+    grid = {(i, j): {} for i in range(1, N + 1) for j in range(1, N + 1)}
+    for (i, j), nu, (rows, cols), paths in blocks:
+        M = np.zeros(rows * cols, dtype=complex)
+        M[position[paths]] = chain.kappa[i - 1] * values[paths]
+        grid[i, j][nu] = M.reshape(rows, cols)
+    eye = np.eye(N, dtype=int)
+    entries = {(i, j): GradedOperator(chain.L, tuple((eye[j - 1] - eye[i - 1]).tolist()), ops)
+               for (i, j), ops in grid.items()}
+    return GradedLOperator(point, entries)
 
 
 def monodromy(chain: ChainSpec, t: complex) -> GradedLOperator:

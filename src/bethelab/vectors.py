@@ -35,7 +35,7 @@ UNWANTED_CAP = 4
 
 def is_admissible(chain: ChainSpec, nbar: tuple[int, ...]) -> bool:
     """Sector shape check: L >= n_1 >= n_2 >= ... >= n_{N-1} >= 0."""
-    seq = (chain.L,) + tuple(nbar)
+    seq = (chain.L,) + tuple(nbar) + (0,)
     return all(seq[i] >= seq[i + 1] for i in range(len(seq) - 1))
 
 

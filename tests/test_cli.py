@@ -43,6 +43,43 @@ def test_bad_sector_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_negative_sector_exits_2(capsys, command):
+    code, report = run([command, "--sector=-1"])
+    assert code == 2
+    assert report is None
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_sector_listed_twice_exits_2(tmp_path, capsys, out):
+    # one sector twice would make two checks with one id
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("N = 2\nL = 2\nseed = 5\nsectors = 1; 1\n")
+    args = ["verify", "--config", str(cfg)]
+    code, report = run(args + ["--out", str(tmp_path / "r.json")] if out else args)
+    assert code == 2
+    assert report is None
+    assert "listed twice" in capsys.readouterr().err
+
+
+def test_inadmissible_explicit_sector_exits_2(tmp_path, capsys):
+    # n_1 < n_2 names no weight block: the run must not pass on 0 checks
+    cfg = tmp_path / "n3.cfg"
+    cfg.write_text("N = 3\nL = 3\nseed = 5\n")
+    code, report = run(["verify", "--config", str(cfg), "--sector", "1,2"])
+    assert code == 2
+    assert report is None
+    assert "inadmissible sector (1, 2)" in capsys.readouterr().err
+
+
+def test_empty_suites_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("N = 2\nL = 2\nseed = 5\nsuites =\n")
+    code, report = run(["all", "--config", str(cfg)])
+    assert code == 2
+    assert report is None
+
+
 def test_capacity_cap_named_on_exit_2(tmp_path, capsys):
     cfg = tmp_path / "big.cfg"
     cfg.write_text("N = 2\nL = 13\n")
@@ -100,6 +137,24 @@ def _gauss_records(**config):
 
 
 IDENTITY_CHECKS = ("f-lowering", "e-lowering", "e-iterated", "cartan-shift")
+
+
+def test_gauss_pass_runs_once_per_chain_as_a_stage(monkeypatch):
+    # the pass runs before any check, once per chain, so no gauss check's
+    # wall time includes it
+    passes = []
+    original = cli._gauss_pass
+
+    def slow(chain, c, identities):
+        time.sleep(0.2)
+        passes.append(c)
+        return original(chain, c, identities)
+
+    monkeypatch.setattr(cli, "_gauss_pass", slow)
+    records = _gauss_records()
+    assert passes == [0, 1]
+    assert len(records) == 12
+    assert all(r.passed and r.wall_time < 0.1 for r in records.values())
 
 
 @pytest.mark.parametrize("failing", [0, 1])

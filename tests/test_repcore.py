@@ -492,11 +492,12 @@ def test_zero_mode_diagonal_products_recorded(ctx, rng, capsys):
 # weight grading
 
 
-@pytest.mark.parametrize("N,L", [(2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("N,L", [(2, 0), (2, 1), (2, 3), (3, 2), (3, 3), (4, 2)])
 def test_graded_blocks_follow_the_weight_rule(ctx, rng, N, L):
     # T_{i,j} maps weight nu to nu + e_j - e_i: every entry of the dense
     # oracle outside that rule is exactly 0, and the graded blocks are its
-    # entries inside it, bit for bit
+    # entries inside it, bit for bit; at a generic point the grid has one
+    # nonzero entry per path of the auxiliary colour, N (2N - 1)^L
     chain = make_chain(N, L, ctx, rng)
     weight = np.zeros((chain.dim, N), dtype=int)
     for nu, idx in weight_basis(N, L).items():
@@ -513,6 +514,7 @@ def test_graded_blocks_follow_the_weight_rule(ctx, rng, N, L):
                 assert np.all(block[~allowed] == 0)
                 assert np.array_equal(graded.entry(i, j).dense(), block)
         assert np.array_equal(graded.dense(), dense)
+    assert np.count_nonzero(pairs[0][1].dense()) == N * (2 * N - 1) ** L
     # the transfer matrix is the sum of the diagonal blocks, bit for bit
     dense = pairs[0][0]
     assert np.array_equal(transfer(chain, t).dense(), sum(dense[i, i] for i in range(N)))

@@ -7,6 +7,7 @@ from bethelab import (
     DomainError,
     admissible_sectors,
     bethe_residual,
+    is_admissible,
     sample_annulus,
     solve_bethe,
     spectrum_reconcile,
@@ -87,6 +88,14 @@ def test_sector_validation(ctx, rng):
         solve_bethe(chain, (3,))  # more roots than sites
     with pytest.raises(DomainError):
         solve_bethe(chain, (1, 1))  # wrong arity
+
+
+@pytest.mark.parametrize("N,nbar", [(2, (-1,)), (3, (1, -1))])
+def test_negative_sector_is_inadmissible(ctx, rng, N, nbar):
+    chain = make_chain(N, 2, ctx, rng)
+    assert not is_admissible(chain, nbar)
+    with pytest.raises(DomainError):
+        solve_bethe(chain, nbar)
 
 
 def test_admissible_sector_enumeration(ctx, rng):
