@@ -22,6 +22,7 @@ from .gauss import (
     coordinate_identity_residual,
     gauss_decompose,
     normal_order_transfer_residual,
+    reconstruction_residual,
     screening,
     screening_dual,
     zero_mode_set,

@@ -22,8 +22,9 @@ calling thread, in the order the suite builders return them. Each check's
 thunk yields one residual per random draw; `_run_checks` reduces them to
 the check's residual (the largest, NaN if any is NaN) and compares it with
 the tolerance. Exit codes: 0 all checks
-passed, 1 at least one tolerance failure, 2 invalid configuration (a sector
-listed twice, an inadmissible sector, no suite) or capacity cap.
+passed, 1 at least one tolerance failure, 2 invalid configuration (a seed
+outside [0, 2^64), a sector listed twice, an inadmissible sector, no sector,
+no suite, `offshell` on a chain of length 0) or capacity cap.
 """
 from __future__ import annotations
 
@@ -42,8 +43,9 @@ from . import __version__
 from .context import POLE_MARGIN, BetheParameterSet, DeformationContext, sample_annulus
 from .errors import (BetheLabError, CapacityError, ConfigError, DegenerateVectorError,
                      DomainError, SamplingExhaustedError)
-from .gauss import (CoordinateIdentity, coordinate_identity_residual,
-                    gauss_decompose, normal_order_transfer_residual, zero_mode_set)
+from .gauss import (CoordinateIdentity, coordinate_identity_residual, gauss_decompose,
+                    normal_order_transfer_residual, reconstruction_residual,
+                    zero_mode_set)
 from .kernels import (nesting_overlap, nesting_overlap_alt,
                       partial_fraction_residual, same_type_weight, shift_weight,
                       split_weight, string_overlap, top_split_weight,
@@ -157,6 +159,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("L must be non-negative")
     if cfg.chains < 1:
         raise ConfigError("chains must be positive")
+    if not 0 <= cfg.seed < 2 ** 64:
+        raise ConfigError("seed must be an unsigned 64-bit integer")
     if not 0 < cfg.tol_identity < 1e-3:
         raise ConfigError("tol_identity must lie in (0, 1e-3)")
     for s in cfg.suites:
@@ -175,7 +179,7 @@ class Materialized:
 
 def materialize(cfg: RunConfig) -> Materialized:
     seed_rng = np.random.default_rng(
-        np.random.SeedSequence([cfg.seed & 0xFFFFFFFFFFFFFFFF, 0x6D61]))
+        np.random.SeedSequence([cfg.seed, 0x6D61]))
     if cfg.q_spec == "random":
         q = complex(seed_rng.uniform(1.2, 1.8))
     else:
@@ -220,6 +224,8 @@ def materialize(cfg: RunConfig) -> Materialized:
             if nbar in sectors:
                 raise ConfigError(f"sector {nbar} listed twice")
             sectors.append(nbar)
+        if not sectors:
+            raise ConfigError("sectors names no sector")
     if not cfg.suites:
         raise ConfigError("suites names no suite")
     return Materialized(ctx=ctx, chains=chains, sectors=sectors,
@@ -452,9 +458,11 @@ def _gauss_pass(chain: ChainSpec, c: int,
         t = complex(sample_annulus(rng, 1)[0])
         T = monodromy(chain, t)
         data = gauss_decompose(T)
-        residuals["reconstruction"].append((data.reconstruct() - T).norm() / T.norm())
-        # drop each grid once read: `transfer` and the next point build their
-        # own (peak RSS 202 -> 177 MB at N=3, L=7)
+        # streamed one product entry at a time, so the pass never holds a
+        # whole product or difference grid; T is dropped once read, since
+        # `transfer` and the next point build their own (peak RSS 136 MB at
+        # N=3, L=7, where one grid is 34.5 MB)
+        residuals["reconstruction"].append(reconstruction_residual(data, T))
         del T
         residuals["normal-order-transfer"].append(normal_order_transfer_residual(chain, data))
         if zm is not None:
@@ -752,6 +760,8 @@ def suite_offshell(mat: Materialized) -> list[Check]:
         inputs = _chain_inputs(chain)
         sizes = tuple(n for n in range(1, min(chain.L, UNWANTED_CAP) + 1)
                       if math.comb(chain.L, n) >= n)
+        if not sizes:
+            raise ConfigError("offshell suite needs a chain with L >= 1")
 
         checks.append(Check(
             f"offshell/chain{c}/span",

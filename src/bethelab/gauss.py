@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularCoordinateError
-from .repcore import ChainSpec, GradedLOperator, GradedOperator, transfer, zero_modes
+from .repcore import (ChainSpec, GradedLOperator, GradedOperator, squared_norm, transfer,
+                      zero_modes)
 
 COND_CAP = 1e12
 
@@ -44,26 +45,30 @@ class GaussData:
             raise DomainError(f"psi index {i} outside 1..{self.N - 1}")
         return self.k[i - 1].right_divide(self.k[i])
 
-    def reconstruct(self) -> GradedLOperator:
-        """Reassemble the full block grid from the coordinates."""
-        N = self.N
-        out = {}
-        for a in range(1, N + 1):
-            for b in range(1, N + 1):
-                if a < b:
-                    acc = self.F[(b, a)] @ self.k[b - 1]
-                    for m in range(b + 1, N + 1):
-                        acc = acc + self.F[(m, a)] @ self.k[m - 1] @ self.E[(b, m)]
-                elif a == b:
-                    acc = self.k[b - 1]
-                    for m in range(b + 1, N + 1):
-                        acc = acc + self.F[(m, b)] @ self.k[m - 1] @ self.E[(b, m)]
-                else:
-                    acc = self.k[a - 1] @ self.E[(b, a)]
-                    for m in range(a + 1, N + 1):
-                        acc = acc + self.F[(m, a)] @ self.k[m - 1] @ self.E[(b, m)]
-                out[(a, b)] = acc
-        return GradedLOperator(point=self.point, entries=out)
+    def entry(self, a: int, b: int) -> GradedOperator:
+        """Entry (a, b) of the product (1 + F) k (1 + E), 1-based."""
+        if a < b:
+            acc = self.F[(b, a)] @ self.k[b - 1]
+        elif a == b:
+            acc = self.k[b - 1]
+        else:
+            acc = self.k[a - 1] @ self.E[(b, a)]
+        for m in range(max(a, b) + 1, self.N + 1):
+            acc = acc + self.F[(m, a)] @ self.k[m - 1] @ self.E[(b, m)]
+        return acc
+
+
+def reconstruction_residual(data: GaussData, T: GradedLOperator) -> float:
+    """||(1 + F) k (1 + E) - T|| / ||T|| in the Frobenius norm, one grid entry
+    at a time: each product entry and its difference with T's entry are
+    dropped once their blocks are summed, so no whole product or difference
+    grid is held. Entries are visited row-major, and the per-block |x|^2 go
+    through the one builtin `sum` of `frobenius`, in the order in which a
+    whole difference grid would hold them."""
+    N = data.N
+    squares = sum(squared_norm(M) for a in range(1, N + 1) for b in range(1, N + 1)
+                  for M in (data.entry(a, b) - T.entry(a, b)).blocks.values())
+    return float(np.sqrt(squares)) / T.norm()
 
 
 def gauss_decompose(Lop: GradedLOperator) -> GaussData:

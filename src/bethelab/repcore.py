@@ -223,10 +223,6 @@ class GradedLOperator:
     def entry(self, i: int, j: int) -> GradedOperator:
         return self.entries[(i, j)]
 
-    def __sub__(self, other: "GradedLOperator") -> "GradedLOperator":
-        return GradedLOperator(self.point, {
-            ij: op - other.entries[ij] for ij, op in self.entries.items()})
-
     def norm(self) -> float:
         """Frobenius norm of the whole grid."""
         return frobenius(*(M for op in self.entries.values() for M in op.blocks.values()))
@@ -239,11 +235,15 @@ class GradedLOperator:
 
 
 def frobenius(*arrays: np.ndarray) -> float:
-    """Frobenius norm of the arrays taken together, from a pairwise `np.sum`
-    of |x|^2 per array. It makes no BLAS call, so, unlike `np.linalg.norm`,
-    its value does not depend on the BLAS thread count."""
-    return float(np.sqrt(sum(float(np.sum(np.square(x.real) + np.square(x.imag)))
-                             for x in arrays)))
+    """Frobenius norm of the arrays taken together, from the builtin `sum` of
+    `squared_norm` per array. It makes no BLAS call, so, unlike
+    `np.linalg.norm`, its value does not depend on the BLAS thread count."""
+    return float(np.sqrt(sum(squared_norm(x) for x in arrays)))
+
+
+def squared_norm(x: np.ndarray) -> float:
+    """Pairwise `np.sum` of |x|^2 over one array."""
+    return float(np.sum(np.square(x.real) + np.square(x.imag)))
 
 
 def r_matrix(u: complex, v: complex, N: int, ctx: DeformationContext) -> np.ndarray:

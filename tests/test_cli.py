@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from bethelab.cli import run_command
 from bethelab.errors import (BetheLabError, DegenerateVectorError, DomainError,
                              SingularCoordinateError)
 from bethelab.report import report_fingerprint
+from bethelab.repcore import _paths, monodromy
 
 
 def run(args):
@@ -80,6 +82,28 @@ def test_empty_suites_exits_2(tmp_path, capsys):
     assert report is None
 
 
+def test_sector_list_naming_no_sector_exits_2(tmp_path, capsys):
+    # an explicit list with no sector would pass on 0 checks
+    cfg = tmp_path / "none.cfg"
+    cfg.write_text("N = 2\nL = 2\nseed = 5\nsectors =\n")
+    code, report = run(["verify", "--config", str(cfg)])
+    assert code == 2
+    assert report is None
+    assert "names no sector" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+@pytest.mark.parametrize("flag", [False, True])
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, seed, flag):
+    # 2^64 and -1 would otherwise run as seeds 0 and 2^64 - 1
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("N = 2\nL = 3\n" + ("" if flag else f"seed = {seed}\n"))
+    code, report = run(["rll", "--config", str(cfg)] + ([f"--seed={seed}"] if flag else []))
+    assert code == 2
+    assert report is None
+    assert "unsigned 64-bit" in capsys.readouterr().err
+
+
 def test_capacity_cap_named_on_exit_2(tmp_path, capsys):
     cfg = tmp_path / "big.cfg"
     cfg.write_text("N = 2\nL = 13\n")
@@ -106,6 +130,17 @@ def test_offshell_requires_rank2(tmp_path, capsys):
     cfg.write_text("N = 3\nL = 2\n")
     code, _ = run(["offshell", "--config", str(cfg)])
     assert code == 2
+
+
+def test_offshell_on_an_empty_chain_exits_2(tmp_path, capsys):
+    # at L = 0 there is no off-shell size: every offshell check would pass on
+    # no residual
+    cfg = tmp_path / "l0.cfg"
+    cfg.write_text("N = 2\nL = 0\nseed = 5\nsuites = offshell\n")
+    code, report = run(["all", "--config", str(cfg)])
+    assert code == 2
+    assert report is None
+    assert "L >= 1" in capsys.readouterr().err
 
 
 def test_gauss_builds_one_zero_mode_set_per_chain(tmp_path, monkeypatch, capsys):
@@ -219,6 +254,25 @@ def test_gauss_checks_each_compute_their_own_residuals(monkeypatch):
             assert record.error == "" and not record.passed
         for name in ("e-lowering", "e-iterated", "cartan-shift"):
             assert records[f"gauss/chain{c}/{name}"].passed
+
+
+def test_gauss_pass_peaks_below_four_monodromy_grids():
+    # the pass holds T, its Gauss coordinates and one entry of their product
+    # at a time, never a whole product or difference grid
+    mat = cli.materialize(cli.RunConfig(N=3, L=5, seed=7))
+    chain = mat.chains[0]
+    _paths(3, 5)
+    grid = monodromy(chain, 1.1 - 0.4j)
+    grid_bytes = sum(M.nbytes for op in grid.entries.values() for M in op.blocks.values())
+    del grid
+    (function, *args), = cli.suite_gauss(mat)[0].stages
+    tracemalloc.start()
+    try:
+        function(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * grid_bytes
 
 
 def test_overlap_points_are_drawn_clear_of_the_coupling_pole(capsys):

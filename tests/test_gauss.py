@@ -13,6 +13,7 @@ from bethelab import (
     gauss_decompose,
     monodromy,
     normal_order_transfer_residual,
+    reconstruction_residual,
     sample_annulus,
     screening,
     screening_dual,
@@ -21,7 +22,7 @@ from bethelab import (
     zero_mode_set,
     zero_modes,
 )
-from bethelab.repcore import weight_basis
+from bethelab.repcore import frobenius, weight_basis
 
 from conftest import dense_monodromy, make_chain
 
@@ -62,6 +63,13 @@ def dense_gauss_decompose(blocks: np.ndarray):
     return k, F, E
 
 
+def dense_product(data) -> np.ndarray:
+    """The (N, N, dim, dim) block grid of (1 + F) k (1 + E), from `entry`."""
+    N = data.N
+    return np.array([[data.entry(a, b).dense() for b in range(1, N + 1)]
+                     for a in range(1, N + 1)])
+
+
 def identity(N: int, L: int) -> GradedOperator:
     return GradedOperator(L, (0,) * N, {nu: np.eye(len(idx))
                                         for nu, idx in weight_basis(N, L).items()})
@@ -97,8 +105,23 @@ def test_reconstruction(ctx, rng, N, L):
         t = complex(sample_annulus(rng, 1)[0])
         T = dense_monodromy(chain, t)
         data = gauss_decompose(monodromy(chain, t))
-        err = np.linalg.norm(data.reconstruct().dense() - T) / np.linalg.norm(T)
+        err = np.linalg.norm(dense_product(data) - T) / np.linalg.norm(T)
         assert err < 1e-10
+
+
+@pytest.mark.parametrize("N,L", [(2, 4), (3, 3), (4, 2)])
+def test_reconstruction_residual_streams_the_whole_grid_residual(ctx, rng, N, L):
+    # entry by entry, it equals the residual of the whole difference grid
+    # bit for bit
+    chain = make_chain(N, L, ctx, rng)
+    for _ in range(3):
+        t = complex(sample_annulus(rng, 1)[0])
+        T = monodromy(chain, t)
+        data = gauss_decompose(T)
+        diff = [data.entry(a, b) - T.entry(a, b)
+                for a in range(1, N + 1) for b in range(1, N + 1)]
+        want = frobenius(*(M for op in diff for M in op.blocks.values())) / T.norm()
+        assert reconstruction_residual(data, T) == want
 
 
 @pytest.mark.parametrize("seed", [5, 6])
