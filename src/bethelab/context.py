@@ -5,6 +5,7 @@ Every stochastic routine in the package draws from a generator derived from
 """
 from __future__ import annotations
 
+import cmath
 import hashlib
 from dataclasses import dataclass, field
 
@@ -40,10 +41,14 @@ class DeformationContext:
 
     def __post_init__(self):
         q = complex(self.q)
-        if q == 0:
-            raise DomainError("q must be nonzero")
+        if q == 0 or not cmath.isfinite(q):
+            raise DomainError(f"q must be finite and nonzero; q={q}")
         for k in range(1, 2 * MAX_RANK + 1):
-            if abs(q ** (2 * k) - 1.0) < 1e-9:
+            try:
+                gap = abs(q ** (2 * k) - 1.0)
+            except OverflowError as exc:
+                raise DomainError(f"q^{2 * k} overflows; q={q}") from exc
+            if gap < 1e-9:
                 raise DomainError(f"q^{2 * k} is numerically a root of unity; q={q}")
 
     def rng(self, label: str = "") -> np.random.Generator:
@@ -77,10 +82,8 @@ class BetheParameterSet:
             for v in grp:
                 if v == 0:
                     raise DomainError(f"type-{a} parameter is zero")
-            for i in range(len(grp)):
-                for k in range(i + 1, len(grp)):
-                    if grp[i] == grp[k]:
-                        raise DomainError(f"coincident type-{a} parameters at {grp[i]}")
+            if len(set(grp)) < len(grp):
+                raise DomainError(f"coincident type-{a} parameters")
 
     @property
     def nbar(self) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Scalar rational kernels of the nested Bethe ansatz.
+"""Rational kernels of the nested Bethe ansatz.
 
 All formal series are evaluated pointwise as rational functions of the
 spectral variables; every kernel is a finite product/sum of the two atoms
@@ -7,13 +7,15 @@ spectral variables; every kernel is a finite product/sum of the two atoms
     crossing(t, u)  = (q t - u/q) / (t - u)
 
 and therefore homogeneous of degree zero under simultaneous scaling of all
-spectral arguments. `coupling` is a kernel of its own; `_tau_terms` applies
-the crossing factor inline, once per parameter of the type below each term.
+spectral arguments. `coupling` is a kernel of its own. The eigenvalue tau is
+an array kernel: it evaluates at an array of points at once, one array
+product per crossing factor, and a scalar point is a batch of one.
 Evaluation points within POLE_MARGIN (relative) of a denominator zero raise
 PoleError instead of returning garbage.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,15 +23,17 @@ import numpy as np
 from .context import POLE_MARGIN, BetheParameterSet, DeformationContext
 from .errors import DomainError, PoleError
 
-LambdaLike = Callable[[complex], complex]
+LambdaLike = Callable[[complex | np.ndarray], complex | np.ndarray]
 
 # circle of `transfer_eigenvalue_residue`: radius relative to the root, points
 RESIDUE_RADIUS = 1e-4
 RESIDUE_POINTS = 64
+# pole margin on that circle, which lies RESIDUE_RADIUS < POLE_MARGIN from its own root
+RESIDUE_MARGIN = 1e-12
 
 
-def _guard(num: complex, scale: float, what: str, margin: float = POLE_MARGIN) -> None:
-    if abs(num) <= margin * max(scale, 1e-300):
+def _guard(num: complex, scale: float, what: str) -> None:
+    if abs(num) <= POLE_MARGIN * max(scale, 1e-300):
         raise PoleError(f"{what}: denominator {abs(num):.3e} below margin")
 
 
@@ -45,30 +49,35 @@ def coupling(x: complex, y: complex, ctx: DeformationContext) -> complex:
 
 
 def _tau_terms(lambdas: Sequence[LambdaLike], params: BetheParameterSet,
-               t: complex, ctx: DeformationContext,
-               margin: float = POLE_MARGIN) -> list[complex]:
+               t: np.ndarray, ctx: DeformationContext,
+               margin: float = POLE_MARGIN) -> np.ndarray:
+    """The N terms of tau at the 1-d points t, an (N, len(t)) array."""
     q = ctx.q
-    terms = []
-    for i in range(1, len(lambdas) + 1):
-        term = complex(lambdas[i - 1](t))
-        for u in params.type_values(i - 1):
-            _guard(t - u, max(abs(t), abs(u)), "transfer_eigenvalue", margin)
-            term *= (q * t - u / q) / (t - u)
-        for u in params.type_values(i):
-            _guard(t - u, max(abs(t), abs(u)), "transfer_eigenvalue", margin)
-            term *= (t / q - q * u) / (t - u)
-        terms.append(term)
+    roots = np.array([u for grp in params.values for u in grp], dtype=complex)[:, None]
+    gap = np.abs(t - roots)
+    if np.any(gap <= margin * np.maximum(np.maximum(np.abs(t), np.abs(roots)), 1e-300)):
+        raise PoleError(f"transfer_eigenvalue: denominator {gap.min():.3e} below margin")
+    below, above = (q * t - roots / q) / (t - roots), (t / q - q * roots) / (t - roots)
+    terms = np.array([np.full(t.shape, lam(t), dtype=complex) for lam in lambdas])
+    # type a lies below term a + 1 (row a) and above term a; never `*=`, since
+    # numpy rounds an in-place product of length 1 differently
+    types = [a for a, grp in enumerate(params.values, start=1) for _ in grp]
+    for a, lo, hi in zip(types, below, above):
+        terms[a] = terms[a] * lo
+        terms[a - 1] = terms[a - 1] * hi
     return terms
 
 
 def transfer_eigenvalue(lambdas: Sequence[LambdaLike], params: BetheParameterSet,
-                        t: complex, ctx: DeformationContext) -> complex:
-    """Candidate transfer-matrix eigenvalue at spectral point t.
-
-    lambdas are the N vacuum eigenvalue functions; params holds the N-1 typed
-    groups of Bethe parameters (empty groups give bare sum of lambdas).
-    """
-    return sum(_tau_terms(lambdas, params, t, ctx))
+                        t: complex | np.ndarray, ctx: DeformationContext) -> complex | np.ndarray:
+    """Candidate transfer-matrix eigenvalue at the points t: an array of t's
+    shape, or a complex for a scalar t, which is a batch of one. lambdas are
+    the N vacuum eigenvalue functions of an array of points; params holds the
+    N-1 typed groups of Bethe parameters (empty groups give bare sum of lambdas)."""
+    pts = np.asarray(t, dtype=complex)
+    # the builtin sum adds row by row; numpy's sum over one column does not
+    tau = sum(_tau_terms(lambdas, params, pts.reshape(-1), ctx))
+    return complex(tau[0]) if pts.ndim == 0 else tau.reshape(pts.shape)
 
 
 def bethe_rhs(i: int, j: int, params: BetheParameterSet, ctx: DeformationContext) -> complex:
@@ -114,13 +123,9 @@ def transfer_eigenvalue_residue(lambdas: Sequence[LambdaLike], params: BethePara
     """
     center = params.value(a, j)
     r = RESIDUE_RADIUS * abs(center)
-    n_terms = len(lambdas)
-    acc = np.zeros(n_terms, dtype=complex)
-    for k in range(RESIDUE_POINTS):
-        w = np.exp(2j * np.pi * k / RESIDUE_POINTS)
-        terms = _tau_terms(lambdas, params, center + r * w, ctx, margin=1e-12)
-        acc += w * np.asarray(terms)
-    acc *= r / RESIDUE_POINTS
+    w = np.exp(2j * np.pi * np.arange(RESIDUE_POINTS) / RESIDUE_POINTS)
+    terms = _tau_terms(lambdas, params, center + r * w, ctx, RESIDUE_MARGIN)
+    acc = (terms * w).sum(axis=1) * (r / RESIDUE_POINTS)
     residue = abs(acc.sum()) / abs(center)
     scale = float(np.max(np.abs(acc))) / abs(center)
     return residue, scale
@@ -133,11 +138,9 @@ def transfer_eigenvalue_residue(lambdas: Sequence[LambdaLike], params: BethePara
 def same_type_weight(params: BetheParameterSet, ctx: DeformationContext) -> complex:
     """Product of coupling(t_l^a, t_l'^a) over all ordered same-type pairs l < l'."""
     out = 1.0 + 0j
-    for a in range(1, len(params.values) + 1):
-        grp = params.type_values(a)
-        for l in range(len(grp)):
-            for lp in range(l + 1, len(grp)):
-                out *= coupling(grp[l], grp[lp], ctx)
+    for grp in params.values:
+        for x, y in itertools.combinations(grp, 2):
+            out *= coupling(x, y, ctx)
     return out
 
 
@@ -270,10 +273,8 @@ def partial_fraction_residual(j: int, t: complex, points: Sequence[complex]) -> 
     if len(pts) != j - 1:
         raise DomainError(f"need {j - 1} chain points, got {len(pts)}")
     everything = pts + [complex(t)]
-    for ii in range(len(everything)):
-        for kk in range(ii + 1, len(everything)):
-            if everything[ii] == everything[kk]:
-                raise PoleError("coincident points in partial_fraction_residual")
+    if len(set(everything)) < len(everything):
+        raise PoleError("coincident points in partial_fraction_residual")
     gaps = [pts[a + 1] - pts[a] for a in range(j - 2)]
     inv_all = 1.0 + 0j
     for g in gaps:

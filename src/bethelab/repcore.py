@@ -40,6 +40,7 @@ instead of forming the operators (Freivalds-style verification).
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -82,14 +83,12 @@ class ChainSpec:
             raise DomainError(f"expected {self.L} inhomogeneities, got {len(self.z)}")
         if len(self.kappa) != self.N:
             raise DomainError(f"expected {self.N} twist entries, got {len(self.kappa)}")
-        if any(v == 0 for v in self.z):
-            raise DomainError("inhomogeneities must be nonzero")
-        for i in range(self.L):
-            for k in range(i + 1, self.L):
-                if self.z[i] == self.z[k]:
-                    raise DomainError("inhomogeneities must be pairwise distinct")
-        if any(v == 0 for v in self.kappa):
-            raise DomainError("twist entries must be nonzero")
+        if not all(v != 0 and cmath.isfinite(v) for v in self.z):
+            raise DomainError("inhomogeneities must be finite and nonzero")
+        if len(set(self.z)) < self.L:
+            raise DomainError("inhomogeneities must be pairwise distinct")
+        if not all(v != 0 and cmath.isfinite(v) for v in self.kappa):
+            raise DomainError("twist entries must be finite and nonzero")
         if self.N ** self.L > DIMENSION_CAP:
             raise CapacityError(f"Hilbert space {self.N}^{self.L} exceeds cap {DIMENSION_CAP}")
 

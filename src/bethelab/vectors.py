@@ -129,7 +129,7 @@ def on_shell_residuals(chain: ChainSpec, params: BetheParameterSet,
     if not ts:
         return []
     _, lambdas = vacuum_data(chain)
-    taus = [transfer_eigenvalue(lambdas, params, t, chain.ctx) for t in ts]
+    taus = transfer_eigenvalue(lambdas, params, np.array(ts), chain.ctx).tolist()
     Tw = transfer_apply(chain, ts, np.broadcast_to(w[:, None], (chain.dim, len(ts))))
     return [(float(np.linalg.norm(Tw[:, p] - tau * w)
                    / max(float(np.linalg.norm(Tw[:, p])), abs(tau) * norm, 1e-300)), tau)
@@ -162,13 +162,9 @@ def unwanted_closed_form(chain: ChainSpec, params: BetheParameterSet,
     roots = params.type_values(1)
     out = []
     for m, tm in enumerate(roots):
-        p1 = 1.0 + 0j
-        p2 = 1.0 + 0j
-        for j, tj in enumerate(roots):
-            if j == m:
-                continue
-            p1 *= (q * tj - tm / q) / (tj - tm)
-            p2 *= (q * tm - tj / q) / (tm - tj)
+        others = roots[:m] + roots[m + 1:]
+        p1 = math.prod((q * tj - tm / q) / (tj - tm) for tj in others)
+        p2 = math.prod((q * tm - tj / q) / (tm - tj) for tj in others)
         out.append((q - 1 / q) * tm / (t - tm)
                    * (lambdas[0](tm) * p1 - lambdas[1](tm) * p2))
     return tuple(out)

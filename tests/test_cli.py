@@ -143,6 +143,19 @@ def test_offshell_on_an_empty_chain_exits_2(tmp_path, capsys):
     assert "L >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["q = nan", "q = inf", "z = nan, 1, 2", "kappa = inf, 1",
+                                  "q = 1e200"])
+def test_non_finite_chain_value_exits_2(tmp_path, capsys, line):
+    # each would run into a non-finite monodromy (1e200: q^2 overflows in the
+    # root-of-unity test) and die with a traceback
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text(f"N = 2\nL = 3\nseed = 1\n{line}\n")
+    code, report = run(["verify", "--config", str(cfg)])
+    assert code == 2
+    assert report is None
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_gauss_builds_one_zero_mode_set_per_chain(tmp_path, monkeypatch, capsys):
     # the six checks of a chain share one Gauss pass: 5 monodromies, 5
     # decompositions and one zero-mode set, built by the first check that

@@ -1,4 +1,4 @@
-"""Scalar kernel tests: frozen hand values, independent expansions, poles."""
+"""Kernel tests: frozen hand values, independent expansions, poles, batches."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,17 +13,21 @@ from bethelab import (
     nesting_overlap,
     nesting_overlap_alt,
     partial_fraction_residual,
+    sample_annulus,
     same_type_weight,
     shift_weight,
+    solve_bethe,
     split_weight,
     string_overlap,
     top_split_weight,
     transfer_eigenvalue,
     transfer_eigenvalue_residue,
+    vacuum_data,
 )
+from bethelab.context import POLE_MARGIN
 from bethelab.kernels import bethe_rhs
 
-from conftest import separated_points
+from conftest import make_chain, separated_points
 
 TOL = 1e-12
 
@@ -60,6 +64,29 @@ def test_tau_pole_on_parameter(ctx):
     params = BetheParameterSet(((1.0 + 0j,),))
     with pytest.raises(PoleError):
         transfer_eigenvalue([const(1), const(2)], params, 1.0 + 1e-9j, ctx)
+    # one point of a batch within POLE_MARGIN of the root fails the batch
+    batch = np.array([0.5 + 0.5j, 1.0 + 0.9 * POLE_MARGIN * 1j, 2.0 - 0.3j])
+    with pytest.raises(PoleError):
+        transfer_eigenvalue([const(1), const(2)], params, batch, ctx)
+    transfer_eigenvalue([const(1), const(2)], params, batch[[0, 2]], ctx)
+
+
+@pytest.mark.parametrize("N,L", [(2, 4), (3, 3), (4, 3)])
+def test_tau_batch_equals_each_point_alone(ctx, rng, N, L):
+    # one call over 50 points gives each point's own value bit for bit, a
+    # scalar point a complex, and constant lambdas broadcast to the points
+    _, vacuum = vacuum_data(make_chain(N, L, ctx, rng))
+    constant = [const(v) for v in (1.3, 0.7 + 0.1j, 1.9, 0.4 - 2j)[:N]]
+    params = BetheParameterSet(tuple(tuple(separated_points(rng, n))
+                                     for n in range(N - 1, 0, -1)))
+    points = sample_annulus(rng, 50)
+    for lambdas in (vacuum, constant):
+        batch = transfer_eigenvalue(lambdas, params, points, ctx)
+        alone = [transfer_eigenvalue(lambdas, params, complex(t), ctx) for t in points]
+        assert all(type(tau) is complex for tau in alone)
+        assert np.array_equal(batch, alone)
+        grid = transfer_eigenvalue(lambdas, params, points.reshape(5, 10), ctx)
+        assert np.array_equal(grid, batch.reshape(5, 10))
 
 
 def test_tau_residue_vanishes_exactly_on_one_magnon_root(ctx):
@@ -80,8 +107,6 @@ def test_tau_residue_vanishes_exactly_on_one_magnon_root(ctx):
 
 
 def test_tau_residue_on_solver_roots(ctx, rng):
-    from bethelab import solve_bethe, vacuum_data
-    from conftest import make_chain
     chain = make_chain(2, 2, ctx, rng)
     _, lambdas = vacuum_data(chain)
     result = solve_bethe(chain, (2,))
@@ -93,6 +118,21 @@ def test_tau_residue_on_solver_roots(ctx, rng):
     moved = BetheParameterSet(((params.value(1, 1) * 1.01, params.value(1, 2)),))
     resid, scale = transfer_eigenvalue_residue(lambdas, moved, 1, 1, ctx)
     assert resid >= 1e-4 * scale
+
+
+def test_tau_residue_of_both_types_on_solver_roots(ctx, rng):
+    # rank 3: the residue at a type-2 root cancels between terms 2 and 3
+    chain = make_chain(3, 3, ctx, rng)
+    _, lambdas = vacuum_data(chain)
+    result = solve_bethe(chain, (2, 1))
+    assert len(result) > 0
+    for params in (sol.params for sol in result):
+        for a, j in ((1, 1), (1, 2), (2, 1)):
+            resid, scale = transfer_eigenvalue_residue(lambdas, params, a, j, ctx)
+            assert resid <= 1e-8 * scale
+        moved = BetheParameterSet((params.values[0], (params.value(2, 1) * 1.01,)))
+        resid, scale = transfer_eigenvalue_residue(lambdas, moved, 2, 1, ctx)
+        assert resid >= 1e-4 * scale
 
 
 # ---------------------------------------------------------------------------
