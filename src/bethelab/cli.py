@@ -25,7 +25,8 @@ the tolerance. Exit codes: 0 all checks
 passed, 1 at least one tolerance failure, 2 invalid configuration (a seed
 outside [0, 2^64), a sector listed twice, an inadmissible sector, no sector,
 no suite, `offshell` on a chain of length 0, a non-finite q, z_l or kappa_a,
-a q whose powers overflow) or capacity cap.
+a q whose powers overflow, z and kappa that overflow the monodromy) or
+capacity cap.
 """
 from __future__ import annotations
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .context import DeformationContext
+from .context import ANNULUS_HI, DeformationContext
 from .errors import CapacityError, DomainError
 from .kernels import LambdaLike, _guard
 
@@ -89,6 +89,12 @@ class ChainSpec:
             raise DomainError("inhomogeneities must be pairwise distinct")
         if not all(v != 0 and cmath.isfinite(v) for v in self.kappa):
             raise DomainError("twist entries must be finite and nonzero")
+        # the size of the pole-free monodromy at |t| <= ANNULUS_HI |q|
+        q = abs(self.ctx.q)
+        with np.errstate(over="ignore"):
+            scale = np.max(np.abs(self.kappa)) * np.prod(q * ANNULUS_HI + np.abs(self.z) / q)
+        if not np.isfinite(scale):
+            raise DomainError("inhomogeneities and twist overflow the monodromy")
         if self.N ** self.L > DIMENSION_CAP:
             raise CapacityError(f"Hilbert space {self.N}^{self.L} exceeds cap {DIMENSION_CAP}")
 
@@ -453,11 +459,12 @@ def transfer_apply(chain: ChainSpec, t, v: np.ndarray) -> np.ndarray:
     return sum(Y[:, j, :, j] for j in range(N)).transpose(1, 0, 2).reshape(v.shape)
 
 
-def entry_apply(chain: ChainSpec, t: complex, i: int, j: int, v: np.ndarray) -> np.ndarray:
+def entry_apply(chain: ChainSpec, t: complex, i: int, j, v: np.ndarray) -> np.ndarray:
     """T_{i,j}(t) v (1-based auxiliary indices) for v of shape (dim,) or
-    (dim, B), without building the block grid."""
-    X = np.zeros((chain.N,) + v.shape, dtype=complex)
-    X[j - 1] = v
+    (dim, B), without building the block grid. For v of shape (dim, B), j may
+    be an array of B indices, one per column."""
+    aux = np.arange(1, chain.N + 1).reshape((chain.N,) + (1,) * v.ndim)
+    X = np.where(aux == j, v, 0j)
     Y = apply_monodromy(chain, _point_coefficients(chain, t), X.reshape(chain.N, chain.dim, -1))
     return Y[i - 1].reshape(v.shape)
 

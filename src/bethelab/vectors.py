@@ -81,10 +81,7 @@ def _nested(chain: ChainSpec, params: BetheParameterSet) -> np.ndarray:
     vecs = np.zeros((chain.dim, len(idx)), dtype=complex)
     vecs[0] = 1.0
     for pos in range(n1 - 1, -1, -1):
-        # a set, not np.unique: numpy's first np.unique imports numpy.ma
-        for col in sorted(set(cols[:, pos].tolist())):
-            mask = cols[:, pos] == col
-            vecs[:, mask] = entry_apply(chain, roots[pos], 1, col, vecs[:, mask])
+        vecs = entry_apply(chain, roots[pos], 1, cols[:, pos], vecs)
     return vecs @ aux[idx]
 
 

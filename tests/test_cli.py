@@ -144,10 +144,12 @@ def test_offshell_on_an_empty_chain_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["q = nan", "q = inf", "z = nan, 1, 2", "kappa = inf, 1",
-                                  "q = 1e200"])
+                                  "q = 1e200", "z = 1e308, 1, 2", "z = 1e250, 1e250j, 2",
+                                  "kappa = 1e308, 1"])
 def test_non_finite_chain_value_exits_2(tmp_path, capsys, line):
     # each would run into a non-finite monodromy (1e200: q^2 overflows in the
-    # root-of-unity test) and die with a traceback
+    # root-of-unity test; the finite 1e308 and 1e250 lines overflow the
+    # monodromy's scale) and die with a traceback
     cfg = tmp_path / "nonfinite.cfg"
     cfg.write_text(f"N = 2\nL = 3\nseed = 1\n{line}\n")
     code, report = run(["verify", "--config", str(cfg)])

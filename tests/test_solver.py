@@ -1,4 +1,6 @@
 """Bethe-equation solver and spectrum reconciliation tests."""
+import math
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from bethelab.context import POLE_MARGIN
 from bethelab.solver import (MIN_SEPARATION, POLISH_STEPS, _admissible, _Homotopy, _solve,
                              _start_points, _unit_homotopy, backward_errors,
                              sector_multiplicity)
-from bethelab.vectors import UNWANTED_CAP
+from bethelab.vectors import UNWANTED_CAP, expected_occupancy
 
 from conftest import make_chain
 
@@ -168,6 +170,19 @@ def test_one_start_point_per_state_of_the_weight_block(nbar, L):
     assert len(_start_points(nbar, sites, 1.5)) == sector_multiplicity(L, nbar)
 
 
+def test_sector_multiplicity_counts_the_start_points_and_the_weight_block(ctx, rng):
+    for N in (2, 3, 4):
+        for L in range(1, 6):
+            chain = make_chain(N, L, ctx, rng)
+            for nbar in admissible_sectors(chain):
+                if sum(nbar):
+                    want = len(_start_points(nbar, np.asarray(chain.z), ctx.q))
+                    assert sector_multiplicity(L, nbar) == want, (N, L, nbar)
+                block = math.factorial(L) // math.prod(
+                    map(math.factorial, expected_occupancy(L, nbar)))
+                assert sector_multiplicity(L, nbar) == block
+
+
 @pytest.mark.parametrize("N, L, nbar", [(2, 3, (2,)), (3, 3, (2, 1))])
 def test_cleared_system_matches_bethe_residual_and_its_jacobian(ctx, rng, N, L, nbar):
     # the tracked H, its analytic Jacobian and dH/ds against bethe_residual
@@ -218,29 +233,9 @@ def test_every_sector_returns_exactly_its_multiplicity(ctx, rng):
         for nbar in admissible_sectors(chain):
             result = solve_bethe(chain, nbar)
             assert len(result) == sector_multiplicity(L, nbar), nbar
-            assert result.converged >= len(result)
+            assert result.converged - result.inadmissible == len(result)
             roots = [sol.params for sol in result]
             assert np.all(backward_errors(chain, nbar, roots) <= cli.SOLVE_TOL)
-
-
-def test_lost_paths_are_retried_on_a_detour(ctx, rng, monkeypatch):
-    # the straight pass loses every path; the seeded complex detour alone
-    # must still find every root set, and its paths count as attempts
-    chain = make_chain(2, 4, ctx, rng)
-    want = solve_bethe(chain, (2,))
-    track = _Homotopy.track
-
-    def lose_straight(self, x, gamma):
-        out = track(self, x, gamma)
-        return np.where(np.any(gamma != 0), 1, np.nan) * out
-
-    monkeypatch.setattr(_Homotopy, "track", lose_straight)
-    got = solve_bethe(chain, (2,))
-    assert got.attempts == 2 * sector_multiplicity(4, (2,))
-    assert len(got) == len(want) == 6
-    for a, b in zip(got, want):
-        assert np.allclose(np.sort_complex(a.params.values[0]),
-                           np.sort_complex(b.params.values[0]), rtol=1e-10)
 
 
 def test_a_shortfall_is_reported_not_filled(ctx, rng, monkeypatch):
@@ -248,8 +243,59 @@ def test_a_shortfall_is_reported_not_filled(ctx, rng, monkeypatch):
     monkeypatch.setattr(_Homotopy, "track", lambda self, x, gamma: np.full_like(x, np.nan))
     result = solve_bethe(chain, (2,))
     assert len(result) == 0
-    assert result.attempts == 12
+    assert result.attempts == 6
     assert result.converged == 0
+
+
+def _spy_on_track(monkeypatch):
+    """Patch `_Homotopy.track` to log (start points, gamma) of every call."""
+    calls, track = [], _Homotopy.track
+
+    def spy(self, x, gamma):
+        calls.append((x, gamma))
+        return track(self, x, gamma)
+
+    monkeypatch.setattr(_Homotopy, "track", spy)
+    return calls
+
+
+def test_each_start_point_is_tracked_once_along_one_complex_gamma(ctx, rng, monkeypatch):
+    chain = make_chain(3, 3, ctx, rng)
+    calls = _spy_on_track(monkeypatch)
+    for nbar in admissible_sectors(chain):
+        del calls[:]
+        result = solve_bethe(chain, nbar)
+        if not sum(nbar):
+            assert calls == []
+            continue
+        (x, gamma), = calls
+        assert np.ndim(gamma) == 0 and np.imag(gamma) != 0
+        assert len(x) == result.attempts == sector_multiplicity(3, nbar)
+
+
+def test_a_planted_path_jump_is_a_reported_shortfall(tmp_path, monkeypatch):
+    # path 1 jumps onto path 0's root set: its endpoint is dropped as a
+    # root set already kept, never replaced, and `complete` fails by one
+    track = _Homotopy.track
+
+    def jump(self, x, gamma):
+        out = track(self, x, gamma)
+        out[1] = out[0]
+        return out
+
+    monkeypatch.setattr(_Homotopy, "track", jump)
+    chain = cli.materialize(cli.RunConfig(N=2, L=4, seed=1)).chains[0]
+    result = solve_bethe(chain, (2,))
+    assert len(result) == sector_multiplicity(4, (2,)) - 1
+    assert result.converged - result.inadmissible == len(result) + 1
+    cfg = tmp_path / "jump.cfg"
+    cfg.write_text("N = 2\nL = 4\nseed = 1\nsectors = 2\n")
+    code, report = cli.run_command(["solve", "--config", str(cfg)])
+    records = {r.check_id: r for r in report.checks}
+    assert code == 1
+    assert records["solve/chain0/sector2"].passed
+    assert records["solve/chain0/sector2/complete"].residual == 1.0
+    assert not records["solve/chain0/sector2/complete"].passed
 
 
 def test_accepted_root_sets_pass_their_own_backward_error(ctx, rng, monkeypatch):
@@ -258,11 +304,14 @@ def test_accepted_root_sets_pass_their_own_backward_error(ctx, rng, monkeypatch)
     # endpoint whose unit-scaled error is below it, so accepting on x would
     # return a root set that fails `backward_errors < TOL_ROOT`
     chain = make_chain(2, 5, ctx, rng)
+    calls = _spy_on_track(monkeypatch)
     planted = 0
     for nbar in ((3,), (4,)):
         hom, scale = _unit_homotopy(chain, nbar)
-        starts = _start_points(nbar, hom.sites, ctx.q)
-        x = hom.track(starts, np.zeros(len(starts)))
+        del calls[:]
+        solve_bethe(chain, nbar)
+        (starts, gamma), = calls
+        x = hom.track(starts, gamma)
         for _ in range(POLISH_STEPS):
             H, J, _ = hom.evaluate(x, np.ones(len(x)))
             x = x - _solve(J, H)
