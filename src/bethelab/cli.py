@@ -54,9 +54,9 @@ from .kernels import (nesting_overlap, nesting_overlap_alt,
                       transfer_eigenvalue, transfer_eigenvalue_residue)
 from .qsym import (cyclic_identity_sides, decomposition_sides, qsym_values,
                    shift_expansion_backward, shift_expansion_forward)
-from .repcore import (ChainSpec, monodromy, permutation_operator, r_matrix, rll_residual,
-                      transfer, transfer_commutator_residual, vacuum_data, vacuum_residuals,
-                      yang_baxter_residual, zero_mode_residuals)
+from .repcore import (ChainSpec, grid_bytes, monodromy, permutation_operator, r_matrix,
+                      rll_residual, transfer, transfer_commutator_residual, vacuum_data,
+                      vacuum_residuals, yang_baxter_residual, zero_mode_residuals)
 from .report import CheckRecord, Report, encode_complex, inputs_digest
 from .solver import (admissible_sectors, backward_errors, sector_multiplicity,
                      solve_bethe, spectrum_reconcile)
@@ -68,6 +68,10 @@ from .vectors import (UNWANTED_CAP, expected_occupancy, is_admissible, on_shell_
 # 6, 8 and N=3 with L = 2, 3, 4 at seeds 1, 2, 3 and 7 its rounding floor is
 # 2.3e-14; this leaves a factor of 44 above it.
 SOLVE_TOL = 1e-12
+
+# monodromy grid bytes per Gauss-pass batch (5 points at N=3, L=5, 1 from L=6): at N=3,
+# L=5 the batch halves the pass, 0.11 -> 0.06 s, for a heap peak of 7.1 MB, not 1.7 MB.
+GAUSS_BATCH_BYTES = 3 << 20
 
 SUITES = ("yang-baxter", "rll", "gauss", "identities", "solve", "verify",
           "offshell", "spectrum")
@@ -390,9 +394,8 @@ def suite_rll(mat: Materialized) -> list[Check]:
 
         def vacuum_thunk(chain=chain, c=c):
             rng = chain.ctx.rng(f"vacuum:{c}")
-            for _ in range(20):
-                t = complex(sample_annulus(rng, 1)[0])
-                yield from vacuum_residuals(chain, t).values()
+            points = [complex(sample_annulus(rng, 1)[0]) for _ in range(20)]
+            yield from np.transpose(list(vacuum_residuals(chain, points).values())).ravel()
 
         checks.append(Check(f"{base}/vacuum",
                             "T_{i>j} Omega = 0 and T_{ii} Omega = lambda_i Omega",
@@ -438,13 +441,14 @@ def suite_gauss(mat: Materialized) -> list[Check]:
 def _gauss_pass(chain: ChainSpec, c: int,
                 identities: tuple[tuple[CoordinateIdentity, tuple[tuple[int, int], ...]], ...]
                 ) -> dict[str, tuple[list[float], BetheLabError | None]]:
-    """The stage of every gauss check of chain `c`: at each of 5 points drawn
-    from the `gauss-recon:{c}` stream, build the monodromy once, decompose it
-    once, and evaluate the reconstruction, the normal-ordered transfer and
-    every coordinate identity on that one `GaussData`. Returns, per check
-    name, its residuals in draw order and the error that stopped it (None if
-    none): a zero-mode error stops only the identity checks. An error at a
-    point propagates, and so fails every check of the chain."""
+    """The stage of every gauss check of chain `c`: for each batch of the 5
+    points drawn from `gauss-recon:{c}` that GAUSS_BATCH_BYTES holds, build
+    the monodromy once, decompose it once, and evaluate the reconstruction,
+    the normal-ordered transfer and every coordinate identity on that one
+    `GaussData`. Returns, per check name, its residuals in draw order and the
+    error that stopped it (None if none): a zero-mode error stops only the
+    identity checks. An error at a point propagates, and so fails every
+    check of the chain."""
     residuals: dict[str, list[float]] = {
         name: [] for name in ("reconstruction", "normal-order-transfer",
                               *(kind.value for kind, _ in identities))}
@@ -456,21 +460,20 @@ def _gauss_pass(chain: ChainSpec, c: int,
         except BetheLabError as exc:
             errors = dict.fromkeys((kind.value for kind, _ in identities), exc)
     rng = chain.ctx.rng(f"gauss-recon:{c}")
-    for _ in range(5):
-        t = complex(sample_annulus(rng, 1)[0])
-        T = monodromy(chain, t)
+    points = [complex(sample_annulus(rng, 1)[0]) for _ in range(5)]
+    batch = max(1, GAUSS_BATCH_BYTES // grid_bytes(chain))
+    for lo in range(0, len(points), batch):
+        T = monodromy(chain, points[lo:lo + batch])
         data = gauss_decompose(T)
-        # streamed one product entry at a time, so the pass never holds a
-        # whole product or difference grid; T is dropped once read, since
-        # `transfer` and the next point build their own (peak RSS 136 MB at
-        # N=3, L=7, where one grid is 34.5 MB)
-        residuals["reconstruction"].append(reconstruction_residual(data, T))
+        # streamed one product entry at a time; T is dropped once read, since
+        # `transfer` and the next batch build their own
+        residuals["reconstruction"].extend(reconstruction_residual(data, T))
         del T
-        residuals["normal-order-transfer"].append(normal_order_transfer_residual(chain, data))
+        residuals["normal-order-transfer"].extend(normal_order_transfer_residual(chain, data))
         if zm is not None:
             for kind, pairs in identities:
-                residuals[kind.value].extend(
-                    coordinate_identity_residual(kind, ij, data, zm) for ij in pairs)
+                values = [coordinate_identity_residual(kind, ij, data, zm) for ij in pairs]
+                residuals[kind.value].extend(np.transpose(values).ravel())
         del data
     return {name: (values, errors.get(name)) for name, values in residuals.items()}
 
@@ -512,15 +515,12 @@ def suite_identities(mat: Materialized) -> list[Check]:
                             "both product forms of the nesting overlap agree",
                             tol, {"k": k, "q": encode_complex(q)}, overlap_thunk))
 
-    test_fn = _sample_function
     for n in (2, 3, 4):
         def idem_thunk(n=n):
-            rng = ctx.rng(f"idem:{n}")
-            for _ in range(25):
-                vals = _separated(rng, n)
-                once = qsym_values(test_fn, vals, q)
-                twice = qsym_values(lambda *t: qsym_values(test_fn, t, q), vals, q)
-                yield abs(once - twice) / max(abs(once), 1e-300)
+            vals = _draws(ctx.rng(f"idem:{n}"), n, 25)
+            once = qsym_values(_sample_function, vals, q)
+            twice = qsym_values(lambda *t: qsym_values(_sample_function, t, q), vals, q)
+            yield from _relative(once, twice)
 
         checks.append(Check(f"identities/qsym-idempotent/n{n}",
                             "qsym . qsym = qsym",
@@ -528,11 +528,8 @@ def suite_identities(mat: Materialized) -> list[Check]:
 
     for n, s in ((2, 1), (3, 1), (3, 2), (4, 2)):
         def decomp_thunk(n=n, s=s):
-            rng = ctx.rng(f"decomp:{n}:{s}")
-            for _ in range(10):
-                vals = _separated(rng, n)
-                full, split = decomposition_sides(test_fn, vals, q, s)
-                yield abs(full - split) / max(abs(full), 1e-300)
+            vals = _draws(ctx.rng(f"decomp:{n}:{s}"), n, 10)
+            yield from _relative(*decomposition_sides(_sample_function, vals, q, s))
 
         checks.append(Check(f"identities/qsym-shuffle/n{n}s{s}",
                             "qsym equals its shuffle decomposition",
@@ -540,25 +537,19 @@ def suite_identities(mat: Materialized) -> list[Check]:
 
     for n in (2, 3, 4):
         def shift_thunk(n=n):
-            rng = ctx.rng(f"shift:{n}")
-            for _ in range(25):
-                vals = _separated(rng, n)
-                lhs = n * qsym_values(test_fn, vals, q)
-                fwd = shift_expansion_forward(test_fn, vals, q)
-                bwd = shift_expansion_backward(test_fn, vals, q)
-                yield abs(fwd - lhs) / max(abs(lhs), 1e-300)
-                yield abs(bwd - lhs) / max(abs(lhs), 1e-300)
+            vals = _draws(ctx.rng(f"shift:{n}"), n, 25)
+            lhs = n * qsym_values(_sample_function, vals, q)
+            fwd = _relative(lhs, shift_expansion_forward(_sample_function, vals, q))
+            bwd = _relative(lhs, shift_expansion_backward(_sample_function, vals, q))
+            yield from np.transpose([fwd, bwd]).ravel()
 
         checks.append(Check(f"identities/qsym-shift/n{n}",
                             "moving one variable to either end expands n · qsym",
                             tol, {"n": n}, shift_thunk))
 
         def cyc_thunk(n=n):
-            rng = ctx.rng(f"cyclic:{n}")
-            for _ in range(25):
-                vals = _separated(rng, n)
-                a, b = cyclic_identity_sides(test_fn, vals, q)
-                yield abs(a - b) / max(abs(a), 1e-300)
+            vals = _draws(ctx.rng(f"cyclic:{n}"), n, 25)
+            yield from _relative(*cyclic_identity_sides(_sample_function, vals, q))
 
         checks.append(Check(f"identities/qsym-cyclic/n{n}",
                             "weighting the first variable equals cyclic rotation",
@@ -620,10 +611,21 @@ def _overlap_points(rng, k: int) -> tuple[list, list]:
 
 
 def _sample_function(*t: complex) -> complex:
+    # not in place: the arguments may be arrays of different shapes
     out = t[0] ** 2
     for i, v in enumerate(t[1:], start=2):
-        out += v ** i / t[0] + 0.37 * v
+        out = out + v ** i / t[0] + 0.37 * v
     return out / t[-1]
+
+
+def _draws(rng, n: int, count: int) -> np.ndarray:
+    """`count` draws of `_separated(rng, n)`, slot k of draw m at [k, m]."""
+    return np.array([_separated(rng, n) for _ in range(count)], dtype=complex).T
+
+
+def _relative(a, b) -> list[float]:
+    """|a - b| / max(|a|, 1e-300) per draw."""
+    return (abs(a - b) / np.maximum(abs(a), 1e-300)).tolist()
 
 
 def _separated(rng, n: int) -> list[complex]:

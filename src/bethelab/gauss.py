@@ -9,7 +9,7 @@ corner; operator order (F left, k middle, E right) is preserved throughout.
 Every coordinate keeps the weight grading of the block it comes from (k_b
 preserves weight; F_{b,a} and E_{a,b} shift it as L_{a,b} and L_{b,a} do), so
 the elimination, the zero modes, the screenings and the identities all run on
-`GradedOperator`s, one small matrix per weight.
+`GradedOperator`s, one small matrix per weight, and per point for a batch.
 """
 from __future__ import annotations
 
@@ -28,9 +28,9 @@ COND_CAP = 1e12
 @dataclass(frozen=True)
 class GaussData:
     """Diagonal coordinates k_a, off-diagonal F_{b,a} (a<b), E_{a,b} (a<b),
-    and the Cartan ratios psi_i = k_i k_{i+1}^{-1}, all at one spectral point."""
+    and the Cartan ratios psi_i = k_i k_{i+1}^{-1}, at the grid's point(s)."""
 
-    point: complex | None
+    point: object
     k: tuple[GradedOperator, ...]
     F: dict[tuple[int, int], GradedOperator]
     E: dict[tuple[int, int], GradedOperator]
@@ -58,7 +58,7 @@ class GaussData:
         return acc
 
 
-def reconstruction_residual(data: GaussData, T: GradedLOperator) -> float:
+def reconstruction_residual(data: GaussData, T: GradedLOperator):
     """||(1 + F) k (1 + E) - T|| / ||T|| in the Frobenius norm, one grid entry
     at a time: each product entry and its difference with T's entry are
     dropped once their blocks are summed, so no whole product or difference
@@ -66,9 +66,9 @@ def reconstruction_residual(data: GaussData, T: GradedLOperator) -> float:
     through the one builtin `sum` of `frobenius`, in the order in which a
     whole difference grid would hold them."""
     N = data.N
-    squares = sum(squared_norm(M) for a in range(1, N + 1) for b in range(1, N + 1)
+    squares = sum(squared_norm(M, (-2, -1)) for a in range(1, N + 1) for b in range(1, N + 1)
                   for M in (data.entry(a, b) - T.entry(a, b)).blocks.values())
-    return float(np.sqrt(squares)) / T.norm()
+    return np.sqrt(squares) / T.norm()
 
 
 def gauss_decompose(Lop: GradedLOperator) -> GaussData:
@@ -78,20 +78,25 @@ def gauss_decompose(Lop: GradedLOperator) -> GaussData:
     E_{a,b} = k_b^{-1} L'_{b,a}, then the Schur update removes the rank-one
     (in block sense) contribution from all remaining entries. F and E are
     solves against k_b: an explicit inverse loses digits when k_b is ill-conditioned.
-    Every step runs weight by weight.
-    """
+    Every step runs weight by weight, on all points at once. A singular k_b
+    raises the error of the first singular point, as if the points ran one
+    after another."""
     N = Lop.N
     work = dict(Lop.entries)
     k: list[GradedOperator] = [None] * N  # type: ignore[list-item]
     F: dict[tuple[int, int], GradedOperator] = {}
     E: dict[tuple[int, int], GradedOperator] = {}
     for b in range(N, 0, -1):
-        kb = work[(b, b)]
-        cond = kb.cond()
-        if not np.isfinite(cond) or cond > COND_CAP:
+        cond = np.reshape(work[(b, b)].cond(), -1)
+        for p in np.flatnonzero(~(cond <= COND_CAP))[:1]:
+            if p:  # the points before it go first: one may be singular at a later stage
+                gauss_decompose(GradedLOperator(Lop.point[:p], {
+                    key: GradedOperator(op.L, op.shift, {nu: M[:p] for nu, M in op.blocks.items()})
+                    for key, op in Lop.entries.items()}))
+            t = Lop.point[p] if np.ndim(Lop.point) else Lop.point
             raise SingularCoordinateError(
-                f"diagonal coordinate {b} singular at t={Lop.point} (cond={cond:.2e})")
-        k[b - 1] = kb
+                f"diagonal coordinate {b} singular at t={t} (cond={cond[p]:.2e})")
+        kb = k[b - 1] = work[(b, b)]
         for a in range(1, b):
             F[(b, a)] = work[(a, b)].right_divide(kb)
             E[(a, b)] = work[(b, a)].left_divide(kb)
@@ -144,14 +149,14 @@ class CoordinateIdentity(enum.Enum):
     CARTAN_SHIFT = "cartan-shift"   # S^_i(psi_{i+1}) = (q - q^-1) psi_{i+1} E_{i,i+1}
 
 
-def _rel_norm(lhs: GradedOperator, rhs: GradedOperator) -> float:
-    """||lhs - rhs|| / max(||lhs||, ||rhs||) in the Frobenius norm."""
-    scale = max(lhs.norm(), rhs.norm(), 1e-300)
+def _rel_norm(lhs: GradedOperator, rhs: GradedOperator):
+    """||lhs - rhs|| / max(||lhs||, ||rhs||) in the Frobenius norm, per point."""
+    scale = np.maximum(np.maximum(lhs.norm(), rhs.norm()), 1e-300)
     return (lhs - rhs).norm() / scale
 
 
 def coordinate_identity_residual(kind: CoordinateIdentity, indices: tuple[int, int],
-                                 data: GaussData, zm: ZeroModeSet) -> float:
+                                 data: GaussData, zm: ZeroModeSet):
     """Relative operator-norm residual of one coordinate identity between the
     Gauss coordinates `data` at one point and the zero modes `zm` of its chain.
 
@@ -192,7 +197,7 @@ def coordinate_identity_residual(kind: CoordinateIdentity, indices: tuple[int, i
     raise DomainError(f"unknown identity kind {kind}")
 
 
-def normal_order_transfer_residual(chain: ChainSpec, data: GaussData) -> float:
+def normal_order_transfer_residual(chain: ChainSpec, data: GaussData):
     """Residual of trace(T) against the expansion of the Gauss coordinates
     `data` of T: sum_i (k_i + sum_{j>i} F_{j,i} k_j E_{i,j}). The trace is
     `transfer(chain, data.point)`, built from its own monodromy."""

@@ -15,6 +15,8 @@ import itertools
 import math
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import CapacityError, DomainError
 
 FACTORIAL_CAP = 7
@@ -37,12 +39,12 @@ def sym_weight(perm: Sequence[int], values: Sequence[complex], q: complex) -> co
 
 
 @functools.cache
-def _inversions(n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
-    """Every permutation of range(n) with its inversion pairs (l, l'), l < l',
-    in the order `sym_weight` visits them."""
-    return tuple((perm, tuple((l, lp) for l in range(n) for lp in range(l + 1, n)
-                              if perm[l] > perm[lp]))
-                 for perm in itertools.permutations(range(n)))
+def _inversions(n: int) -> tuple[np.ndarray, tuple[tuple[int, int, np.ndarray], ...]]:
+    """Every permutation of range(n), one per row, and per slot pair (l, l'),
+    l < l', in `sym_weight`'s order, the mask of rows it is an inversion of."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    return perms, tuple((l, lp, perms[:, l] > perms[:, lp])
+                        for l in range(n) for lp in range(l + 1, n))
 
 
 def qsym_values(fn: Callable[..., complex], values: Sequence[complex], q: complex) -> complex:
@@ -52,25 +54,26 @@ def qsym_values(fn: Callable[..., complex], values: Sequence[complex], q: comple
 
 def partial_qsym_values(fn: Callable[..., complex], values: Sequence[complex], q: complex,
                         active: Sequence[int]) -> complex:
-    """Symmetrize only over the slot positions in `active`; the rest spectate."""
+    """Symmetrize only over the slot positions in `active`; the rest spectate.
+    `fn` is called once, on arrays holding every permutation along a new first
+    axis, so values may be arrays of draws, each averaged as if alone."""
     active = list(active)
-    sub = [values[s] for s in active]
-    if len(sub) > FACTORIAL_CAP:
+    if len(active) > FACTORIAL_CAP:
         raise CapacityError(f"symmetrization capped at {FACTORIAL_CAP} variables")
-    n = len(sub)
-    # factor[a][b] = exchange_factor(sub[a], sub[b], q), multiplied below in
-    # the (l, l') order of `sym_weight`, so the weights are the same floats
-    factor = [[exchange_factor(x, y, q) for y in sub] for x in sub]
-    tot = 0.0 + 0j
-    for perm, inversions in _inversions(n):
-        w = 1.0 + 0j
-        for l, lp in inversions:
-            w *= factor[perm[lp]][perm[l]]
-        args = list(values)
-        for slot, p in zip(active, perm):
-            args[slot] = sub[p]
-        tot += w * fn(*args)
-    return tot / math.factorial(n)
+    shape = np.broadcast_shapes(*(np.shape(v) for v in values))
+    vals = [np.broadcast_to(np.asarray(v, dtype=complex), shape or (1,)) for v in values]
+    sub = np.array([vals[s] for s in active])
+    perms, pairs = _inversions(len(active))
+    # factor[a, b] = exchange_factor(sub[a], sub[b], q), taken in `sym_weight`'s order
+    factor = exchange_factor(sub[:, None], sub[None, :], q)
+    weights = np.ones((len(perms),) + (shape or (1,)), dtype=complex)
+    for l, lp, inverted in pairs:
+        weights[inverted] *= factor[perms[inverted, lp], perms[inverted, l]]
+    args = [np.broadcast_to(v, weights.shape) for v in vals]
+    for slot, column in zip(active, perms.T):
+        args[slot] = sub[column]
+    tot = sum(weights * fn(*args), 0.0 + 0j) / math.factorial(len(active))
+    return tot if shape else complex(tot[0])
 
 
 def shuffle_permutations(n: int, s: int):

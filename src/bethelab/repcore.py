@@ -185,7 +185,8 @@ class GradedOperator:
     def right_divide(self, K: "GradedOperator") -> "GradedOperator":
         """self . K^{-1} for a weight-preserving K, by solves, not inverses."""
         return GradedOperator(self.L, self.shift, {
-            nu: np.linalg.solve(K.blocks[nu].T, M.T).T for nu, M in self.blocks.items()})
+            nu: np.linalg.solve(K.blocks[nu].swapaxes(-1, -2), M.swapaxes(-1, -2)).swapaxes(-1, -2)
+            for nu, M in self.blocks.items()})
 
     def left_divide(self, K: "GradedOperator") -> "GradedOperator":
         """K^{-1} . self for a weight-preserving K, by solves, not inverses."""
@@ -193,17 +194,17 @@ class GradedOperator:
             nu: np.linalg.solve(K.blocks[_shifted(nu, self.shift)], M)
             for nu, M in self.blocks.items()})
 
-    def cond(self) -> float:
-        """2-norm condition number: the largest singular value of any block
-        over the smallest of any block, which is the dense value."""
+    def cond(self):
+        """2-norm condition number per point: the largest singular value of
+        any block over the smallest of any block, which is the dense value."""
         s = [np.linalg.svd(M, compute_uv=False) for M in self.blocks.values()]
-        hi = max(float(v[0]) for v in s)
-        lo = min(float(v[-1]) for v in s)
-        return hi / lo if lo > 0 else float("inf")
+        hi = np.max([v[..., 0] for v in s], axis=0)
+        lo = np.min([v[..., -1] for v in s], axis=0)
+        return np.divide(hi, lo, out=np.full_like(hi, np.inf), where=lo > 0)[()]
 
-    def norm(self) -> float:
-        """Frobenius norm."""
-        return frobenius(*self.blocks.values())
+    def norm(self):
+        """Frobenius norm, one value per point."""
+        return frobenius(*self.blocks.values(), axis=(-2, -1))
 
     def dense(self) -> np.ndarray:
         basis = weight_basis(self.N, self.L)
@@ -228,9 +229,10 @@ class GradedLOperator:
     def entry(self, i: int, j: int) -> GradedOperator:
         return self.entries[(i, j)]
 
-    def norm(self) -> float:
-        """Frobenius norm of the whole grid."""
-        return frobenius(*(M for op in self.entries.values() for M in op.blocks.values()))
+    def norm(self):
+        """Frobenius norm of the whole grid, one value per point."""
+        return frobenius(*(M for op in self.entries.values() for M in op.blocks.values()),
+                         axis=(-2, -1))
 
     def dense(self) -> np.ndarray:
         """The (N, N, dim, dim) block grid."""
@@ -239,16 +241,16 @@ class GradedLOperator:
                          for i in range(1, N + 1)])
 
 
-def frobenius(*arrays: np.ndarray) -> float:
-    """Frobenius norm of the arrays taken together, from the builtin `sum` of
-    `squared_norm` per array. It makes no BLAS call, so, unlike
-    `np.linalg.norm`, its value does not depend on the BLAS thread count."""
-    return float(np.sqrt(sum(squared_norm(x) for x in arrays)))
+def frobenius(*arrays: np.ndarray, axis=None):
+    """Frobenius norm of the arrays taken together over `axis` (all by default),
+    from the builtin `sum` of `squared_norm` per array. It makes no BLAS call,
+    so, unlike `np.linalg.norm`, its value does not depend on the BLAS thread count."""
+    return np.sqrt(sum(squared_norm(x, axis) for x in arrays))[()]
 
 
-def squared_norm(x: np.ndarray) -> float:
-    """Pairwise `np.sum` of |x|^2 over one array."""
-    return float(np.sum(np.square(x.real) + np.square(x.imag)))
+def squared_norm(x: np.ndarray, axis=None):
+    """Pairwise `np.sum` of |x|^2 over `axis` of one array."""
+    return np.sum(np.square(x.real) + np.square(x.imag), axis=axis)
 
 
 def r_matrix(u: complex, v: complex, N: int, ctx: DeformationContext) -> np.ndarray:
@@ -346,13 +348,10 @@ def _apply_sites(chain: ChainSpec, tables: list, X: np.ndarray) -> np.ndarray:
 
 
 def _point_coefficients(chain: ChainSpec, t) -> list:
-    """Per-site pole-free R coefficient quadruples at the point t, or, for a
-    list of points, per-site quadruples of arrays with one entry per point
-    (the form `apply_monodromy` takes for a (P, N, dim, B) batch)."""
-    q = chain.ctx.q
-    if not isinstance(t, list):
-        return [_r_polynomial(t, zl, q) for zl in chain.z]
-    return [tuple(np.array(c) for c in zip(*(_r_polynomial(tp, zl, q) for tp in t)))
+    """Per-site pole-free R coefficient quadruples of arrays with one entry per
+    point of t, one point (a batch of one) or a sequence of points."""
+    points = [t] if np.ndim(t) == 0 else t
+    return [tuple(np.array(c) for c in zip(*(_r_polynomial(tp, zl, chain.ctx.q) for tp in points)))
             for zl in chain.z]
 
 
@@ -404,31 +403,40 @@ def _paths(N: int, L: int) -> tuple[np.ndarray, np.ndarray, list]:
     return factor[:, order], position, blocks
 
 
-def _graded_grid(chain: ChainSpec, coeffs: list[tuple[complex, ...]],
-                 point: complex | None) -> GradedLOperator:
+def _graded_grid(chain: ChainSpec, coeffs: list, point) -> GradedLOperator:
     """Graded block grid from the `_paths` plan: per site one gather from its
     `_r_table` and one product, then kappa of the final colour, the factors
     and order of `apply_monodromy`, so the blocks equal the entries of that
-    kernel applied to the aux (x) identity basis exactly."""
+    kernel applied to the aux (x) identity basis exactly. Each block is its
+    own array: a k of `gauss_decompose` keeps some blocks of its grid, and
+    views of one grid-wide buffer would keep all of it."""
     N = chain.N
     factor, position, blocks = _paths(N, chain.L)
-    values = np.ones(len(position), dtype=complex)
+    lead = np.shape(point)
+    values = np.ones(lead + position.shape, dtype=complex)
     for coeff, index in zip(coeffs, factor):
-        np.multiply(np.concatenate(_r_table(coeff, N), axis=None)[index], values, out=values)
+        table = np.concatenate([t.reshape(lead + (-1,)) for t in _r_table(coeff, N)], axis=-1)
+        np.multiply(table[..., index], values, out=values)
     grid = {(i, j): {} for i in range(1, N + 1) for j in range(1, N + 1)}
     for (i, j), nu, (rows, cols), paths in blocks:
-        M = np.zeros(rows * cols, dtype=complex)
-        M[position[paths]] = chain.kappa[i - 1] * values[paths]
-        grid[i, j][nu] = M.reshape(rows, cols)
+        M = np.zeros(lead + (rows * cols,), dtype=complex)
+        M[..., position[paths]] = chain.kappa[i - 1] * values[..., paths]
+        grid[i, j][nu] = M.reshape(lead + (rows, cols))
     eye = np.eye(N, dtype=int)
     entries = {(i, j): GradedOperator(chain.L, tuple((eye[j - 1] - eye[i - 1]).tolist()), ops)
                for (i, j), ops in grid.items()}
     return GradedLOperator(point, entries)
 
 
-def monodromy(chain: ChainSpec, t: complex) -> GradedLOperator:
-    """The pole-free monodromy prod_l (q t - z_l/q) . T(t) as a graded grid."""
+def monodromy(chain: ChainSpec, t) -> GradedLOperator:
+    """The pole-free monodromy prod_l (q t - z_l/q) . T(t) as a graded grid;
+    at a sequence of points, one build whose blocks carry a point axis."""
     return _graded_grid(chain, _point_coefficients(chain, t), t)
+
+
+def grid_bytes(chain: ChainSpec) -> int:
+    """Bytes of one point's `monodromy` grid."""
+    return 16 * sum(rows * cols for _, _, (rows, cols), _ in _paths(chain.N, chain.L)[-1])
 
 
 def transfer(chain: ChainSpec, t: complex) -> GradedOperator:
@@ -583,7 +591,7 @@ def transfer_commutator_residual(chain: ChainSpec, u: complex, v: complex,
     return frobenius(uv - vu) / scale
 
 
-def vacuum_residuals(chain: ChainSpec, t: complex) -> dict[tuple[int, int], float]:
+def vacuum_residuals(chain: ChainSpec, t) -> dict[tuple[int, int], float]:
     """Residual of each entry's action on the vacuum: T_{j,j}(t) Omega against
     lambda_j(t) Omega, and T_{i,j}(t) Omega against 0 for i > j, keyed (i, j).
 
@@ -591,19 +599,21 @@ def vacuum_residuals(chain: ChainSpec, t: complex) -> dict[tuple[int, int], floa
     rows i are T_{i,j} Omega. Each residual is relative to column j's
     diagonal size max(|T_{j,j} Omega|_max, |lambda_j|). The vectors are
     divided by it before the norm squares anything, so twists near the float
-    range give a finite residual or NaN, never inf / inf.
-    """
+    range give a finite residual or NaN, never inf / inf. At a sequence of
+    points the call is still one, and each value holds each point's own."""
     omega, lambdas = vacuum_data(chain)
     N = chain.N
-    X = np.zeros((N, chain.dim, N), dtype=complex)
-    X[range(N), :, range(N)] = omega
-    Y = apply_monodromy(chain, _point_coefficients(chain, t), X)
+    points = [t] if np.ndim(t) == 0 else list(t)
+    X = np.zeros((len(points), N, chain.dim, N), dtype=complex)
+    X[:, range(N), :, range(N)] = omega
+    Y = apply_monodromy(chain, _point_coefficients(chain, points), X)
     out = {}
     for j in range(1, N + 1):
-        lam = lambdas[j - 1](t)
-        diag = Y[j - 1, :, j - 1]
-        scale = max(float(np.max(np.abs(diag))), abs(lam), 1e-300)
-        out[(j, j)] = frobenius((diag - lam * omega) / scale)
+        lam = [lambdas[j - 1](tp) for tp in points]
+        diag = Y[:, j - 1, :, j - 1]
+        scale = np.array([max(float(m), abs(lp), 1e-300)
+                          for m, lp in zip(np.max(np.abs(diag), axis=-1), lam)])[:, None]
+        out[(j, j)] = frobenius((diag - np.array(lam)[:, None] * omega) / scale, axis=-1)
         for i in range(j + 1, N + 1):
-            out[(i, j)] = frobenius(Y[i - 1, :, j - 1] / scale)
-    return out
+            out[(i, j)] = frobenius(Y[:, i - 1, :, j - 1] / scale, axis=-1)
+    return out if np.ndim(t) else {key: values[0] for key, values in out.items()}

@@ -10,6 +10,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bethelab
@@ -19,7 +20,7 @@ from bethelab.cli import run_command
 from bethelab.errors import (BetheLabError, DegenerateVectorError, DomainError,
                              SingularCoordinateError)
 from bethelab.report import report_fingerprint
-from bethelab.repcore import _paths, monodromy
+from bethelab.repcore import GradedOperator, _paths, monodromy
 
 
 def run(args):
@@ -159,9 +160,10 @@ def test_non_finite_chain_value_exits_2(tmp_path, capsys, line):
 
 
 def test_gauss_builds_one_zero_mode_set_per_chain(tmp_path, monkeypatch, capsys):
-    # the six checks of a chain share one Gauss pass: 5 monodromies, 5
-    # decompositions and one zero-mode set, built by the first check that
-    # runs, not by the suite builder (timed as set-up)
+    # the six checks of a chain share one Gauss pass: at N=3, L=3 its 5
+    # points are one batch, so one monodromy, one decomposition and one
+    # zero-mode set, built by the first check that runs, not by the suite
+    # builder (timed as set-up)
     calls = {"monodromy": [], "gauss_decompose": [], "zero_mode_set": []}
     for name, log in calls.items():
         original = getattr(cli, name)
@@ -176,8 +178,8 @@ def test_gauss_builds_one_zero_mode_set_per_chain(tmp_path, monkeypatch, capsys)
     assert len(report.checks) == 12
     chains = list(dict.fromkeys(calls["monodromy"]))
     assert len(chains) == 2
-    assert [calls["monodromy"].count(chain) for chain in chains] == [5, 5]
-    assert len(calls["gauss_decompose"]) == 10
+    assert [calls["monodromy"].count(chain) for chain in chains] == [1, 1]
+    assert len(calls["gauss_decompose"]) == 2
     assert calls["zero_mode_set"] == chains
 
 
@@ -212,21 +214,28 @@ def test_gauss_point_error_fails_every_check_of_its_chain(monkeypatch, failing):
     # a singular coordinate at a chain's 3rd point stops all six checks of
     # that chain with its error; the other chain's checks are as before
     baseline = _gauss_records()
-    original = cli.gauss_decompose
+    original = GradedOperator.cond
     count = [0]
 
-    def decompose(T):
+    def cond(self):
+        # each chain's one batched decomposition asks for N = 3 conditions,
+        # k_3 first; make the 3rd point's k_3 singular
+        values = np.array(original(self))
         count[0] += 1
-        if count[0] == 5 * failing + 3:
-            raise SingularCoordinateError("planted at the 3rd point")
-        return original(T)
+        if count[0] == 3 * failing + 1:
+            values[2] = np.inf
+        return values
 
-    monkeypatch.setattr(cli, "gauss_decompose", decompose)
+    monkeypatch.setattr(GradedOperator, "cond", cond)
     records = _gauss_records()
+    rng = cli.materialize(cli.RunConfig(N=3, L=3, chains=2, seed=7)).ctx.rng(
+        f"gauss-recon:{failing}")
+    third = [complex(sample_annulus(rng, 1)[0]) for _ in range(3)][2]
     assert records.keys() == baseline.keys() and len(records) == 12
     for check_id, record in records.items():
         if check_id.startswith(f"gauss/chain{failing}/"):
-            assert record.error == "SingularCoordinateError: planted at the 3rd point"
+            assert record.error == ("SingularCoordinateError: diagonal coordinate 3 "
+                                    f"singular at t={third} (cond=inf)")
             assert record.residual == math.inf and not record.passed
         else:
             assert record.error == "" and record.passed
@@ -272,22 +281,36 @@ def test_gauss_checks_each_compute_their_own_residuals(monkeypatch):
 
 
 def test_gauss_pass_peaks_below_four_monodromy_grids():
-    # the pass holds T, its Gauss coordinates and one entry of their product
-    # at a time, never a whole product or difference grid
-    mat = cli.materialize(cli.RunConfig(N=3, L=5, seed=7))
-    chain = mat.chains[0]
-    _paths(3, 5)
-    grid = monodromy(chain, 1.1 - 0.4j)
-    grid_bytes = sum(M.nbytes for op in grid.entries.values() for M in op.blocks.values())
-    del grid
+    # the pass holds one batch's T, its Gauss coordinates and one entry of
+    # their product at a time, never a whole product or difference grid: at
+    # N=3, L=5 the batch is all 5 points, at L=6 one point
+    for L, batch in ((5, 5), (6, 1)):
+        mat = cli.materialize(cli.RunConfig(N=3, L=L, seed=7))
+        chain = mat.chains[0]
+        _paths(3, L)
+        grid = monodromy(chain, 1.1 - 0.4j)
+        grid_bytes = sum(M.nbytes for op in grid.entries.values() for M in op.blocks.values())
+        del grid
+        assert min(5, max(1, cli.GAUSS_BATCH_BYTES // grid_bytes)) == batch
+        (function, *args), = cli.suite_gauss(mat)[0].stages
+        tracemalloc.start()
+        try:
+            function(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * batch * grid_bytes
+
+
+@pytest.mark.parametrize("N, L", [(3, 4), (4, 4), (2, 6)])
+def test_gauss_pass_in_one_point_batches_equals_the_whole_batch(monkeypatch, N, L):
+    # a batch of one runs the same code on the same floats as a batch of 5
+    mat = cli.materialize(cli.RunConfig(N=N, L=L, seed=7))
     (function, *args), = cli.suite_gauss(mat)[0].stages
-    tracemalloc.start()
-    try:
-        function(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * grid_bytes
+    whole = function(*args)
+    assert cli.GAUSS_BATCH_BYTES >= 5 * cli.grid_bytes(mat.chains[0])
+    monkeypatch.setattr(cli, "GAUSS_BATCH_BYTES", 1)
+    assert function(*args) == whole
 
 
 def test_overlap_points_are_drawn_clear_of_the_coupling_pole(capsys):
@@ -691,6 +714,20 @@ def test_vacuum_residuals_stay_finite_near_the_float_range(tmp_path):
         values = list(vacuum_residuals(chain, t).values())
         assert len(values) == 3
         assert all(math.isfinite(v) and v < 1e-12 for v in values)
+
+
+def test_vacuum_residuals_batched_equal_each_draw_alone():
+    # `rll/vacuum` takes its 20 points in one kernel call; each point's
+    # residuals are the floats of its own call
+    mat = cli.materialize(cli.RunConfig(N=3, L=4, seed=5))
+    chain = mat.chains[0]
+    rng = chain.ctx.rng("vacuum:0")
+    points = [complex(sample_annulus(rng, 1)[0]) for _ in range(20)]
+    batched = vacuum_residuals(chain, points)
+    for p, t in enumerate(points):
+        alone = vacuum_residuals(chain, t)
+        assert list(alone) == list(batched)
+        assert [values[p] for values in batched.values()] == list(alone.values())
 
 
 def test_operator_reports_do_not_depend_on_the_blas_thread_count(tmp_path):

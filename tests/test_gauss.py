@@ -167,6 +167,43 @@ def test_singular_coordinate_raises(ctx):
         gauss_decompose(graded(blocks, L=1))
 
 
+def test_batched_decomposition_equals_each_point_alone(ctx, rng):
+    chain = make_chain(3, 3, ctx, rng)
+    points = [complex(t) for t in sample_annulus(rng, 4)]
+    batched = gauss_decompose(monodromy(chain, points))
+    for p, t in enumerate(points):
+        alone = gauss_decompose(monodromy(chain, t))
+        pairs = [*zip(batched.k, alone.k), *((batched.F[key], alone.F[key]) for key in alone.F),
+                 *((batched.E[key], alone.E[key]) for key in alone.E)]
+        for got, want in pairs:
+            assert got.blocks.keys() == want.blocks.keys()
+            assert all(np.array_equal(got.blocks[nu][p], want.blocks[nu]) for nu in want.blocks)
+
+
+def test_batched_singular_coordinate_names_the_first_singular_point(ctx, rng, monkeypatch):
+    # the 4th point is singular at k_3, the first stage; the 3rd only at
+    # k_2, a later one. Run one after another, the 3rd point fails first.
+    chain = make_chain(3, 3, ctx, rng)
+    points = [complex(t) for t in sample_annulus(rng, 5)]
+    original = GradedOperator.cond
+    calls = []
+
+    def cond(self):
+        values = np.array(original(self))
+        calls.append(len(values))
+        # the 5-point batch at k_3, then the 3-point batch that runs first at k_3 and k_2
+        singular = {1: 3, 3: 2}.get(len(calls))
+        if singular is not None:
+            values[singular] = np.inf
+        return values
+
+    monkeypatch.setattr(GradedOperator, "cond", cond)
+    with pytest.raises(SingularCoordinateError) as info:
+        gauss_decompose(monodromy(chain, points))
+    assert str(info.value) == f"diagonal coordinate 2 singular at t={points[2]} (cond=inf)"
+    assert calls[:3] == [5, 3, 3]
+
+
 # ---------------------------------------------------------------------------
 # screenings
 
