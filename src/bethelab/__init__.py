@@ -39,7 +39,7 @@ from .kernels import (
     string_overlap,
     top_split_weight,
     transfer_eigenvalue,
-    transfer_eigenvalue_residue,
+    transfer_eigenvalue_residues,
 )
 from .qsym import exchange_factor, qsym_values, sym_weight
 from .repcore import (

@@ -25,10 +25,9 @@ from .errors import DomainError, PoleError
 
 LambdaLike = Callable[[complex | np.ndarray], complex | np.ndarray]
 
-# circle of `transfer_eigenvalue_residue`: radius relative to the root, points
-RESIDUE_RADIUS = 1e-4
-RESIDUE_POINTS = 64
-# pole margin on that circle, which lies RESIDUE_RADIUS < POLE_MARGIN from its own root
+# pole margin of tau's residue at a root against the other roots, which may
+# lie as close as the solver's MIN_SEPARATION = 1e-6 (relative), inside
+# POLE_MARGIN; the residue at t_m over (t_m - t) is the m-th unwanted coefficient
 RESIDUE_MARGIN = 1e-12
 
 
@@ -52,6 +51,9 @@ def _tau_terms(lambdas: Sequence[LambdaLike], params: BetheParameterSet,
                t: np.ndarray, ctx: DeformationContext,
                margin: float = POLE_MARGIN) -> np.ndarray:
     """The N terms of tau at the 1-d points t, an (N, len(t)) array."""
+    if len(params.values) > len(lambdas) - 1:
+        raise DomainError(f"{len(params.values)} parameter types for {len(lambdas)} "
+                          f"eigenvalue terms: at most {len(lambdas) - 1}")
     q = ctx.q
     roots = np.array([u for grp in params.values for u in grp], dtype=complex)[:, None]
     gap = np.abs(t - roots)
@@ -112,23 +114,27 @@ def bethe_residual(i: int, j: int, params: BetheParameterSet,
     return lam_ratio - bethe_rhs(i, j, params, ctx)
 
 
-def transfer_eigenvalue_residue(lambdas: Sequence[LambdaLike], params: BetheParameterSet,
-                                a: int, j: int, ctx: DeformationContext) -> tuple[float, float]:
-    """Contour residue of the eigenvalue at t = t_j^a, with a local scale.
+def transfer_eigenvalue_residues(lambdas: Sequence[LambdaLike], params: BetheParameterSet,
+                                 ctx: DeformationContext) -> tuple[np.ndarray, np.ndarray]:
+    """Residues of tau at every root, in type order, with their scales.
 
-    Returns (|net residue|, scale) / |t_j^a|, where the scale is the largest
-    per-term contour residue: the two terms adjacent to type a carry opposite
-    pole contributions that cancel exactly on shell, so residue/scale measures
-    cancellation quality independently of the contour radius.
+    At a type-a root u only terms a and a+1 have a pole: their factors
+    (t/q - q u)/(t - u) and (q t - u/q)/(t - u) have residues -(q - 1/q) u
+    and +(q - 1/q) u, times the terms of tau at t = u on the set without u.
+    The residue is the sum of the two, which vanishes on shell, and the scale
+    is the larger of their moduli, so |residue| / scale measures the
+    cancellation. Returns two arrays of one entry per root.
     """
-    center = params.value(a, j)
-    r = RESIDUE_RADIUS * abs(center)
-    w = np.exp(2j * np.pi * np.arange(RESIDUE_POINTS) / RESIDUE_POINTS)
-    terms = _tau_terms(lambdas, params, center + r * w, ctx, RESIDUE_MARGIN)
-    acc = (terms * w).sum(axis=1) * (r / RESIDUE_POINTS)
-    residue = abs(acc.sum()) / abs(center)
-    scale = float(np.max(np.abs(acc))) / abs(center)
-    return residue, scale
+    qq = ctx.q - 1 / ctx.q
+    pairs = []
+    for a, grp in enumerate(params.values, start=1):
+        for j, u in enumerate(grp):
+            rest = params.values[:a - 1] + (grp[:j] + grp[j + 1:],) + params.values[a:]
+            terms = _tau_terms(lambdas, BetheParameterSet(rest), np.array([u]), ctx,
+                               RESIDUE_MARGIN)[:, 0]
+            pairs.append((-qq * u * terms[a - 1], qq * u * terms[a]))
+    pairs = np.array(pairs, dtype=complex).reshape(-1, 2)
+    return pairs.sum(axis=1), np.abs(pairs).max(axis=1)
 
 
 # ---------------------------------------------------------------------------

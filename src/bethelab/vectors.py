@@ -24,7 +24,7 @@ import numpy as np
 
 from .context import BetheParameterSet
 from .errors import DegenerateVectorError, DomainError, IllPosedDecompositionError
-from .kernels import same_type_weight, transfer_eigenvalue
+from .kernels import same_type_weight, transfer_eigenvalue, transfer_eigenvalue_residues
 from .repcore import ChainSpec, entry_apply, transfer_apply, vacuum_data
 
 RANK_DEFICIENCY_TOL = 1e-8
@@ -136,7 +136,9 @@ def on_shell_residuals(chain: ChainSpec, params: BetheParameterSet,
 @dataclass(frozen=True)
 class UnwantedReport:
     """Decomposition of the off-eigenvector remainder over the candidate basis
-    with one Bethe parameter replaced by the spectral point."""
+    with one Bethe parameter replaced by the spectral point: the fitted
+    coefficients and the closed form, the residue of tau at each root t_m
+    over (t_m - t), which vanish together on shell."""
 
     coefficients: tuple[complex, ...]
     closed_form: tuple[complex, ...]
@@ -148,23 +150,14 @@ class UnwantedReport:
 
 def unwanted_closed_form(chain: ChainSpec, params: BetheParameterSet,
                          t: complex) -> tuple[complex, ...]:
-    """Rank-2 coefficient of the m-th candidate vector, fixed against a
-    least-squares oracle on one and two excitations and asserted beyond:
-
-        c_m = (q - 1/q) t_m/(t - t_m) [ lam_1(t_m) prod_{j != m} (q t_j - t_m/q)/(t_j - t_m)
-                                      - lam_2(t_m) prod_{j != m} (q t_m - t_j/q)/(t_m - t_j) ].
-    """
-    q = chain.ctx.q
+    """Coefficient of the m-th candidate vector for every root t_m: the
+    residue of tau at t_m over (t_m - t). It is zero exactly when t_m obeys
+    its Bethe equation, and is checked against the least-squares fit of
+    `unwanted_decomposition`."""
     _, lambdas = vacuum_data(chain)
-    roots = params.type_values(1)
-    out = []
-    for m, tm in enumerate(roots):
-        others = roots[:m] + roots[m + 1:]
-        p1 = math.prod((q * tj - tm / q) / (tj - tm) for tj in others)
-        p2 = math.prod((q * tm - tj / q) / (tm - tj) for tj in others)
-        out.append((q - 1 / q) * tm / (t - tm)
-                   * (lambdas[0](tm) * p1 - lambdas[1](tm) * p2))
-    return tuple(out)
+    residues, _ = transfer_eigenvalue_residues(lambdas, params, chain.ctx)
+    roots = np.array([u for grp in params.values for u in grp], dtype=complex)
+    return tuple(complex(c) for c in residues / (roots - t))
 
 
 def unwanted_decomposition(chain: ChainSpec, params: BetheParameterSet,

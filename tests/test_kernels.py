@@ -21,11 +21,12 @@ from bethelab import (
     string_overlap,
     top_split_weight,
     transfer_eigenvalue,
-    transfer_eigenvalue_residue,
+    transfer_eigenvalue_residues,
     vacuum_data,
 )
+from bethelab import solver
 from bethelab.context import POLE_MARGIN
-from bethelab.kernels import bethe_rhs
+from bethelab.kernels import _tau_terms, bethe_rhs
 
 from conftest import make_chain, separated_points
 
@@ -98,12 +99,12 @@ def test_tau_residue_vanishes_exactly_on_one_magnon_root(ctx):
     tstar = z * (kap1 / q - kap2) / (kap1 * q - kap2)
     params = BetheParameterSet(((tstar,),))
     assert abs(bethe_residual(1, 1, params, lambdas, ctx)) < 1e-12
-    resid, scale = transfer_eigenvalue_residue(lambdas, params, 1, 1, ctx)
-    assert resid <= 1e-10 * scale
+    resid, scale = transfer_eigenvalue_residues(lambdas, params, ctx)
+    assert abs(resid[0]) <= 1e-10 * scale[0]
     # displacing the root by 1e-2 must surface in the residue
     moved = BetheParameterSet(((tstar * (1 + 1e-2),),))
-    resid2, scale2 = transfer_eigenvalue_residue(lambdas, moved, 1, 1, ctx)
-    assert resid2 >= 1e-4 * scale2
+    resid2, scale2 = transfer_eigenvalue_residues(lambdas, moved, ctx)
+    assert abs(resid2[0]) >= 1e-4 * scale2[0]
 
 
 def test_tau_residue_on_solver_roots(ctx, rng):
@@ -112,12 +113,12 @@ def test_tau_residue_on_solver_roots(ctx, rng):
     result = solve_bethe(chain, (2,))
     assert len(result) == 1
     params = result.solutions[0].params
+    resid, scale = transfer_eigenvalue_residues(lambdas, params, ctx)
     for j in (1, 2):
-        resid, scale = transfer_eigenvalue_residue(lambdas, params, 1, j, ctx)
-        assert resid <= 1e-8 * scale
+        assert abs(resid[j - 1]) <= 1e-8 * scale[j - 1]
     moved = BetheParameterSet(((params.value(1, 1) * 1.01, params.value(1, 2)),))
-    resid, scale = transfer_eigenvalue_residue(lambdas, moved, 1, 1, ctx)
-    assert resid >= 1e-4 * scale
+    resid, scale = transfer_eigenvalue_residues(lambdas, moved, ctx)
+    assert abs(resid[0]) >= 1e-4 * scale[0]
 
 
 def test_tau_residue_of_both_types_on_solver_roots(ctx, rng):
@@ -127,12 +128,86 @@ def test_tau_residue_of_both_types_on_solver_roots(ctx, rng):
     result = solve_bethe(chain, (2, 1))
     assert len(result) > 0
     for params in (sol.params for sol in result):
-        for a, j in ((1, 1), (1, 2), (2, 1)):
-            resid, scale = transfer_eigenvalue_residue(lambdas, params, a, j, ctx)
-            assert resid <= 1e-8 * scale
+        # type order: (1, 1), (1, 2), (2, 1)
+        resid, scale = transfer_eigenvalue_residues(lambdas, params, ctx)
+        assert np.all(np.abs(resid) <= 1e-8 * scale)
         moved = BetheParameterSet((params.values[0], (params.value(2, 1) * 1.01,)))
-        resid, scale = transfer_eigenvalue_residue(lambdas, moved, 2, 1, ctx)
-        assert resid >= 1e-4 * scale
+        resid, scale = transfer_eigenvalue_residues(lambdas, moved, ctx)
+        assert abs(resid[2]) >= 1e-4 * scale[2]
+
+
+def contour_residues(lambdas, params, ctx, radius=1e-4, points=64):
+    """Reference residues of tau at every root, in type order, and the largest
+    per-term residue: the trapezoid rule on a circle of relative `radius`
+    about the root, which is exact only while no other root lies inside."""
+    w = np.exp(2j * np.pi * np.arange(points) / points)
+    resid, scale = [], []
+    for u in (u for grp in params.values for u in grp):
+        r = radius * abs(u)
+        acc = (_tau_terms(lambdas, params, u + r * w, ctx, 1e-12) * w).sum(axis=1) * (r / points)
+        resid.append(acc.sum())
+        scale.append(np.max(np.abs(acc)))
+    return np.array(resid), np.array(scale)
+
+
+@pytest.mark.parametrize("N,L,sectors", [
+    (2, 6, ((1,), (2,), (3,))),
+    (3, 4, ((2, 1), (3, 1), (2, 2))),
+    (4, 3, ((2, 1, 0), (2, 1, 1))),
+])
+def test_tau_residues_match_the_contour_at_solver_roots(ctx, rng, N, L, sectors):
+    chain = make_chain(N, L, ctx, rng)
+    _, lambdas = vacuum_data(chain)
+    count = 0
+    for nbar in sectors:
+        for sol in solve_bethe(chain, nbar):
+            resid, scale = transfer_eigenvalue_residues(lambdas, sol.params, ctx)
+            ref, ref_scale = contour_residues(lambdas, sol.params, ctx)
+            assert np.allclose(np.abs(resid) / scale, np.abs(ref) / ref_scale, rtol=0, atol=1e-12)
+            assert np.allclose(scale, ref_scale, rtol=1e-9, atol=0)
+            count += len(resid)
+    assert count > 0
+
+
+def test_tau_residues_at_near_coincident_roots(ctx, rng):
+    # roots at relative gap 1e-5 lie inside a 1e-4 contour together; the
+    # reference circles each root at a radius below the gap
+    u, v = separated_points(rng, 2)
+    near_same_type = (make_chain(2, 4, ctx, rng),
+                      BetheParameterSet(((u, u * (1 + 1e-5), v),)))
+    u, v = separated_points(rng, 2)
+    near_next_type = (make_chain(3, 3, ctx, rng),
+                      BetheParameterSet(((u, v), (u * (1 + 1e-5),))))
+    for chain, params in (near_same_type, near_next_type):
+        _, lambdas = vacuum_data(chain)
+        resid, scale = transfer_eigenvalue_residues(lambdas, params, ctx)
+        ref, ref_scale = contour_residues(lambdas, params, ctx, radius=1e-7)
+        assert np.allclose(resid, ref, rtol=1e-8, atol=0)
+        assert np.allclose(scale, ref_scale, rtol=1e-8, atol=0)
+
+
+@pytest.mark.parametrize("N,L,nbar", [(2, 4, (3,)), (3, 4, (3, 2)), (4, 4, (3, 2, 1))])
+def test_tau_residue_ratio_over_the_solver_backward_error(ctx, rng, N, L, nbar):
+    # residue and scale are (A - eps B) and max(|A|, |eps B|) of the solver's
+    # cleared equation times one common factor, so over its backward error
+    # |A - eps B| / (|A| + |eps B|) the ratio is (|A| + |eps B|) / max(|A|, |eps B|)
+    chain = make_chain(N, L, ctx, rng)
+    _, lambdas = vacuum_data(chain)
+    hom, unit = solver._unit_homotopy(chain, nbar)
+    for _ in range(10):
+        params = BetheParameterSet(tuple(tuple(separated_points(rng, n)) for n in nbar))
+        resid, scale = transfer_eigenvalue_residues(lambdas, params, ctx)
+        roots = np.array([u for grp in params.values for u in grp])
+        ratio = np.abs(resid) / scale / hom.backward_error(roots[None] / unit)[0]
+        assert np.all((ratio >= 1 - 1e-12) & (ratio <= 2 + 1e-12)), ratio
+
+
+def test_tau_rejects_more_parameter_types_than_terms(ctx):
+    params = BetheParameterSet(((0.8 + 0.1j,), (1.3 - 0.2j,)))
+    with pytest.raises(DomainError, match="2 parameter types for 2 eigenvalue terms"):
+        transfer_eigenvalue([const(1), const(2)], params, 1.1 + 0.3j, ctx)
+    with pytest.raises(DomainError, match="at most 1"):
+        transfer_eigenvalue_residues([const(1), const(2)], params, ctx)
 
 
 # ---------------------------------------------------------------------------
