@@ -760,7 +760,7 @@ def suite_offshell(mat: Materialized) -> list[Check]:
     for c, chain in enumerate(mat.chains):
         inputs = _chain_inputs(chain)
         sizes = tuple(n for n in range(1, min(chain.L, UNWANTED_CAP) + 1)
-                      if math.comb(chain.L, n) >= n)
+                      if sector_multiplicity(chain.L, (n,)) >= n)
         if not sizes:
             raise ConfigError("offshell suite needs a chain with L >= 1")
 

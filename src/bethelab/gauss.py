@@ -198,14 +198,8 @@ def coordinate_identity_residual(kind: CoordinateIdentity, indices: tuple[int, i
 
 
 def normal_order_transfer_residual(chain: ChainSpec, data: GaussData):
-    """Residual of trace(T) against the expansion of the Gauss coordinates
-    `data` of T: sum_i (k_i + sum_{j>i} F_{j,i} k_j E_{i,j}). The trace is
-    `transfer(chain, data.point)`, built from its own monodromy."""
-    N = chain.N
-    acc = data.k[0]
-    for i in range(2, N + 1):
-        acc = acc + data.k[i - 1]
-    for i in range(1, N + 1):
-        for j in range(i + 1, N + 1):
-            acc = acc + data.F[(j, i)] @ data.k[j - 1] @ data.E[(i, j)]
+    """Residual of trace(T) against the trace of the Gauss product of `data`,
+    sum_i `data.entry(i, i)` = sum_i (k_i + sum_{j>i} F_{j,i} k_j E_{i,j}).
+    The trace is `transfer(chain, data.point)`, built from its own monodromy."""
+    acc = sum((data.entry(i, i) for i in range(2, data.N + 1)), data.entry(1, 1))
     return _rel_norm(transfer(chain, data.point), acc)

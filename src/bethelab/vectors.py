@@ -143,7 +143,6 @@ class UnwantedReport:
     coefficients: tuple[complex, ...]
     closed_form: tuple[complex, ...]
     fit_residual: float
-    remainder_norm: float  # ||T(t) w - tau w|| / ||T(t) w||
     # ||T(t) w|| / ||Phi_m||: c_m / scales[m] is |c_m Phi_m| against |T(t) w|
     scales: tuple[float, ...]
 
@@ -167,11 +166,16 @@ def unwanted_decomposition(chain: ChainSpec, params: BetheParameterSet,
 
     The basis is generically independent only when the number of excitations
     does not exceed the dimension of its weight block (n <= C(L, n)); outside
-    that regime the decomposition is structurally rank deficient and raises.
+    that regime the decomposition is structurally rank deficient and raises,
+    as the singular values of its one least-squares factorization show.
     """
     if chain.N != 2:
         raise DomainError("unwanted-term decomposition is a rank-2 operation")
+    if len(params.nbar) != 1:
+        raise DomainError(f"expected 1 parameter type, got {len(params.nbar)}")
     n = params.nbar[0]
+    if n < 1:
+        raise DomainError(f"unwanted-term decomposition needs at least 1 excitation, got {n}")
     if n > UNWANTED_CAP:
         raise DomainError(f"unwanted-term decomposition capped at {UNWANTED_CAP} excitations")
     _, lambdas = vacuum_data(chain)
@@ -191,18 +195,16 @@ def unwanted_decomposition(chain: ChainSpec, params: BetheParameterSet,
     # unit columns: the pole-free T gives column m a factor 1 / prod_l (q t_m - z_l/q)
     sizes = np.linalg.norm(A, axis=0)
     unit = A / np.maximum(sizes, 1e-300)
-    sv = np.linalg.svd(unit, compute_uv=False)
+    coeff, _, _, sv = np.linalg.lstsq(unit, r, rcond=None)
     if sv[0] == 0 or sv[-1] / sv[0] < RANK_DEFICIENCY_TOL:
         raise IllPosedDecompositionError(
             f"candidate basis rank-deficient (sv ratio {sv[-1] / max(sv[0], 1e-300):.2e}); "
             "resample t or enlarge the chain")
-    coeff, *_ = np.linalg.lstsq(unit, r, rcond=None)
     fit = float(np.linalg.norm(unit @ coeff - r) / max(np.linalg.norm(r), 1e-300))
     size = max(float(np.linalg.norm(Tw)), 1e-300)
     return UnwantedReport(
         coefficients=tuple(complex(c) for c in coeff / sizes),
         closed_form=unwanted_closed_form(chain, params, t),
         fit_residual=fit,
-        remainder_norm=float(np.linalg.norm(r)) / size,
         scales=tuple(size / float(c) for c in sizes),
     )

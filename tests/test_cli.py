@@ -262,8 +262,8 @@ def test_gauss_zero_mode_error_fails_only_the_identity_checks(monkeypatch):
 
 def test_gauss_checks_each_compute_their_own_residuals(monkeypatch):
     # a relative error of 1e-6 planted in F_{3,1} of the shared decomposition
-    # shows in the reconstruction and in the f-lowering identity alike, and
-    # in no identity that reads only E and k
+    # shows in the reconstruction, the normal-ordered transfer and the
+    # f-lowering identity alike, and in no identity that reads only E and k
     original = cli.gauss_decompose
 
     def decompose(T):
@@ -273,7 +273,7 @@ def test_gauss_checks_each_compute_their_own_residuals(monkeypatch):
     monkeypatch.setattr(cli, "gauss_decompose", decompose)
     records = _gauss_records()
     for c in (0, 1):
-        for name in ("reconstruction", "f-lowering"):
+        for name in ("reconstruction", "normal-order-transfer", "f-lowering"):
             record = records[f"gauss/chain{c}/{name}"]
             assert record.error == "" and not record.passed
         for name in ("e-lowering", "e-iterated", "cartan-shift"):

@@ -1,4 +1,6 @@
 """Gauss decomposition, screening operators and coordinate identities."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -306,16 +308,15 @@ def test_normal_order_transfer_empty_chain(ctx):
 
 def test_normal_order_transfer_checks_the_decomposition_it_is_given(ctx, rng):
     # the residual of a decomposition passed in equals, bit for bit, the one
-    # computed from a decomposition built afresh at the same point
+    # computed from the trace of the product of a decomposition built afresh
+    # at the same point, and a planted error in it shows
     chain = make_chain(3, 3, ctx, rng)
     t = complex(sample_annulus(rng, 1)[0])
     fresh = gauss_decompose(monodromy(chain, t))
-    acc = fresh.k[0]
-    for i in range(2, 4):
-        acc = acc + fresh.k[i - 1]
-    for i in range(1, 4):
-        for j in range(i + 1, 4):
-            acc = acc + fresh.F[(j, i)] @ fresh.k[j - 1] @ fresh.E[(i, j)]
+    acc = fresh.entry(1, 1) + fresh.entry(2, 2) + fresh.entry(3, 3)
     trace = transfer(chain, t)
     built = (trace - acc).norm() / max(trace.norm(), acc.norm(), 1e-300)
-    assert normal_order_transfer_residual(chain, gauss_decompose(monodromy(chain, t))) == built
+    given = gauss_decompose(monodromy(chain, t))
+    assert normal_order_transfer_residual(chain, given) == built
+    planted = dataclasses.replace(given, F={**given.F, (3, 1): (1 + 1e-6) * given.F[(3, 1)]})
+    assert normal_order_transfer_residual(chain, planted) != built

@@ -298,7 +298,8 @@ def test_unwanted_on_shell_roots_vanish(ctx, rng):
         t = complex(sample_annulus(rng, 1)[0])
         rep = unwanted_decomposition(chain, sol.params, t)
         assert all(abs(c) <= 1e-8 * s for c, s in zip(rep.coefficients, rep.scales))
-        assert rep.remainder_norm <= 1e-8
+        (residual, _), = on_shell_residuals(chain, sol.params, [t])
+        assert residual <= 1e-8
 
 
 def test_unwanted_rank_deficient_when_sector_is_full(ctx, rng):
@@ -307,6 +308,13 @@ def test_unwanted_rank_deficient_when_sector_is_full(ctx, rng):
     params = BetheParameterSet((tuple(separated_points(rng, 2)),))
     with pytest.raises(IllPosedDecompositionError):
         unwanted_decomposition(chain, params, complex(sample_annulus(rng, 1)[0]))
+
+
+@pytest.mark.parametrize("values", [(), ((),)])
+def test_unwanted_rejects_a_set_without_types_or_roots(ctx, rng, values):
+    chain = make_chain(2, 4, ctx, rng)
+    with pytest.raises(DomainError, match="got 0"):
+        unwanted_decomposition(chain, BetheParameterSet(values), 1.1)
 
 
 def test_unwanted_requires_rank2(ctx, rng):
