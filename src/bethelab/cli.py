@@ -24,8 +24,9 @@ the check's residual (the largest, NaN if any is NaN) and compares it with
 the tolerance. Exit codes: 0 all checks
 passed, 1 at least one tolerance failure, 2 invalid configuration (a seed
 outside [0, 2^64), a sector listed twice, an inadmissible sector, no sector,
-no suite, `offshell` on a chain of length 0, a non-finite q, z_l or kappa_a,
-a q whose powers overflow, z and kappa that overflow the monodromy) or
+no suite, a suite listed twice, `offshell` on a chain of length 0, a
+non-finite q, z_l or kappa_a, a q whose powers overflow, z and kappa that
+overflow the monodromy, a report path that cannot be opened for writing) or
 capacity cap.
 """
 from __future__ import annotations
@@ -234,6 +235,9 @@ def materialize(cfg: RunConfig) -> Materialized:
             raise ConfigError("sectors names no sector")
     if not cfg.suites:
         raise ConfigError("suites names no suite")
+    for i, name in enumerate(cfg.suites):
+        if name in cfg.suites[:i]:
+            raise ConfigError(f"suite {name!r} listed twice")
     return Materialized(ctx=ctx, chains=chains, sectors=sectors,
                         tol_identity=cfg.tol_identity)
 
@@ -413,52 +417,42 @@ def suite_rll(mat: Materialized) -> list[Check]:
 # --- gauss ---
 
 
-IDENTITY_ANCHORS = {
-    CoordinateIdentity.F_LOWERING: "(q - 1/q) F_{j,i} = S_i(F_{j,i+1})",
-    CoordinateIdentity.E_LOWERING: "(q - 1/q) E_{i,j} = S^_i(E_{i+1,j})",
-    CoordinateIdentity.E_ITERATED: "E_{i,j} from iterated dual screenings",
-    CoordinateIdentity.CARTAN_SHIFT: "S^_i(psi_{i+1}) = (q - 1/q) psi_{i+1} E_{i,i+1}",
-}
-
-
 def suite_gauss(mat: Materialized) -> list[Check]:
     checks = []
     for c, chain in enumerate(mat.chains):
         inputs = _chain_inputs(chain)
-        identities = tuple((kind, pairs) for kind in IDENTITY_ANCHORS
-                           if (pairs := _identity_indices(kind, chain.N)))
+        identities = tuple(kind for kind in CoordinateIdentity if kind.pairs(chain.N))
         stage = (_gauss_pass, chain, c, identities)
         specs = [("reconstruction", "L = (1 + F) . k . (1 + E)", 1e-10),
                  ("normal-order-transfer",
                   "trace T = sum_i ( k_i + sum_{j>i} F_{j,i} k_j E_{i,j} )", 1e-10),
-                 *((kind.value, IDENTITY_ANCHORS[kind], 1e-9) for kind, _ in identities)]
+                 *((kind.value, kind.anchor, 1e-9) for kind in identities)]
         for name, anchor, tolerance in specs:
             checks.append(Check(f"gauss/chain{c}/{name}", anchor, tolerance, inputs,
                                 functools.partial(_replay, name), (stage,)))
     return checks
 
 
-def _gauss_pass(chain: ChainSpec, c: int,
-                identities: tuple[tuple[CoordinateIdentity, tuple[tuple[int, int], ...]], ...]
+def _gauss_pass(chain: ChainSpec, c: int, identities: tuple[CoordinateIdentity, ...]
                 ) -> dict[str, tuple[list[float], BetheLabError | None]]:
     """The stage of every gauss check of chain `c`: for each batch of the 5
     points drawn from `gauss-recon:{c}` that GAUSS_BATCH_BYTES holds, build
     the monodromy once, decompose it once, and evaluate the reconstruction,
     the normal-ordered transfer and every coordinate identity on that one
-    `GaussData`. Returns, per check name, its residuals in draw order and the
-    error that stopped it (None if none): a zero-mode error stops only the
-    identity checks. An error at a point propagates, and so fails every
-    check of the chain."""
+    `GaussData`, each identity at its `pairs`. Returns, per check name, its
+    residuals in draw order and the error that stopped it (None if none): a
+    zero-mode error stops only the identity checks. An error at a point
+    propagates, and so fails every check of the chain."""
     residuals: dict[str, list[float]] = {
         name: [] for name in ("reconstruction", "normal-order-transfer",
-                              *(kind.value for kind, _ in identities))}
+                              *(kind.value for kind in identities))}
     errors: dict[str, BetheLabError] = {}
     zm = None
     if identities:
         try:
             zm = zero_mode_set(chain)
         except BetheLabError as exc:
-            errors = dict.fromkeys((kind.value for kind, _ in identities), exc)
+            errors = dict.fromkeys((kind.value for kind in identities), exc)
     rng = chain.ctx.rng(f"gauss-recon:{c}")
     points = [complex(sample_annulus(rng, 1)[0]) for _ in range(5)]
     batch = max(1, GAUSS_BATCH_BYTES // grid_bytes(chain))
@@ -471,8 +465,9 @@ def _gauss_pass(chain: ChainSpec, c: int,
         del T
         residuals["normal-order-transfer"].extend(normal_order_transfer_residual(chain, data))
         if zm is not None:
-            for kind, pairs in identities:
-                values = [coordinate_identity_residual(kind, ij, data, zm) for ij in pairs]
+            for kind in identities:
+                values = [coordinate_identity_residual(kind, ij, data, zm)
+                          for ij in kind.pairs(chain.N)]
                 residuals[kind.value].extend(np.transpose(values).ravel())
         del data
     return {name: (values, errors.get(name)) for name, values in residuals.items()}
@@ -485,12 +480,6 @@ def _replay(name: str, gauss_pass: dict) -> Iterable[float]:
     yield from values
     if error is not None:
         raise error
-
-
-def _identity_indices(kind: CoordinateIdentity, N: int) -> tuple[tuple[int, int], ...]:
-    if kind is CoordinateIdentity.CARTAN_SHIFT:
-        return tuple((i, 0) for i in range(1, N - 1))
-    return tuple((i, j) for j in range(1, N + 1) for i in range(1, j - 1))
 
 
 # --- identities (scalar + qsym) ---
@@ -679,7 +668,7 @@ def suite_verify(mat: Materialized) -> list[Check]:
 
             def onshell_thunk(result, chain=chain, nbar=nbar, c=c):
                 rng = chain.ctx.rng(f"verify:{c}:{nbar}")
-                for sol in result:
+                for sol in _root_sets(result, nbar):
                     points = (_sample_clear_of_roots(rng, sol.params) for _ in range(20))
                     try:
                         pairs = on_shell_residuals(chain, sol.params, points)
@@ -694,6 +683,7 @@ def suite_verify(mat: Materialized) -> list[Check]:
                                 1e-8, inputs, onshell_thunk, sector))
 
             def tau_match_thunk(result, chain=chain, nbar=nbar, c=c):
+                result = _root_sets(result, nbar)
                 _, lambdas = vacuum_data(chain)
                 rng = chain.ctx.rng(f"verify-tau:{c}:{nbar}")
                 t = _sample_clear_of_roots(rng, *(sol.params for sol in result))
@@ -708,9 +698,9 @@ def suite_verify(mat: Materialized) -> list[Check]:
                                 "tau(t) matches a weight-block transfer eigenvalue",
                                 1e-8, inputs, tau_match_thunk, sector))
 
-            def residue_thunk(result, chain=chain):
+            def residue_thunk(result, chain=chain, nbar=nbar):
                 _, lambdas = vacuum_data(chain)
-                for sol in result:
+                for sol in _root_sets(result, nbar):
                     resid, scale = transfer_eigenvalue_residues(lambdas, sol.params, chain.ctx)
                     yield from (np.abs(resid) / np.maximum(scale, 1e-300)).tolist()
 
@@ -718,6 +708,14 @@ def suite_verify(mat: Materialized) -> list[Check]:
                                 "eigenvalue residue at each root vanishes on shell",
                                 1e-8, inputs, residue_thunk, sector))
     return checks
+
+
+def _root_sets(result, nbar: tuple[int, ...]):
+    """The root sets of a sector's solve. A solve that returned none leaves
+    nothing to verify, so it raises, and fails the check that reads it."""
+    if not len(result):
+        raise BetheLabError(f"the solve of sector {nbar} returned no root set")
+    return result
 
 
 def _sample_clear_of_roots(rng, *sets: BetheParameterSet) -> complex:
@@ -854,6 +852,8 @@ def run_command(argv: list[str]) -> tuple[int, Report | None]:
         checks: list[Check] = []
         for name in suite_names:
             checks.extend(SUITE_BUILDERS[name](mat))
+        if cfg.out:  # an unwritable report path fails before any check runs
+            open(cfg.out, "a", encoding="utf-8").close()
     except (ConfigError, CapacityError, DomainError, SamplingExhaustedError,
             OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

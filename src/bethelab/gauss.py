@@ -141,12 +141,28 @@ def screening_dual(i: int, B: GradedOperator, zm: ZeroModeSet) -> GradedOperator
 
 
 class CoordinateIdentity(enum.Enum):
-    """Operator identities among Gauss coordinates, mediated by screenings."""
+    """Operator identities among Gauss coordinates, mediated by screenings.
+    The value names the identity's check, `anchor` states it, and `pairs`
+    lists the index pairs it is checked at. Iterated screenings need no
+    identity of their own: E_{i,j} from S^_i ... S^_{j-2}(E_{j-1,j}) is
+    e-lowering at (i, j), (i+1, j), ..., (j-2, j) composed."""
 
-    F_LOWERING = "f-lowering"       # (q - q^-1) F_{j,i} = S_i(F_{j,i+1})
-    E_LOWERING = "e-lowering"       # (q - q^-1) E_{i,j} = S^_i(E_{i+1,j})
-    E_ITERATED = "e-iterated"       # E_{m+1,j} from iterated dual screenings
-    CARTAN_SHIFT = "cartan-shift"   # S^_i(psi_{i+1}) = (q - q^-1) psi_{i+1} E_{i,i+1}
+    F_LOWERING = "f-lowering", "(q - 1/q) F_{j,i} = S_i(F_{j,i+1})"
+    E_LOWERING = "e-lowering", "(q - 1/q) E_{i,j} = S^_i(E_{i+1,j})"
+    CARTAN_SHIFT = "cartan-shift", "S^_i(psi_{i+1}) = (q - 1/q) psi_{i+1} E_{i,i+1}"
+
+    def __new__(cls, value: str, anchor: str):
+        member = object.__new__(cls)
+        member._value_, member.anchor = value, anchor
+        return member
+
+    def pairs(self, N: int) -> tuple[tuple[int, int], ...]:
+        """Index pairs (i, j) at rank N: every i < j - 1 <= N - 1 for the
+        lowering identities, and (i, 0) for i <= N - 2 for cartan-shift,
+        which reads only i."""
+        if self is CoordinateIdentity.CARTAN_SHIFT:
+            return tuple((i, 0) for i in range(1, N - 1))
+        return tuple((i, j) for j in range(1, N + 1) for i in range(1, j - 1))
 
 
 def _rel_norm(lhs: GradedOperator, rhs: GradedOperator):
@@ -158,43 +174,24 @@ def _rel_norm(lhs: GradedOperator, rhs: GradedOperator):
 def coordinate_identity_residual(kind: CoordinateIdentity, indices: tuple[int, int],
                                  data: GaussData, zm: ZeroModeSet):
     """Relative operator-norm residual of one coordinate identity between the
-    Gauss coordinates `data` at one point and the zero modes `zm` of its chain.
-
-    indices is (i, j); F_LOWERING / E_LOWERING / E_ITERATED need i < j - 1,
-    CARTAN_SHIFT uses only i (j ignored) and needs i <= N - 2.
-    """
-    q = zm.q
-    N = data.N
+    Gauss coordinates `data` at one point and the zero modes `zm` of its chain,
+    at `indices`, one of `kind.pairs(data.N)`."""
+    pairs = kind.pairs(data.N)
+    if indices not in pairs:
+        raise DomainError(f"{kind.value} at N={data.N} takes (i, j) in {pairs}, got {indices}")
+    qdiff = zm.q - 1 / zm.q
     i, j = indices
-    qdiff = q - 1 / q
-
-    if kind in (CoordinateIdentity.F_LOWERING, CoordinateIdentity.E_LOWERING,
-                CoordinateIdentity.E_ITERATED):
-        if not (1 <= i < j - 1 and j <= N):
-            raise DomainError(f"{kind.value} needs 1 <= i < j-1 <= {N - 1}, got {(i, j)}")
     if kind is CoordinateIdentity.F_LOWERING:
         lhs = qdiff * data.F[(j, i)]
         rhs = screening(i, data.F[(j, i + 1)], zm)
-        return _rel_norm(lhs, rhs)
-    if kind is CoordinateIdentity.E_LOWERING:
+    elif kind is CoordinateIdentity.E_LOWERING:
         lhs = qdiff * data.E[(i, j)]
         rhs = screening_dual(i, data.E[(i + 1, j)], zm)
-        return _rel_norm(lhs, rhs)
-    if kind is CoordinateIdentity.E_ITERATED:
-        B = data.E[(j - 1, j)]
-        for idx in range(j - 2, i - 1, -1):
-            B = screening_dual(idx, B, zm)
-        lhs = data.E[(i, j)]
-        rhs = qdiff ** (i + 1 - j) * B
-        return _rel_norm(lhs, rhs)
-    if kind is CoordinateIdentity.CARTAN_SHIFT:
-        if not 1 <= i <= N - 2:
-            raise DomainError(f"cartan-shift needs 1 <= i <= {N - 2}, got {i}")
+    else:
         psi = data.psi(i + 1)
         lhs = screening_dual(i, psi, zm)
         rhs = qdiff * psi @ data.E[(i, i + 1)]
-        return _rel_norm(lhs, rhs)
-    raise DomainError(f"unknown identity kind {kind}")
+    return _rel_norm(lhs, rhs)
 
 
 def normal_order_transfer_residual(chain: ChainSpec, data: GaussData):

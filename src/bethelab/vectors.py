@@ -88,13 +88,10 @@ def _nested(chain: ChainSpec, params: BetheParameterSet) -> np.ndarray:
 def modified_vector(chain: ChainSpec, params: BetheParameterSet) -> np.ndarray:
     """Plain vector rescaled by the pair weight and the vacuum eigenvalues of
     the next-type diagonal coordinate at each parameter."""
-    return _prefactor(chain, params) * nested_vector(chain, params)
-
-
-def _prefactor(chain: ChainSpec, params: BetheParameterSet) -> complex:
     _, lambdas = vacuum_data(chain)
-    return same_type_weight(params, chain.ctx) * math.prod(
+    pref = same_type_weight(params, chain.ctx) * math.prod(
         lambdas[a](t) for a in range(1, chain.N) for t in params.type_values(a))
+    return pref * nested_vector(chain, params)
 
 
 def _creation_scale(chain: ChainSpec, params: BetheParameterSet) -> float:
@@ -108,18 +105,18 @@ def _creation_scale(chain: ChainSpec, params: BetheParameterSet) -> float:
 def on_shell_residuals(chain: ChainSpec, params: BetheParameterSet,
                        points: Iterable[complex]) -> list[tuple[float, complex]]:
     """Eigenvector residual ||T(t) w - tau w|| / max(||T(t) w||, |tau| ||w||)
-    of the modified vector w at each point t, which no normalization of T
-    changes, together with the eigenvalue candidate tau(t).
+    of the plain vector w at each point t, together with the eigenvalue
+    candidate tau(t). No normalization of T or w changes it, so the modified
+    vector, a multiple of w, has the same residual.
 
-    w is vanishing (DegenerateVectorError) when ||w|| <= 1e-12 |prefactor|
+    w is vanishing (DegenerateVectorError) when ||w|| <= 1e-12
     `_creation_scale`. `points` is consumed only after w is found
     non-degenerate, so a lazily drawn sequence draws nothing for a vanishing
     vector; T(t) w at every point is then one `transfer_apply` call.
     """
-    pref = _prefactor(chain, params)
-    w = pref * nested_vector(chain, params)
+    w = nested_vector(chain, params)
     norm = float(np.linalg.norm(w))
-    if norm <= 1e-12 * abs(pref) * _creation_scale(chain, params):
+    if norm <= 1e-12 * _creation_scale(chain, params):
         raise DegenerateVectorError(
             f"vanishing vector in sector {params.nbar} (L={chain.L})")
     ts = list(points)

@@ -83,6 +83,30 @@ def test_empty_suites_exits_2(tmp_path, capsys):
     assert report is None
 
 
+@pytest.mark.parametrize("out", [False, True])
+def test_suite_listed_twice_exits_2(tmp_path, monkeypatch, capsys, out):
+    # one suite twice would run and print every check of it twice, and with
+    # a report path fail on its duplicate ids after running them all
+    monkeypatch.setattr(cli, "_run_checks", lambda checks, workers: pytest.fail("ran"))
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("N = 2\nL = 2\nseed = 5\nsuites = rll, rll\n")
+    args = ["all", "--config", str(cfg)]
+    code, report = run(args + ["--out", str(tmp_path / "r.json")] if out else args)
+    assert code == 2
+    assert report is None
+    assert "suite 'rll' listed twice" in capsys.readouterr().err
+
+
+def test_unwritable_report_path_exits_2_before_any_check(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_run_checks", lambda checks, workers: pytest.fail("ran"))
+    path = tmp_path / "missing" / "r.json"
+    code, report = run(["yang-baxter", "--out", str(path)])
+    assert code == 2
+    assert report is None
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and str(path) in err
+
+
 def test_sector_list_naming_no_sector_exits_2(tmp_path, capsys):
     # an explicit list with no sector would pass on 0 checks
     cfg = tmp_path / "none.cfg"
@@ -160,7 +184,7 @@ def test_non_finite_chain_value_exits_2(tmp_path, capsys, line):
 
 
 def test_gauss_builds_one_zero_mode_set_per_chain(tmp_path, monkeypatch, capsys):
-    # the six checks of a chain share one Gauss pass: at N=3, L=3 its 5
+    # the five checks of a chain share one Gauss pass: at N=3, L=3 its 5
     # points are one batch, so one monodromy, one decomposition and one
     # zero-mode set, built by the first check that runs, not by the suite
     # builder (timed as set-up)
@@ -175,7 +199,7 @@ def test_gauss_builds_one_zero_mode_set_per_chain(tmp_path, monkeypatch, capsys)
     cfg.write_text("N = 3\nL = 3\nchains = 2\nseed = 7\n")
     code, report = run(["gauss", "--config", str(cfg)])
     assert code == 0
-    assert len(report.checks) == 12
+    assert len(report.checks) == 10
     chains = list(dict.fromkeys(calls["monodromy"]))
     assert len(chains) == 2
     assert [calls["monodromy"].count(chain) for chain in chains] == [1, 1]
@@ -188,7 +212,7 @@ def _gauss_records(**config):
     return {r.check_id: r for r in cli._run_checks(cli.suite_gauss(mat), 1)}
 
 
-IDENTITY_CHECKS = ("f-lowering", "e-lowering", "e-iterated", "cartan-shift")
+IDENTITY_CHECKS = ("f-lowering", "e-lowering", "cartan-shift")
 
 
 def test_gauss_pass_runs_once_per_chain_as_a_stage(monkeypatch):
@@ -205,13 +229,13 @@ def test_gauss_pass_runs_once_per_chain_as_a_stage(monkeypatch):
     monkeypatch.setattr(cli, "_gauss_pass", slow)
     records = _gauss_records()
     assert passes == [0, 1]
-    assert len(records) == 12
+    assert len(records) == 10
     assert all(r.passed and r.wall_time < 0.1 for r in records.values())
 
 
 @pytest.mark.parametrize("failing", [0, 1])
 def test_gauss_point_error_fails_every_check_of_its_chain(monkeypatch, failing):
-    # a singular coordinate at a chain's 3rd point stops all six checks of
+    # a singular coordinate at a chain's 3rd point stops all five checks of
     # that chain with its error; the other chain's checks are as before
     baseline = _gauss_records()
     original = GradedOperator.cond
@@ -231,7 +255,7 @@ def test_gauss_point_error_fails_every_check_of_its_chain(monkeypatch, failing):
     rng = cli.materialize(cli.RunConfig(N=3, L=3, chains=2, seed=7)).ctx.rng(
         f"gauss-recon:{failing}")
     third = [complex(sample_annulus(rng, 1)[0]) for _ in range(3)][2]
-    assert records.keys() == baseline.keys() and len(records) == 12
+    assert records.keys() == baseline.keys() and len(records) == 10
     for check_id, record in records.items():
         if check_id.startswith(f"gauss/chain{failing}/"):
             assert record.error == ("SingularCoordinateError: diagonal coordinate 3 "
@@ -276,7 +300,7 @@ def test_gauss_checks_each_compute_their_own_residuals(monkeypatch):
         for name in ("reconstruction", "normal-order-transfer", "f-lowering"):
             record = records[f"gauss/chain{c}/{name}"]
             assert record.error == "" and not record.passed
-        for name in ("e-lowering", "e-iterated", "cartan-shift"):
+        for name in ("e-lowering", "cartan-shift"):
             assert records[f"gauss/chain{c}/{name}"].passed
 
 
@@ -468,6 +492,23 @@ def test_failed_solve_fails_the_checks_that_read_it(tmp_path, monkeypatch, capsy
     for check in report.checks:
         assert not check.passed
         assert check.error == "BetheLabError: no roots for (2,)"
+
+
+def test_an_empty_solve_fails_every_verify_check_of_its_sector(tmp_path, capsys):
+    # the solve of sector (2,) returns no root set on this chain; its verify
+    # checks fail instead of passing on no draws, and the vacuum sector's one
+    # empty root set still passes
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("N = 2\nL = 2\nkappa = 1, 1\nsectors = 0; 2\nseed = 1\n")
+    code, report = run(["verify", "--config", str(cfg)])
+    assert code == 1
+    assert len(report.checks) == 6
+    for check in report.checks:
+        if "/sector2/" in check.check_id:
+            assert check.residual == math.inf and not check.passed
+            assert check.error == "BetheLabError: the solve of sector (2,) returned no root set"
+        else:
+            assert check.error == "" and check.passed
 
 
 def test_a_vanishing_vector_fails_the_on_shell_check(tmp_path, monkeypatch, capsys):

@@ -266,13 +266,18 @@ def test_lowering_identities_rank3(ctx, rng, kind):
 
 
 def test_iterated_dual_identity_rank4(ctx, rng):
+    # (q - 1/q)^(j-1-i) E_{i,j} = S^_i ... S^_{j-2}(E_{j-1,j}), the lowering
+    # identity composed, which the suite checks one step at a time
     chain = make_chain(4, 2, ctx, rng)
     t = complex(sample_annulus(rng, 1)[0])
     data, zm = gauss_decompose(monodromy(chain, t)), zero_mode_set(chain)
-    assert coordinate_identity_residual(
-        CoordinateIdentity.E_ITERATED, (1, 4), data, zm) < 1e-9
-    assert coordinate_identity_residual(
-        CoordinateIdentity.E_ITERATED, (2, 4), data, zm) < 1e-9
+    qdiff = zm.q - 1 / zm.q
+    for i, j in ((1, 4), (2, 4)):
+        B = data.E[(j - 1, j)]
+        for idx in range(j - 2, i - 1, -1):
+            B = screening_dual(idx, B, zm)
+        lhs, rhs = data.E[(i, j)], qdiff ** (i + 1 - j) * B
+        assert (lhs - rhs).norm() / max(lhs.norm(), rhs.norm()) < 1e-9
 
 
 def test_cartan_shift_identity(ctx, rng):
@@ -281,6 +286,23 @@ def test_cartan_shift_identity(ctx, rng):
     data, zm = gauss_decompose(monodromy(chain, t)), zero_mode_set(chain)
     assert coordinate_identity_residual(
         CoordinateIdentity.CARTAN_SHIFT, (1, 0), data, zm) < 1e-9
+
+
+def test_identity_catalogue(ctx, rng):
+    # three identities, each evaluated at exactly the pairs it lists
+    assert [kind.value for kind in CoordinateIdentity] == [
+        "f-lowering", "e-lowering", "cartan-shift"]
+    assert CoordinateIdentity.E_LOWERING.pairs(4) == ((1, 3), (1, 4), (2, 4))
+    assert CoordinateIdentity.CARTAN_SHIFT.pairs(4) == ((1, 0), (2, 0))
+    chain = make_chain(3, 2, ctx, rng)
+    data, zm = gauss_decompose(monodromy(chain, 1.3 + 0.2j)), zero_mode_set(chain)
+    for kind in CoordinateIdentity:
+        for ij in ((i, j) for i in range(4) for j in range(5)):
+            if ij in kind.pairs(3):
+                assert coordinate_identity_residual(kind, ij, data, zm) < 1e-9
+            else:
+                with pytest.raises(DomainError):
+                    coordinate_identity_residual(kind, ij, data, zm)
 
 
 def test_identity_index_validation(ctx, rng):
