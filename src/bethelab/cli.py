@@ -776,10 +776,10 @@ def suite_offshell(mat: Materialized) -> list[Check]:
                                          for got, want in zip(rep.coefficients,
                                                               rep.closed_form)])))
 
-        def vanishing_thunk(*results, chain=chain, c=c):
+        def vanishing_thunk(*results, chain=chain, c=c, sizes=sizes):
             rng = chain.ctx.rng(f"offshell-vanish:{c}")
-            for result in results:
-                for sol in result:
+            for n, result in zip(sizes, results):
+                for sol in _root_sets(result, (n,)):
                     t = _sample_clear_of_roots(rng, sol.params)
                     rep = unwanted_decomposition(chain, sol.params, t)
                     yield from (abs(cm) / scale

@@ -274,8 +274,8 @@ def _r_table(coeffs, N: int) -> tuple[np.ndarray, np.ndarray]:
     """The R-matrix entry layout for a coefficient quadruple (a, b, cu, cv):
     keep[k, m] = R[km, km] (a on the diagonal, b off it) and move[k, m] =
     R[km, mk] (0 on the diagonal, cu above it, cv below). The quadruple's
-    entries are all scalars, or all arrays of length P (one value per
-    spectral point), which make the tables (P, N, N)."""
+    entries are all scalars, or all arrays of one shape S (one value per
+    spectral point, per site or both), which make the tables S + (N, N)."""
     values = np.array([*coeffs, np.zeros_like(coeffs[1])], dtype=complex)
     keep, move = _r_layout(N)
     values = np.moveaxis(values, 0, -1)
@@ -319,8 +319,9 @@ def apply_monodromy(chain: ChainSpec, coeffs: list, X: np.ndarray) -> np.ndarray
     N, d = chain.N, chain.dim
     batch = X if X.ndim == 4 else X[None]
     P, B = batch.shape[0], batch.shape[-1]
-    tables = [tuple(np.broadcast_to(table, (P, N, N)) for table in _r_table(coeff, N))
-              for coeff in coeffs]
+    L = len(coeffs)  # one `_r_table` call for all sites: per site, it dominated small batches
+    tables = list(zip(*(np.broadcast_to(table.reshape(L, -1, N, N), (L, P, N, N))
+                        for table in _r_table(tuple(zip(*coeffs)), N)))) if L else []
     width = max(1, COLUMN_ENTRIES // (N * d))
     step = max(1, width // max(B, 1))
     out = np.empty(batch.shape, dtype=complex)
@@ -562,7 +563,7 @@ def yang_baxter_residual(u: complex, v: complex, w: complex, N: int,
     R13 = _embed_13(r_matrix(u, w, N, ctx), N)
     lhs = R12 @ R13 @ R23
     rhs = R23 @ R13 @ R12
-    return float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-300))
+    return float(frobenius(lhs - rhs) / max(frobenius(lhs), 1e-300))
 
 
 def _embed_13(R: np.ndarray, N: int) -> np.ndarray:

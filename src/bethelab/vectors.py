@@ -25,7 +25,7 @@ import numpy as np
 from .context import BetheParameterSet
 from .errors import DegenerateVectorError, DomainError, IllPosedDecompositionError
 from .kernels import same_type_weight, transfer_eigenvalue, transfer_eigenvalue_residues
-from .repcore import ChainSpec, entry_apply, transfer_apply, vacuum_data
+from .repcore import ChainSpec, entry_apply, frobenius, transfer_apply, vacuum_data
 
 RANK_DEFICIENCY_TOL = 1e-8
 
@@ -112,10 +112,11 @@ def on_shell_residuals(chain: ChainSpec, params: BetheParameterSet,
     w is vanishing (DegenerateVectorError) when ||w|| <= 1e-12
     `_creation_scale`. `points` is consumed only after w is found
     non-degenerate, so a lazily drawn sequence draws nothing for a vanishing
-    vector; T(t) w at every point is then one `transfer_apply` call.
+    vector; T(t) w at every point is then one `transfer_apply` call, whose
+    contiguous rows, one per point, give each point its own norms bit for bit.
     """
     w = nested_vector(chain, params)
-    norm = float(np.linalg.norm(w))
+    norm = frobenius(w)
     if norm <= 1e-12 * _creation_scale(chain, params):
         raise DegenerateVectorError(
             f"vanishing vector in sector {params.nbar} (L={chain.L})")
@@ -123,11 +124,12 @@ def on_shell_residuals(chain: ChainSpec, params: BetheParameterSet,
     if not ts:
         return []
     _, lambdas = vacuum_data(chain)
-    taus = transfer_eigenvalue(lambdas, params, np.array(ts), chain.ctx).tolist()
-    Tw = transfer_apply(chain, ts, np.broadcast_to(w[:, None], (chain.dim, len(ts))))
-    return [(float(np.linalg.norm(Tw[:, p] - tau * w)
-                   / max(float(np.linalg.norm(Tw[:, p])), abs(tau) * norm, 1e-300)), tau)
-            for p, tau in enumerate(taus)]
+    taus = transfer_eigenvalue(lambdas, params, np.array(ts), chain.ctx)
+    Tw = np.ascontiguousarray(
+        transfer_apply(chain, ts, np.broadcast_to(w[:, None], (chain.dim, len(ts)))).T)
+    scales = np.maximum(np.maximum(frobenius(Tw, axis=-1), abs(taus) * norm), 1e-300)
+    resids = frobenius(Tw - taus[:, None] * w, axis=-1) / scales
+    return list(zip(resids.tolist(), taus.tolist()))
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,7 @@ def unwanted_closed_form(chain: ChainSpec, params: BetheParameterSet,
 def unwanted_decomposition(chain: ChainSpec, params: BetheParameterSet,
                            t: complex) -> UnwantedReport:
     """Rank-2 unwanted-term extraction by least squares against the basis
-    Phi_m = T_{1,2}(t) prod_{j != m} T_{1,2}(t_j) Omega.
+    Phi_m, the Bethe vector `nested_vector` with t in place of t_m.
 
     The basis is generically independent only when the number of excitations
     does not exceed the dimension of its weight block (n <= C(L, n)); outside
@@ -181,24 +183,19 @@ def unwanted_decomposition(chain: ChainSpec, params: BetheParameterSet,
     Tw = transfer_apply(chain, t, w)
     r = Tw - tau * w
 
-    # column m: T_{1,2}(t) prod_{j != m} T_{1,2}(t_j) Omega, highest j acting first
     roots = params.type_values(1)
-    A = np.zeros((chain.dim, n), dtype=complex)
-    A[0] = 1.0
-    for pos in range(n - 1, -1, -1):
-        others = np.arange(n) != pos
-        A[:, others] = entry_apply(chain, roots[pos], 1, 2, A[:, others])
-    A = entry_apply(chain, t, 1, 2, A)
-    # unit columns: the pole-free T gives column m a factor 1 / prod_l (q t_m - z_l/q)
-    sizes = np.linalg.norm(A, axis=0)
-    unit = A / np.maximum(sizes, 1e-300)
+    Phi = np.array([nested_vector(chain, BetheParameterSet(((t,) + roots[:m] + roots[m + 1:],)))
+                    for m in range(n)])
+    # unit rows: the pole-free T gives Phi_m a factor 1 / prod_l (q t_m - z_l/q)
+    sizes = frobenius(Phi, axis=-1)
+    unit = (Phi / np.maximum(sizes, 1e-300)[:, None]).T
     coeff, _, _, sv = np.linalg.lstsq(unit, r, rcond=None)
     if sv[0] == 0 or sv[-1] / sv[0] < RANK_DEFICIENCY_TOL:
         raise IllPosedDecompositionError(
             f"candidate basis rank-deficient (sv ratio {sv[-1] / max(sv[0], 1e-300):.2e}); "
             "resample t or enlarge the chain")
-    fit = float(np.linalg.norm(unit @ coeff - r) / max(np.linalg.norm(r), 1e-300))
-    size = max(float(np.linalg.norm(Tw)), 1e-300)
+    fit = float(frobenius(unit @ coeff - r) / max(frobenius(r), 1e-300))
+    size = max(float(frobenius(Tw)), 1e-300)
     return UnwantedReport(
         coefficients=tuple(complex(c) for c in coeff / sizes),
         closed_form=unwanted_closed_form(chain, params, t),

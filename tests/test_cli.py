@@ -511,6 +511,18 @@ def test_an_empty_solve_fails_every_verify_check_of_its_sector(tmp_path, capsys)
             assert check.error == "" and check.passed
 
 
+def test_an_empty_solve_fails_the_offshell_vanishing_check(tmp_path, capsys):
+    # sector (3,) returns no root set on this chain, so on-shell-vanishing
+    # has nothing to certify at size 3 and fails instead of passing
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("N = 2\nL = 4\nkappa = 1, 1\nseed = 1\n")
+    code, report = run(["offshell", "--config", str(cfg)])
+    assert code == 1
+    vanishing, = [c for c in report.checks if c.check_id.endswith("/on-shell-vanishing")]
+    assert vanishing.residual == math.inf and not vanishing.passed
+    assert vanishing.error == "BetheLabError: the solve of sector (3,) returned no root set"
+
+
 def test_a_vanishing_vector_fails_the_on_shell_check(tmp_path, monkeypatch, capsys):
     def vanishing(chain, params, points):
         raise DegenerateVectorError("vanishing vector")

@@ -22,7 +22,7 @@ from bethelab import (
     unwanted_decomposition,
     vacuum_data,
 )
-from bethelab.repcore import occupancy
+from bethelab.repcore import entry_apply, occupancy
 from bethelab.vectors import expected_occupancy, unwanted_closed_form
 
 from conftest import make_chain, separated_points
@@ -277,6 +277,25 @@ def test_unwanted_single_root_tracks_bethe_residual(ctx, rng):
     assert abs(rep_off.coefficients[0]) > 1e-3 * rep_off.scales[0]
     _, lambdas = vacuum_data(chain)
     assert abs(bethe_residual(1, 1, off, lambdas, ctx)) > 1e-3
+
+
+@pytest.mark.parametrize("L", [4, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unwanted_candidates_are_bethe_vectors_with_t_in_place_of_t_m(ctx, rng, n, L):
+    # reference: T_{1,2}(t) prod_{j != m} T_{1,2}(t_j) Omega for every m in
+    # one batch, highest j acting first; candidate m is that column, bit for bit
+    chain = make_chain(2, L, ctx, rng)
+    roots = tuple(separated_points(rng, n + 1))
+    t, roots = roots[0], roots[1:]
+    A = np.zeros((chain.dim, n), dtype=complex)
+    A[0] = 1.0
+    for pos in range(n - 1, -1, -1):
+        others = np.arange(n) != pos
+        A[:, others] = entry_apply(chain, roots[pos], 1, 2, A[:, others])
+    A = entry_apply(chain, t, 1, 2, A)
+    for m in range(n):
+        swapped = BetheParameterSet(((t,) + roots[:m] + roots[m + 1:],))
+        assert np.array_equal(nested_vector(chain, swapped), A[:, m])
 
 
 @pytest.mark.parametrize("n,L", [(1, 2), (2, 3), (3, 4), (4, 5)])
