@@ -31,7 +31,6 @@ from .kernels import (
     bethe_residual,
     bethe_rhs,
     nesting_overlap,
-    nesting_overlap_alt,
     partial_fraction_residual,
     same_type_weight,
     shift_weight,

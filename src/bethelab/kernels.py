@@ -169,22 +169,6 @@ def nesting_overlap(upper: Sequence[complex], lower: Sequence[complex],
     return out
 
 
-def nesting_overlap_alt(upper: Sequence[complex], lower: Sequence[complex],
-                        ctx: DeformationContext) -> complex:
-    """Second printed form of the nesting coefficient; must agree with
-    nesting_overlap as a rational identity."""
-    if len(upper) != len(lower):
-        raise DomainError("nesting_overlap_alt needs equal-length tuples")
-    k = len(upper)
-    out = 1.0 + 0j
-    for m in range(k):
-        _guard(upper[m] - lower[m], max(abs(upper[m]), abs(lower[m])), "nesting_overlap_alt")
-        out *= 1.0 / (1.0 - lower[m] / upper[m])
-        for mp in range(m):
-            out *= coupling(lower[m], upper[mp], ctx)
-    return out
-
-
 def string_overlap(params: BetheParameterSet, ctx: DeformationContext) -> complex:
     """Product of nesting overlaps across adjacent types for a layout with
     non-increasing counts m_1 >= m_2 >= ... (the admissible string shapes)."""

@@ -166,7 +166,9 @@ def unwanted_decomposition(chain: ChainSpec, params: BetheParameterSet,
     The basis is generically independent only when the number of excitations
     does not exceed the dimension of its weight block (n <= C(L, n)); outside
     that regime the decomposition is structurally rank deficient and raises,
-    as the singular values of its one least-squares factorization show.
+    as the singular values of its one least-squares factorization show. A
+    remainder T(t) w - tau w or a candidate norm that overflows double
+    precision raises DomainError before the fit.
     """
     if chain.N != 2:
         raise DomainError("unwanted-term decomposition is a rank-2 operation")
@@ -188,6 +190,8 @@ def unwanted_decomposition(chain: ChainSpec, params: BetheParameterSet,
                     for m in range(n)])
     # unit rows: the pole-free T gives Phi_m a factor 1 / prod_l (q t_m - z_l/q)
     sizes = frobenius(Phi, axis=-1)
+    if not (np.isfinite(r).all() and np.isfinite(sizes).all()):
+        raise DomainError("T(t) w - tau w or a candidate norm overflows double precision")
     unit = (Phi / np.maximum(sizes, 1e-300)[:, None]).T
     coeff, _, _, sv = np.linalg.lstsq(unit, r, rcond=None)
     if sv[0] == 0 or sv[-1] / sv[0] < RANK_DEFICIENCY_TOL:

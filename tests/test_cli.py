@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -138,16 +139,47 @@ def test_capacity_cap_named_on_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["sector = 1", "tol_operator = 1e-10", "n_samples = 25",
-                                  "pole_margin = 1e-3"])
+                                  "pole_margin = 1e-3", "tol_identity = 1e-10"])
 def test_unknown_config_key_exits_2(tmp_path, capsys, line):
     # `sector` is a typo of `sectors`; `tol_operator` and `n_samples` were
-    # options no check read; the pole margin is the constant POLE_MARGIN
+    # options no check read; the pole margin is the constant POLE_MARGIN and
+    # the identity tolerance the constant IDENTITY_TOL
     cfg = tmp_path / "typo.cfg"
     cfg.write_text(f"N = 2\nL = 3\nseed = 3\n{line}\n")
     code, report = run(["verify", "--config", str(cfg)])
     assert code == 2
     assert report is None
     assert repr(line.split()[0]) in capsys.readouterr().err
+
+
+def test_removed_identity_tolerance_flag_exits_2(capsys):
+    # the identity tolerance is the constant IDENTITY_TOL, not a run option
+    code, report = run(["identities", "--tol", "1e-10"])
+    assert code == 2
+    assert report is None
+
+
+def _readme_config_block() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme.split("Config files are flat", 1)[1]
+    return after.split("```\n", 2)[1]
+
+
+def test_documented_config_keys_are_the_accepted_keys(tmp_path):
+    # README's config block and cli's module docstring name the same keys,
+    # and README's block, as printed, is a valid config
+    block = _readme_config_block()
+    readme_keys = {line.split("#", 1)[0].split("=", 1)[0].strip()
+                   for line in block.splitlines() if line.split("#", 1)[0].strip()}
+    listing = cli.__doc__.split("Keys:", 1)[1].split("Any other key", 1)[0]
+    # one row per key, or per comma list of keys, before its two-space gap
+    doc_keys = {key.strip() for line in listing.splitlines() if line.strip()
+                for key in re.split(r"\s{2,}", line.strip())[0].split(",")}
+    assert readme_keys == doc_keys
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(block)
+    config = cli.build_config(cli._build_parser().parse_args(["all", "--config", str(cfg)]))
+    cli.materialize(config)
 
 
 def test_offshell_requires_rank2(tmp_path, capsys):
@@ -337,12 +369,20 @@ def test_gauss_pass_in_one_point_batches_equals_the_whole_batch(monkeypatch, N, 
     assert function(*args) == whole
 
 
-def test_overlap_points_are_drawn_clear_of_the_coupling_pole(capsys):
-    # at this seed an overlap draw lands within POLE_MARGIN of the coupling
-    # pole u = l; it is drawn again instead of failing with PoleError
-    code, report = run(["identities", "--seed", "4835314820880129"])
-    assert code == 0
-    assert all(not c.error for c in report.checks)
+def test_kernel_homogeneity_fails_on_a_non_homogeneous_nesting_overlap(monkeypatch, capsys):
+    # `nesting_overlap` is certified by `kernel-homogeneity` through
+    # `string_overlap`; a factor that depends on the scale of the roots fails it
+    nesting_overlap = bethelab.kernels.nesting_overlap
+
+    def scaled(upper, lower, ctx):
+        return nesting_overlap(upper, lower, ctx) * (1 + 1e-6 * abs(upper[0]))
+
+    monkeypatch.setattr(bethelab.kernels, "nesting_overlap", scaled)
+    code, report = run(["identities", "--seed", "5"])
+    assert code == 1
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.check_id for c in failed] == ["identities/kernel-homogeneity"]
+    assert failed[0].residual > 1e-7 and not failed[0].error
 
 
 def test_identities_suite_covers_required_checks(capsys):
@@ -350,7 +390,7 @@ def test_identities_suite_covers_required_checks(capsys):
     assert code == 0
     assert len(report.checks) >= 12
     ids = {c.check_id for c in report.checks}
-    for fragment in ("overlap-two-forms", "qsym-idempotent", "qsym-shuffle",
+    for fragment in ("qsym-idempotent", "qsym-shuffle",
                      "qsym-shift", "qsym-cyclic", "partial-fraction"):
         assert any(fragment in i for i in ids), fragment
     assert all(c.anchor for c in report.checks)
@@ -616,6 +656,24 @@ def test_all_suites_at_n2l4_on_two_chains(tmp_path, capsys):
     assert sum(c.check_id.endswith("/complete") for c in report.checks) == 10
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("z", ["1e150", "1e100"])
+def test_offshell_names_an_overflowing_chain(tmp_path, capsys, z):
+    # T(t) w - tau w (at 1e150) or the candidate norms (at 1e100) overflow;
+    # the fit is not attempted, and the report names the overflow
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(f"N = 2\nL = 3\nseed = 1\nz = {z}, 1, 2\n")
+    out = tmp_path / "overflow.json"
+    code, report = run(["offshell", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    assert json.loads(out.read_text())["summary"]["status"] == "fail"
+    assert len(report.checks) == 3
+    for check in report.checks:
+        assert check.residual == math.inf and not check.passed
+        assert check.error == ("DomainError: T(t) w - tau w or a candidate norm "
+                               "overflows double precision")
+
+
 def test_offshell_vanishing_holds_at_a_near_string(tmp_path, capsys):
     # sector (2,) of this chain has a root set with t_j ~ q^2 t_k closer than
     # POLE_MARGIN, a pole of the Bethe equations' right side; its unwanted
@@ -700,9 +758,10 @@ def test_report_structure(tmp_path, capsys):
         assert isinstance(check["wall_time"], float)
 
 
-def test_failing_tolerance_exits_1(capsys):
+def test_failing_tolerance_exits_1(monkeypatch, capsys):
     # an unreachable identity tolerance forces residual failures
-    code, report = run(["identities", "--seed", "5", "--tol", "1e-18"])
+    monkeypatch.setattr(cli, "IDENTITY_TOL", 1e-18)
+    code, report = run(["identities", "--seed", "5"])
     assert code == 1
     assert report.summary()["failed"] > 0
 

@@ -11,7 +11,6 @@ from bethelab import (
     PoleError,
     bethe_residual,
     nesting_overlap,
-    nesting_overlap_alt,
     partial_fraction_residual,
     sample_annulus,
     same_type_weight,
@@ -278,15 +277,6 @@ def test_nesting_overlap_empty(ctx):
 def test_nesting_overlap_single_pair(ctx):
     t1, t2 = 0.7 + 0.1j, 1.9 - 0.3j
     assert abs(nesting_overlap((t2,), (t1,), ctx) - 1 / (1 - t1 / t2)) < TOL
-
-
-def test_nesting_overlap_two_forms_agree(ctx, rng):
-    for k in range(2, 6):
-        upper = separated_points(rng, k)
-        lower = separated_points(rng, k)
-        a = nesting_overlap(upper, lower, ctx)
-        b = nesting_overlap_alt(upper, lower, ctx)
-        assert abs(a - b) / abs(a) < 1e-10
 
 
 # ---------------------------------------------------------------------------
