@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -53,7 +54,7 @@ from .kernels import (partial_fraction_residual, same_type_weight, shift_weight,
                       transfer_eigenvalue, transfer_eigenvalue_residues)
 from .qsym import (cyclic_identity_sides, decomposition_sides, qsym_values,
                    shift_expansion_backward, shift_expansion_forward)
-from .repcore import (ChainSpec, grid_bytes, monodromy, permutation_operator, r_matrix,
+from .repcore import (ChainSpec, batch_points, monodromy, permutation_operator, r_matrix,
                       rll_residual, transfer, transfer_commutator_residual, vacuum_data,
                       vacuum_residuals, yang_baxter_residual, zero_mode_residuals)
 from .report import CheckRecord, Report, encode_complex, inputs_digest
@@ -72,10 +73,6 @@ SOLVE_TOL = 1e-12
 # relative difference of the two sides. Over seeds 1-40 their rounding floor
 # is 2.1e-14 (`qsym-cyclic`); this leaves a factor of about 4700 above it.
 IDENTITY_TOL = 1e-10
-
-# monodromy grid bytes per Gauss-pass batch (5 points at N=3, L=5, 1 from L=6): at N=3,
-# L=5 the batch halves the pass, 0.11 -> 0.06 s, for a heap peak of 7.1 MB, not 1.7 MB.
-GAUSS_BATCH_BYTES = 3 << 20
 
 SUITES = ("yang-baxter", "rll", "gauss", "identities", "solve", "verify",
           "offshell", "spectrum")
@@ -431,7 +428,7 @@ def suite_gauss(mat: Materialized) -> list[Check]:
 def _gauss_pass(chain: ChainSpec, c: int, identities: tuple[CoordinateIdentity, ...]
                 ) -> dict[str, tuple[list[float], BetheLabError | None]]:
     """The stage of every gauss check of chain `c`: for each batch of the 5
-    points drawn from `gauss-recon:{c}` that GAUSS_BATCH_BYTES holds, build
+    points drawn from `gauss-recon:{c}` that `batch_points` allows, build
     the monodromy once, decompose it once, and evaluate the reconstruction,
     the normal-ordered transfer and every coordinate identity on that one
     `GaussData`, each identity at its `pairs`. Returns, per check name, its
@@ -450,7 +447,7 @@ def _gauss_pass(chain: ChainSpec, c: int, identities: tuple[CoordinateIdentity, 
             errors = dict.fromkeys((kind.value for kind in identities), exc)
     rng = chain.ctx.rng(f"gauss-recon:{c}")
     points = [complex(sample_annulus(rng, 1)[0]) for _ in range(5)]
-    batch = max(1, GAUSS_BATCH_BYTES // grid_bytes(chain))
+    batch = batch_points(chain)
     for lo in range(0, len(points), batch):
         T = monodromy(chain, points[lo:lo + batch])
         data = gauss_decompose(T)
@@ -819,6 +816,7 @@ def run_command(argv: list[str]) -> tuple[int, Report | None]:
         checks: list[Check] = []
         for name in suite_names:
             checks.extend(SUITE_BUILDERS[name](mat))
+        created = bool(cfg.out) and not os.path.exists(cfg.out)
         if cfg.out:  # an unwritable report path fails before any check runs
             open(cfg.out, "a", encoding="utf-8").close()
     except (ConfigError, CapacityError, DomainError, SamplingExhaustedError,
@@ -826,7 +824,12 @@ def run_command(argv: list[str]) -> tuple[int, Report | None]:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2, None
 
-    records = _run_checks(checks, 1)
+    try:
+        records = _run_checks(checks, 1)
+    except BaseException:
+        if created:  # a run that dies leaves no empty report behind
+            os.remove(cfg.out)
+        raise
 
     report = Report(
         command=args.command, seed=cfg.seed, version=__version__,

@@ -1,5 +1,5 @@
-"""Twist-homotopy solver for the Bethe equations and the reconciliation of
-the resulting spectrum with the transfer matrix's weight blocks.
+"""Bethe-equation solver by separation of variables, and the reconciliation
+of the resulting spectrum with the transfer matrix's weight blocks.
 
 For a type-a root t let P be the type-(a-1) roots (the sites z when a = 1),
 S the other type-a roots and X the type-(a+1) roots. With its denominators
@@ -8,29 +8,22 @@ cleared, Bethe equation (a, t) reads A - eps_a B = 0 with
     A = prod_P (q t - p/q) prod_S (t/q - q u) prod_X (t - x)
     B = prod_P (t - p)     prod_S (q t - u/q) prod_X (t/q - q x)
 
-and eps_a = kappa_{a+1}/kappa_a. The solver tracks H = A - s eps_a B from
-s = 0 to s = 1. At s = 0 the type-1 roots sit at z_l/q^2 on an n_1-subset of
-the sites and the type-a roots at (type-(a-1) start roots)/q^2 on an
-n_a-subset of those: prod_a C(n_{a-1}, n_a) = `sector_multiplicity` start
-points, each with a block lower-triangular, invertible Jacobian. All paths
-of a sector are tracked as one numpy batch, with an Euler-tangent predictor,
-a Newton corrector on the analytic Jacobian and a step size per path.
+and eps_a = kappa_{a+1}/kappa_a, the only form of the Bethe equations here.
 
-These cleared equations are the only form of the Bethe equations here.
-Each endpoint gets POLISH_STEPS Newton steps on H at s = 1 and is accepted
-when the backward error |A - eps_a B| / (|A| + |eps_a B|) of every
-equation, taken at the roots it returns, is below TOL_ROOT: the relative
-change of the two sides that makes the point an exact root. It has no pole
-where two roots of a type form a near-string t_j ~ q^2 t_k, so such
-genuine root sets are kept.
+Separation of variables (Sklyanin; Gromov, Levkovich-Maslyuk & Sizov 2017)
+gives one candidate per state of the weight block T_nu of sector nbar, nu =
+`expected_occupancy(L, nbar)`. As lambda_k(z_l) = 0 for k >= 2, its
+eigenvalue has tau(z_l) Q_1(z_l) = q^{n_1} lambda_1(z_l) Q_1(z_l/q^2), Q_a(t)
+= prod_j (t - t^a_j), at the L sites: linear in Q_1. The type-a equations
+are linear in Q_{a+1}, as prod_X (t/q - q x) = q^{n_{a+1}} Q_{a+1}(t/q^2).
+tau(z_l) is the diagonal of V^-1 T_nu(z_l) V, V the eigenvectors of T_nu at
+a point t_0 drawn from the `solve_bethe:{nbar}` stream.
 
-A sector is one homotopy: every start point is tracked once along the one
-complex detour s = tau + gamma tau (1 - tau), gamma drawn once per sector
-from the `solve_bethe:{nbar}` stream (the gamma trick, which keeps the paths
-of a generic complex gamma apart). There is no retry. An endpoint that is
-lost, rejected or equal to a root set already kept is a reported shortfall,
-never filled in.
-Everything is deterministic given (chain, sector, seed).
+A candidate gets POLISH_STEPS Newton steps and is accepted when the backward
+error |A - eps_a B| / (|A| + |eps_a B|) of every equation at the roots it
+returns is below TOL_ROOT; it has no pole at a near-string t_j ~ q^2 t_k. A
+candidate that is NaN, rejected or a root set already kept is a reported
+shortfall, never filled in. All is deterministic given (chain, sector, seed).
 """
 from __future__ import annotations
 
@@ -43,28 +36,15 @@ import numpy as np
 from .context import BetheParameterSet, sample_annulus
 from .errors import DomainError
 from .kernels import transfer_eigenvalue
-from .repcore import ChainSpec, transfer, vacuum_data
+from .repcore import ChainSpec, batch_points, transfer, vacuum_data
 from .vectors import expected_occupancy, is_admissible
 
 MATCH_TOL = 1e-8
 
-# path tracking, in coordinates scaled by the mean site modulus
-FIRST_STEP = 0.05        # initial step in the path parameter tau
-STEP_GROWTH = 1.25       # step factor after an accepted step; a rejected one halves
-MIN_STEP = 1e-10         # a path whose step falls below this is lost
-MAX_STEPS = 2000         # predictor-corrector rounds per batch
-CORRECTOR_STEPS = 3
-TRACK_TOL = 1e-7         # last corrector update, relative to the point
-DIVERGED = 1e8           # a root this far out is on its way to infinity
-POLISH_STEPS = 2         # Newton steps on H at s = 1 at each endpoint
+POLISH_STEPS = 2         # Newton steps on the cleared equations at each candidate
 COINCIDE_TOL = 1e-8      # relative distance of two equal root sets
-# gamma is DETOUR times a point of the sample annulus. Over 705 sectors at
-# N = 2, 3, 4 and L <= 10, scales 0.01 to 0.1 cost the corrector rows of the
-# straight path to within 0.5 %, 0.3 cost 1.3 % more and lost a root set, and
-# 1.0 cost 14 % more: 0.1 is the farthest detour that costs nothing
-DETOUR = 0.1
 
-# acceptance of an endpoint: largest backward error of its equations
+# acceptance of a candidate: largest backward error of its equations
 TOL_ROOT = 1e-12
 # admissibility margins of an accepted root set
 MIN_ABS = 1e-8               # smallest |t|
@@ -80,8 +60,8 @@ class BetheSolution:
 
 @dataclass
 class SolveResult:
-    """Root sets of one sector. `attempts` counts tracked paths, one per
-    start point, `converged` the endpoints whose polished backward error is
+    """Root sets of one sector. `attempts` counts candidates, one per state
+    of the weight block, `converged` those whose polished backward error is
     below TOL_ROOT, and `inadmissible` those of them that fail the margins."""
     solutions: list[BetheSolution]
     attempts: int = 0
@@ -102,13 +82,13 @@ def _canonical_key(values: list[list[complex]]):
     )
 
 
-class _Homotopy:
+class _ClearedEquations:
     """The cleared equations of one sector as factor tables.
 
     Row k of every table belongs to root k (types in order); column f is one
     linear factor, `ta t_k + wa w` of A and `tb t_k + wb w` of B, where w is
     entry `partner[k, f]` of the point extended by the sites and a constant
-    1. Rows are padded with the constant factor 1.
+    1; `upper` marks X's factors. Rows are padded with the constant factor 1.
     """
 
     def __init__(self, chain: ChainSpec, nbar: tuple[int, ...], sites: np.ndarray):
@@ -132,21 +112,22 @@ class _Homotopy:
         self.partner = np.array([[f[0] for f in r] for r in table])
         self.ta, self.wa, self.tb, self.wb = (
             np.array([[complex(f[c]) for f in r] for r in table]) for c in range(1, 5))
+        self.upper = (self.partner >= np.repeat(ends[1:], nbar)[:, None]) & (self.partner < M)
         self.select = (self.partner[:, :, None] == np.arange(M)).astype(float)
         self.eps = np.array(eps)
         self.sites = sites
         self.tail = np.append(sites, 1.0)
 
-    def evaluate(self, x: np.ndarray, s: np.ndarray):
-        """H, dH/dx and dH/ds at the points x (P, M) and parameters s (P,)."""
+    def evaluate(self, x: np.ndarray):
+        """H = A - eps B and dH/dx at the points x (P, M)."""
         fa, fb = self.factors(x)
         ea, eb = _excluded_products(fa), _excluded_products(fb)
         A, B = ea[..., 0] * fa[..., 0], eb[..., 0] * fb[..., 0]
-        se = (s[:, None] * self.eps)[..., None]
-        J = np.einsum("pkf,kfj->pkj", self.wa * ea - se * self.wb * eb, self.select)
+        eps = self.eps[:, None]
+        J = np.einsum("pkf,kfj->pkj", self.wa * ea - eps * self.wb * eb, self.select)
         diag = np.arange(x.shape[1])
-        J[:, diag, diag] += np.sum(self.ta * ea - se * self.tb * eb, axis=-1)
-        return A - se[..., 0] * B, J, -self.eps * B
+        J[:, diag, diag] += np.sum(self.ta * ea - eps * self.tb * eb, axis=-1)
+        return A - self.eps * B, J
 
     def factors(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The factors of A and of B at the points x (P, M), (P, M, F) each."""
@@ -161,40 +142,6 @@ class _Homotopy:
         fa, fb = self.factors(x)
         A, B = np.prod(fa, axis=-1), self.eps * np.prod(fb, axis=-1)
         return np.abs(A - B) / (np.abs(A) + np.abs(B))
-
-    def track(self, x: np.ndarray, gamma: complex) -> np.ndarray:
-        """Endpoints at s = 1 of the paths from the start points x (P, M)
-        along s = tau + gamma tau (1 - tau); NaN rows for lost paths."""
-        x = x.copy()
-        tau = np.zeros(len(x))
-        h = np.full(len(x), FIRST_STEP)
-        live = np.ones(len(x), dtype=bool)
-        # the predictor's derivatives at each path's point: after a step,
-        # those of the last corrector iterate, which is within TRACK_TOL of it
-        _, J, dHds = self.evaluate(x, tau)
-        for _ in range(MAX_STEPS):
-            act = np.flatnonzero(live & (tau < 1.0))
-            if not len(act):
-                break
-            t0 = tau[act]
-            tangent = _solve(J[act], -dHds[act] * (1 + gamma * (1 - 2 * t0))[:, None])
-            t1 = np.minimum(t0 + h[act], 1.0)
-            s1 = t1 + gamma * t1 * (1 - t1)
-            y = x[act] + (t1 - t0)[:, None] * tangent
-            for _ in range(CORRECTOR_STEPS):
-                H, Jy, dy = self.evaluate(y, s1)
-                delta = _solve(Jy, -H)
-                y = y + delta
-            size = np.max(np.abs(y), axis=1)
-            ok = np.max(np.abs(delta), axis=1) < TRACK_TOL * size
-            step = act[ok]
-            x[step], tau[step], J[step], dHds[step] = y[ok], t1[ok], Jy[ok], dy[ok]
-            h[step] *= STEP_GROWTH
-            h[act[~ok]] /= 2
-            live[step[size[ok] > DIVERGED]] = False
-            live &= h >= MIN_STEP
-        x[~live | (tau < 1.0)] = np.nan
-        return x
 
 
 def _excluded_products(f: np.ndarray) -> np.ndarray:
@@ -218,27 +165,49 @@ def _solve(J: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
 
 
-def _start_points(nbar: tuple[int, ...], sites: np.ndarray, q: complex) -> np.ndarray:
-    """The s = 0 roots: type-a roots are an n_a-subset of the type-(a-1)
-    roots (the sites for a = 1), divided by q^2."""
-    def rec(lower, a):
-        if a == len(nbar):
-            yield ()
-            return
-        for subset in itertools.combinations(lower, nbar[a]):
-            roots = tuple(p / q ** 2 for p in subset)
-            for rest in rec(roots, a + 1):
-                yield roots + rest
+def _site_eigenvalues(chain: ChainSpec, nbar: tuple[int, ...], t0: complex) -> np.ndarray:
+    """tau(z_l) of every state of sector nbar's weight block nu, (states, L),
+    from `batch_points` points at a time; DomainError if a block is not finite."""
+    nu = expected_occupancy(chain.L, nbar)
+    points, batch = [t0, *chain.z], batch_points(chain)
+    tau = []
+    for lo in range(0, len(points), batch):
+        blocks = transfer(chain, points[lo:lo + batch]).blocks[nu]
+        if not np.all(np.isfinite(blocks)):
+            raise DomainError(f"the transfer matrix's weight block {nu} is not finite")
+        if not lo:
+            V, blocks = np.linalg.eig(blocks[0])[1], blocks[1:]
+        # a copy, since a diagonal view would keep the whole solve alive
+        tau.extend(np.linalg.solve(V, blocks @ V).diagonal(axis1=1, axis2=2).copy())
+    return np.transpose(tau)
 
-    return np.array(list(rec(tuple(sites), 0)), dtype=complex)
+
+def _fit(t: np.ndarray, alpha: np.ndarray, beta: np.ndarray, n: int, q: complex) -> np.ndarray:
+    """The roots (rows, n) of each row's degree-n Q: the smallest right
+    singular vector of alpha Q(t) = q^n beta Q(t/q^2) at the row's points t,
+    each equation over the size of its sides (its own norm would blow up
+    sides that cancel to rounding); NaN if not finite or short of n roots."""
+    powers = np.arange(n + 1)
+    lhs = alpha[..., None] * t[..., None] ** powers
+    rhs = q ** n * beta[..., None] * (t[..., None] / q ** 2) ** powers
+    scale = np.max(np.abs(lhs), axis=-1) + np.max(np.abs(rhs), axis=-1)
+    G = (lhs - rhs) / np.where(scale > 0, scale, 1)[..., None]
+    finite = np.all(np.isfinite(G), axis=(1, 2))
+    coefficients = np.linalg.svd(np.where(finite[:, None, None], G, 0))[2][:, -1].conj()
+    out = np.full((len(t), n), np.nan, dtype=complex)
+    for k in np.flatnonzero(finite):
+        roots = np.roots(coefficients[k, ::-1])
+        if len(roots) == n:
+            out[k] = roots
+    return out
 
 
 def solve_bethe(chain: ChainSpec, nbar, opts=None) -> SolveResult:
-    """The admissible root sets of sector nbar at the endpoints of the twist
-    homotopy; deterministic for fixed (chain, nbar, seed). A sector returns at
-    most `sector_multiplicity` root sets, fewer when a path is lost or ends
-    rejected or on a root set already kept. `opts` is ignored: it is kept
-    only for the benchmark's wrapper, which passes it positionally."""
+    """The admissible root sets of sector nbar among its candidates, one per
+    state of its weight block: at most `sector_multiplicity`, fewer when a
+    candidate falls short, is rejected or repeats a root set already kept.
+    `opts` is ignored: it is kept only for the benchmark's wrapper, which
+    passes it positionally."""
     nbar = tuple(int(n) for n in nbar)
     if len(nbar) != chain.N - 1:
         raise DomainError(f"sector needs {chain.N - 1} entries, got {len(nbar)}")
@@ -250,22 +219,17 @@ def solve_bethe(chain: ChainSpec, nbar, opts=None) -> SolveResult:
         sol = BetheSolution(empty, _canonical_key([[] for _ in nbar]))
         return SolveResult([sol], attempts=0, converged=1)
 
-    hom, scale = _unit_homotopy(chain, nbar)
-    starts = _start_points(nbar, hom.sites, chain.ctx.q)
+    eqs, scale = _unit_equations(chain, nbar)
     cuts = np.cumsum(nbar)[:-1]
-    gamma = DETOUR * complex(sample_annulus(chain.ctx.rng(f"solve_bethe:{nbar}"), 1)[0])
-    # lost paths are NaN rows, and arithmetic on them is expected
+    # arithmetic on NaN candidates and on roots at 0 is expected
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        x = hom.track(starts, gamma)
-        for _ in range(POLISH_STEPS):
-            H, J, _ = hom.evaluate(x, np.ones(len(x)))
-            x = x - _solve(J, H)
+        x = _candidates(chain, nbar, eqs)
         # the roots as returned, measured as `backward_errors` measures them
         roots = x * scale
-        err = hom.backward_error(roots / scale)
+        err = eqs.backward_error(roots / scale)
+        admissible = _admissible(roots, cuts, chain)
     good = np.all(err < TOL_ROOT, axis=1)
-    admissible = _admissible(roots, cuts, chain)
-    result = SolveResult([], attempts=len(starts), converged=int(np.sum(good)),
+    result = SolveResult([], attempts=len(x), converged=int(np.sum(good)),
                          inadmissible=int(np.sum(good & ~admissible)))
     kept = np.empty((0, M), dtype=complex)
     for p in np.flatnonzero(good & admissible):
@@ -279,27 +243,49 @@ def solve_bethe(chain: ChainSpec, nbar, opts=None) -> SolveResult:
     return result
 
 
-def _unit_homotopy(chain: ChainSpec, nbar: tuple[int, ...]) -> tuple[_Homotopy, float]:
-    """The homotopy of sector nbar with the sites divided by their mean
-    modulus, and that scale: the equations are homogeneous in (roots,
-    sites), so roots are tracked and measured at unit scale."""
+def _candidates(chain: ChainSpec, nbar: tuple[int, ...], eqs: _ClearedEquations) -> np.ndarray:
+    """One candidate root set per state of sector nbar's weight block, at the
+    unit scale of `eqs`, after POLISH_STEPS Newton steps; (states, M)."""
+    unit = ChainSpec(chain.N, chain.L, eqs.sites, chain.kappa, chain.ctx)
+    t0 = complex(sample_annulus(chain.ctx.rng(f"solve_bethe:{nbar}"), 1)[0])
+    tau = _site_eigenvalues(unit, nbar, t0)
+    q, ends, z = chain.ctx.q, np.cumsum((0,) + nbar), np.broadcast_to(eqs.sites, tau.shape)
+    x = np.full((len(tau), ends[-1]), np.nan, dtype=complex)
+    x[:, :nbar[0]] = _fit(z, tau, vacuum_data(unit)[1][0](z), nbar[0], q)
+    for a in range(1, len(nbar)):
+        rows = slice(ends[a - 1], ends[a])
+        fa, fb = eqs.factors(x)
+        known = ~eqs.upper[rows]
+        alpha = np.prod(fa[:, rows], axis=-1, where=known)
+        beta = eqs.eps[rows] * np.prod(fb[:, rows], axis=-1, where=known)
+        x[:, ends[a]:ends[a + 1]] = _fit(x[:, rows], alpha, beta, nbar[a], q)
+    for _ in range(POLISH_STEPS):
+        H, J = eqs.evaluate(x)
+        x = x - _solve(J, H)
+    return x
+
+
+def _unit_equations(chain: ChainSpec, nbar: tuple[int, ...]
+                    ) -> tuple[_ClearedEquations, float]:
+    """The cleared equations of sector nbar with the sites divided by their mean
+    modulus, and that scale: they are homogeneous in (roots, sites)."""
     scale = float(np.mean(np.abs(chain.z)))
-    return _Homotopy(chain, nbar, np.asarray(chain.z) / scale), scale
+    return _ClearedEquations(chain, nbar, np.asarray(chain.z) / scale), scale
 
 
 def backward_errors(chain: ChainSpec, nbar, root_sets) -> np.ndarray:
     """The worst backward error |A - eps_a B| / (|A| + |eps_a B|) over the
     Bethe equations of sector nbar at each root set, as an array of one entry
-    per root set: the quantity on which `solve_bethe` accepts an endpoint,
+    per root set: the quantity on which `solve_bethe` accepts a candidate,
     recomputed from the `BetheParameterSet`s alone."""
     nbar = tuple(int(n) for n in nbar)
     if any(params.nbar != nbar for params in root_sets):
         raise DomainError(f"root sets must have the shape of sector {nbar}")
     if not root_sets or not sum(nbar):
         return np.zeros(len(root_sets))
-    hom, scale = _unit_homotopy(chain, nbar)
+    eqs, scale = _unit_equations(chain, nbar)
     x = np.array([np.concatenate(params.values) for params in root_sets]) / scale
-    return np.max(hom.backward_error(x), axis=1)
+    return np.max(eqs.backward_error(x), axis=1)
 
 
 def _coincident(xs: np.ndarray, y: np.ndarray, cuts: np.ndarray) -> np.ndarray:
@@ -313,8 +299,8 @@ def _coincident(xs: np.ndarray, y: np.ndarray, cuts: np.ndarray) -> np.ndarray:
 
 
 def sector_multiplicity(L: int, nbar) -> int:
-    """Dimension of the weight block selected by the sector shape:
-    prod_a C(n_{a-1}, n_a) with n_0 = L, the count of `_start_points`."""
+    """Dimension of the weight block selected by the sector shape, and so
+    the number of `solve_bethe` candidates: prod_a C(n_{a-1}, n_a), n_0 = L."""
     counts = (L,) + tuple(nbar)
     return math.prod(math.comb(a, b) for a, b in zip(counts, counts[1:]))
 

@@ -21,6 +21,7 @@ from bethelab.cli import run_command
 from bethelab.errors import (BetheLabError, DegenerateVectorError, DomainError,
                              SingularCoordinateError)
 from bethelab.report import report_fingerprint
+from bethelab import repcore
 from bethelab.repcore import GradedOperator, _paths, monodromy
 
 
@@ -106,6 +107,23 @@ def test_unwritable_report_path_exits_2_before_any_check(tmp_path, monkeypatch, 
     assert report is None
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and str(path) in err
+
+
+def test_a_run_that_dies_leaves_no_report_it_created(tmp_path, monkeypatch, capsys):
+    # an error that is no BetheLabError escapes the check phase; the report
+    # file that the run created to test its path goes, one it found stays
+    def crash(*args):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(cli, "yang_baxter_residual", crash)
+    path = tmp_path / "r.json"
+    with pytest.raises(RuntimeError, match="planted"):
+        run(["yang-baxter", "--out", str(path)])
+    assert not path.exists()
+    path.write_text("an earlier report")
+    with pytest.raises(RuntimeError, match="planted"):
+        run(["yang-baxter", "--out", str(path)])
+    assert path.read_text() == "an earlier report"
 
 
 def test_sector_list_naming_no_sector_exits_2(tmp_path, capsys):
@@ -347,7 +365,7 @@ def test_gauss_pass_peaks_below_four_monodromy_grids():
         grid = monodromy(chain, 1.1 - 0.4j)
         grid_bytes = sum(M.nbytes for op in grid.entries.values() for M in op.blocks.values())
         del grid
-        assert min(5, max(1, cli.GAUSS_BATCH_BYTES // grid_bytes)) == batch
+        assert min(5, max(1, repcore.BATCH_BYTES // grid_bytes)) == batch
         (function, *args), = cli.suite_gauss(mat)[0].stages
         tracemalloc.start()
         try:
@@ -364,8 +382,8 @@ def test_gauss_pass_in_one_point_batches_equals_the_whole_batch(monkeypatch, N, 
     mat = cli.materialize(cli.RunConfig(N=N, L=L, seed=7))
     (function, *args), = cli.suite_gauss(mat)[0].stages
     whole = function(*args)
-    assert cli.GAUSS_BATCH_BYTES >= 5 * cli.grid_bytes(mat.chains[0])
-    monkeypatch.setattr(cli, "GAUSS_BATCH_BYTES", 1)
+    assert repcore.BATCH_BYTES >= 5 * repcore.grid_bytes(mat.chains[0])
+    monkeypatch.setattr(repcore, "BATCH_BYTES", 1)
     assert function(*args) == whole
 
 
@@ -633,9 +651,9 @@ def test_complete_check_fails_on_a_dropped_root_set(tmp_path, monkeypatch, capsy
 
 
 def test_equal_twists_do_not_pass_the_complete_check(tmp_path, capsys):
-    # with kappa_1 = kappa_2 and real q the homotopy meets the degenerate
-    # twists q^(-2k), where some roots leave for 0 or infinity; a missing
-    # root set must show as a failed `complete` check, never as a pass
+    # with kappa_1 = kappa_2 the states of the sectors past L/2 have roots at
+    # 0 or infinity, which no accepted root set holds; a missing root set
+    # must show as a failed `complete` check, never as a pass
     cfg = tmp_path / "equal.cfg"
     cfg.write_text("N = 2\nL = 4\nkappa = 1, 1\nseed = 3\n")
     code, report = run(["solve", "--config", str(cfg)])

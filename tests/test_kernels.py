@@ -192,12 +192,12 @@ def test_tau_residue_ratio_over_the_solver_backward_error(ctx, rng, N, L, nbar):
     # |A - eps B| / (|A| + |eps B|) the ratio is (|A| + |eps B|) / max(|A|, |eps B|)
     chain = make_chain(N, L, ctx, rng)
     _, lambdas = vacuum_data(chain)
-    hom, unit = solver._unit_homotopy(chain, nbar)
+    eqs, unit = solver._unit_equations(chain, nbar)
     for _ in range(10):
         params = BetheParameterSet(tuple(tuple(separated_points(rng, n)) for n in nbar))
         resid, scale = transfer_eigenvalue_residues(lambdas, params, ctx)
         roots = np.array([u for grp in params.values for u in grp])
-        ratio = np.abs(resid) / scale / hom.backward_error(roots[None] / unit)[0]
+        ratio = np.abs(resid) / scale / eqs.backward_error(roots[None] / unit)[0]
         assert np.all((ratio >= 1 - 1e-12) & (ratio <= 2 + 1e-12)), ratio
 
 

@@ -1,5 +1,6 @@
 """Bethe-equation solver and spectrum reconciliation tests."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,9 +18,8 @@ from bethelab import (
 )
 from bethelab import cli, modified_vector, on_shell_residuals, solver, unwanted_decomposition
 from bethelab.context import POLE_MARGIN
-from bethelab.solver import (MIN_SEPARATION, POLISH_STEPS, _admissible, _Homotopy, _solve,
-                             _start_points, _unit_homotopy, backward_errors,
-                             sector_multiplicity)
+from bethelab.solver import (MIN_SEPARATION, _admissible, _candidates, _ClearedEquations,
+                             _solve, _unit_equations, backward_errors, sector_multiplicity)
 from bethelab.vectors import UNWANTED_CAP, expected_occupancy
 
 from conftest import make_chain
@@ -164,10 +164,30 @@ def test_spectrum_reconcile_matches_within_the_weight_block(ctx, rng):
 
 
 
+def _sov_spy(monkeypatch, plant=None):
+    """Patch `solver._site_eigenvalues` to log (t0, tau) of every call and
+    to return `plant(tau)` in place of tau when `plant` is given."""
+    calls, site_eigenvalues = [], solver._site_eigenvalues
+
+    def spy(chain, nbar, t0):
+        tau = site_eigenvalues(chain, nbar, t0)
+        if plant is not None:
+            tau = plant(tau)
+        calls.append((t0, tau))
+        return tau
+
+    monkeypatch.setattr(solver, "_site_eigenvalues", spy)
+    return calls
+
+
 @pytest.mark.parametrize("nbar, L", [((1,), 4), ((2,), 4), ((2, 1), 3), ((3, 2), 4)])
-def test_one_start_point_per_state_of_the_weight_block(nbar, L):
-    sites = np.exp(1j * np.arange(L))
-    assert len(_start_points(nbar, sites, 1.5)) == sector_multiplicity(L, nbar)
+def test_one_start_point_per_state_of_the_weight_block(ctx, rng, nbar, L):
+    # separation of variables gives each state its own candidate, the start
+    # point of its Newton polish
+    chain = make_chain(len(nbar) + 1, L, ctx, rng)
+    eqs, _ = _unit_equations(chain, nbar)
+    x = _candidates(chain, nbar, eqs)
+    assert x.shape == (sector_multiplicity(L, nbar), sum(nbar))
 
 
 def test_sector_multiplicity_counts_the_start_points_and_the_weight_block(ctx, rng):
@@ -175,8 +195,8 @@ def test_sector_multiplicity_counts_the_start_points_and_the_weight_block(ctx, r
         for L in range(1, 6):
             chain = make_chain(N, L, ctx, rng)
             for nbar in admissible_sectors(chain):
-                if sum(nbar):
-                    want = len(_start_points(nbar, np.asarray(chain.z), ctx.q))
+                if sum(nbar) and N ** L <= 256:  # the solves at N=4, L=5 take 4 s
+                    want = solve_bethe(chain, nbar).attempts
                     assert sector_multiplicity(L, nbar) == want, (N, L, nbar)
                 block = math.factorial(L) // math.prod(
                     map(math.factorial, expected_occupancy(L, nbar)))
@@ -185,35 +205,32 @@ def test_sector_multiplicity_counts_the_start_points_and_the_weight_block(ctx, r
 
 @pytest.mark.parametrize("N, L, nbar", [(2, 3, (2,)), (3, 3, (2, 1))])
 def test_cleared_system_matches_bethe_residual_and_its_jacobian(ctx, rng, N, L, nbar):
-    # the tracked H, its analytic Jacobian and dH/ds against bethe_residual
-    # (H / D at s = 1) and against complex finite differences, and the
-    # backward error against |H| / (|A| + |eps B|). D is eps_a
-    # times B's factors at the sites (partners M .. M + L - 1) and A's at
-    # the roots; the padding factor is 1 in both.
+    # H, its analytic Jacobian against bethe_residual (H / D) and against
+    # complex finite differences, and the backward error against
+    # |H| / (|A| + |eps B|). D is eps_a times B's factors at the sites
+    # (partners M .. M + L - 1) and A's at the roots; the padding factor is
+    # 1 in both.
     chain = make_chain(N, L, ctx, rng)
-    hom = _Homotopy(chain, nbar, np.asarray(chain.z))
+    eqs = _ClearedEquations(chain, nbar, np.asarray(chain.z))
     _, lambdas = vacuum_data(chain)
     x = sample_annulus(rng, (2, sum(nbar)))
-    s = np.array([1.0, 0.3 + 0.2j])
-    H, J, dHds = hom.evaluate(x, s)
-    fa, fb = hom.factors(x[:1])
-    D = hom.eps * np.prod(np.where(hom.partner >= sum(nbar), fb, fa), axis=-1)
+    H, J = eqs.evaluate(x)
+    fa, fb = eqs.factors(x[:1])
+    D = eqs.eps * np.prod(np.where(eqs.partner >= sum(nbar), fb, fa), axis=-1)
     cuts = np.cumsum(nbar)[:-1]
     params = BetheParameterSet(tuple(map(tuple, np.split(x[0], cuts))))
-    eqs = [(a, j) for a in range(1, N) for j in range(1, nbar[a - 1] + 1)]
-    want = [bethe_residual(a, j, params, lambdas, ctx) for a, j in eqs]
+    eqs_ids = [(a, j) for a in range(1, N) for j in range(1, nbar[a - 1] + 1)]
+    want = [bethe_residual(a, j, params, lambdas, ctx) for a, j in eqs_ids]
     assert np.allclose(H[0] / D[0], want, rtol=1e-12, atol=0)
-    eB = -dHds[0]  # H = A - s eps B, so at s = 1 A = H + eps B
+    eB = eqs.eps * np.prod(fb[0], axis=-1)
     want = np.abs(H[0]) / (np.abs(H[0] + eB) + np.abs(eB))
-    assert np.allclose(hom.backward_error(x)[0], want, rtol=1e-12, atol=0)
+    assert np.allclose(eqs.backward_error(x)[0], want, rtol=1e-12, atol=0)
     h = 1e-7
     for k in range(sum(nbar)):
         step = np.zeros_like(x)
         step[:, k] = h
-        fd = (hom.evaluate(x + step, s)[0] - hom.evaluate(x - step, s)[0]) / (2 * h)
+        fd = (eqs.evaluate(x + step)[0] - eqs.evaluate(x - step)[0]) / (2 * h)
         assert np.allclose(J[:, :, k], fd, rtol=1e-6, atol=1e-9 * np.max(np.abs(J)))
-    fd = (hom.evaluate(x, s + h)[0] - hom.evaluate(x, s - h)[0]) / (2 * h)
-    assert np.allclose(dHds, fd, rtol=1e-6, atol=1e-9 * np.max(np.abs(dHds)))
 
 
 def test_batched_solve_gives_nan_rows_for_singular_matrices(rng):
@@ -228,7 +245,7 @@ def test_batched_solve_gives_nan_rows_for_singular_matrices(rng):
 
 
 def test_every_sector_returns_exactly_its_multiplicity(ctx, rng):
-    for N, L in ((2, 4), (3, 3)):
+    for N, L in ((2, 4), (3, 3), (4, 4)):
         chain = make_chain(N, L, ctx, rng)
         for nbar in admissible_sectors(chain):
             result = solve_bethe(chain, nbar)
@@ -239,56 +256,40 @@ def test_every_sector_returns_exactly_its_multiplicity(ctx, rng):
 
 
 def test_a_shortfall_is_reported_not_filled(ctx, rng, monkeypatch):
+    # eigenvalues that are all NaN give no candidate, and no root set
     chain = make_chain(2, 4, ctx, rng)
-    monkeypatch.setattr(_Homotopy, "track", lambda self, x, gamma: np.full_like(x, np.nan))
+    _sov_spy(monkeypatch, plant=lambda tau: np.full_like(tau, np.nan))
     result = solve_bethe(chain, (2,))
     assert len(result) == 0
     assert result.attempts == 6
     assert result.converged == 0
 
 
-def _spy_on_track(monkeypatch):
-    """Patch `_Homotopy.track` to log (start points, gamma) of every call."""
-    calls, track = [], _Homotopy.track
-
-    def spy(self, x, gamma):
-        calls.append((x, gamma))
-        return track(self, x, gamma)
-
-    monkeypatch.setattr(_Homotopy, "track", spy)
-    return calls
-
-
-def test_each_start_point_is_tracked_once_along_one_complex_gamma(ctx, rng, monkeypatch):
+def test_each_sector_reads_one_eigenbasis_at_one_drawn_point(ctx, rng, monkeypatch):
     chain = make_chain(3, 3, ctx, rng)
-    calls = _spy_on_track(monkeypatch)
+    calls = _sov_spy(monkeypatch)
     for nbar in admissible_sectors(chain):
         del calls[:]
         result = solve_bethe(chain, nbar)
         if not sum(nbar):
             assert calls == []
             continue
-        (x, gamma), = calls
-        assert np.ndim(gamma) == 0 and np.imag(gamma) != 0
-        assert len(x) == result.attempts == sector_multiplicity(3, nbar)
+        (t0, tau), = calls
+        assert t0 == sample_annulus(ctx.rng(f"solve_bethe:{nbar}"), 1)[0]
+        assert tau.shape == (result.attempts, 3)
+        assert result.attempts == sector_multiplicity(3, nbar)
 
 
-def test_a_planted_path_jump_is_a_reported_shortfall(tmp_path, monkeypatch):
-    # path 1 jumps onto path 0's root set: its endpoint is dropped as a
-    # root set already kept, never replaced, and `complete` fails by one
-    track = _Homotopy.track
-
-    def jump(self, x, gamma):
-        out = track(self, x, gamma)
-        out[1] = out[0]
-        return out
-
-    monkeypatch.setattr(_Homotopy, "track", jump)
+def test_a_planted_duplicate_eigenvector_is_a_reported_shortfall(tmp_path, monkeypatch):
+    # state 1 is read with state 0's eigenvector: its candidate repeats state
+    # 0's root set and is dropped as a root set already kept, never
+    # replaced, and `complete` fails by one
+    _sov_spy(monkeypatch, plant=lambda tau: tau[[0, 0, *range(2, len(tau))]])
     chain = cli.materialize(cli.RunConfig(N=2, L=4, seed=1)).chains[0]
     result = solve_bethe(chain, (2,))
     assert len(result) == sector_multiplicity(4, (2,)) - 1
     assert result.converged - result.inadmissible == len(result) + 1
-    cfg = tmp_path / "jump.cfg"
+    cfg = tmp_path / "duplicate.cfg"
     cfg.write_text("N = 2\nL = 4\nseed = 1\nsectors = 2\n")
     code, report = cli.run_command(["solve", "--config", str(cfg)])
     records = {r.check_id: r for r in report.checks}
@@ -299,24 +300,17 @@ def test_a_planted_path_jump_is_a_reported_shortfall(tmp_path, monkeypatch):
 
 
 def test_accepted_root_sets_pass_their_own_backward_error(ctx, rng, monkeypatch):
-    # the unit-scaled endpoint x and the stored roots (x * scale) / scale
-    # differ in the last bits; plant TOL_ROOT at the stored error of an
-    # endpoint whose unit-scaled error is below it, so accepting on x would
+    # the unit-scaled candidate x and the stored roots (x * scale) / scale
+    # differ in the last bits; plant TOL_ROOT at the stored error of a
+    # candidate whose unit-scaled error is below it, so accepting on x would
     # return a root set that fails `backward_errors < TOL_ROOT`
     chain = make_chain(2, 5, ctx, rng)
-    calls = _spy_on_track(monkeypatch)
     planted = 0
     for nbar in ((3,), (4,)):
-        hom, scale = _unit_homotopy(chain, nbar)
-        del calls[:]
-        solve_bethe(chain, nbar)
-        (starts, gamma), = calls
-        x = hom.track(starts, gamma)
-        for _ in range(POLISH_STEPS):
-            H, J, _ = hom.evaluate(x, np.ones(len(x)))
-            x = x - _solve(J, H)
-        unit = np.max(hom.backward_error(x), axis=1)
-        stored = np.max(hom.backward_error(x * scale / scale), axis=1)
+        eqs, scale = _unit_equations(chain, nbar)
+        x = _candidates(chain, nbar, eqs)
+        unit = np.max(eqs.backward_error(x), axis=1)
+        stored = np.max(eqs.backward_error(x * scale / scale), axis=1)
         for tol in stored[unit < stored]:
             planted += 1
             monkeypatch.setattr(solver, "TOL_ROOT", tol)
@@ -324,6 +318,49 @@ def test_accepted_root_sets_pass_their_own_backward_error(ctx, rng, monkeypatch)
             assert roots
             assert np.all(backward_errors(chain, nbar, roots) < tol)
     assert planted
+
+
+def test_equal_twists_keep_the_counts_and_one_eigenbasis_serves_every_site():
+    # kappa = 1, 1: degenerate weight blocks, whose eigenbasis at t0 must
+    # still diagonalize the block at every site; the sectors past L/2 have
+    # roots at 0 or infinity, so they return no root set
+    chain = cli.materialize(cli.RunConfig(N=2, L=4, seed=1, kappa_spec="1, 1")).chains[0]
+    counts = {nbar: len(solve_bethe(chain, nbar)) for nbar in ((4,), (3,), (2,), (1,))}
+    assert counts == {(4,): 0, (3,): 0, (2,): 6, (1,): 4}
+    for nbar in counts:
+        eqs, _ = _unit_equations(chain, nbar)
+        unit = solver.ChainSpec(2, 4, eqs.sites, chain.kappa, chain.ctx)
+        t0 = complex(sample_annulus(chain.ctx.rng(f"solve_bethe:{nbar}"), 1)[0])
+        blocks = solver.transfer(unit, [t0, *unit.z]).blocks[expected_occupancy(4, nbar)]
+        _, V = np.linalg.eig(blocks[0])
+        for D in np.linalg.solve(V, blocks[1:] @ V):
+            off = D - np.diag(np.diag(D))
+            assert np.max(np.abs(off)) <= 1e-12 * np.max(np.abs(np.diag(D)))
+
+
+def test_a_weight_block_that_is_not_finite_is_a_named_domain_error(monkeypatch, capsys):
+    # np.linalg.eig would raise LinAlgError, which is no BetheLabError, and
+    # crash the run; the stage names the block instead
+    transfer = solver.transfer
+    monkeypatch.setattr(solver, "transfer", lambda chain, t: transfer(chain, t) * np.inf)
+    chain = cli.materialize(cli.RunConfig(N=2, L=3, seed=1)).chains[0]
+    with pytest.raises(DomainError, match=r"weight block \(2, 1\) is not finite"):
+        solve_bethe(chain, (1,))
+    code, report = cli.run_command(["solve", "--seed", "1", "--sector", "1"])
+    assert code == 1
+    for record in report.checks:
+        assert not record.passed
+        assert record.error.startswith("DomainError: the transfer matrix's weight block")
+
+
+def test_nan_candidates_emit_no_warning():
+    # at N=3, L=4 with equal twists, seed 2, sector (4, 4) has candidates
+    # with two roots of one type at 0, whose relative gap is 0 / 0
+    chain = cli.materialize(cli.RunConfig(N=3, L=4, seed=2, kappa_spec="1, 1, 1")).chains[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nbar in admissible_sectors(chain):
+            solve_bethe(chain, nbar)
 
 
 def test_nested_spectrum_at_n3l3_seed7(tmp_path, capsys):
@@ -367,9 +404,8 @@ def test_a_near_string_root_set_is_accepted_and_on_shell(near_string):
                 ids=["seed1-sector8", "seed18-sector4"])
 def near_pole(request):
     # N=2, L=10: the accepted root set whose type-1 root lies nearest an
-    # R-matrix pole z_l/q^2 (9.3e-4 and 3.6e-4 relative), where the homotopy
-    # starts every type-1 root; returns the chain, that root set, the root's
-    # index and the pole
+    # R-matrix pole z_l/q^2 (9.3e-4 and 3.6e-4 relative); returns the chain,
+    # that root set, the root's index and the pole
     seed, nbar = request.param
     chain = cli.materialize(cli.RunConfig(N=2, L=10, seed=seed)).chains[0]
     q, z = chain.ctx.q, np.array(chain.z)
