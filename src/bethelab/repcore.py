@@ -248,8 +248,25 @@ class GradedLOperator:
 def frobenius(*arrays: np.ndarray, axis=None):
     """Frobenius norm of the arrays taken together over `axis` (all by default),
     from the builtin `sum` of `squared_norm` per array. It makes no BLAS call,
-    so, unlike `np.linalg.norm`, its value does not depend on the BLAS thread count."""
-    return np.sqrt(sum(squared_norm(x, axis) for x in arrays))[()]
+    so, unlike `np.linalg.norm`, its value does not depend on the BLAS thread count.
+
+    When a sum of squares is not finite, each reduced slice is scaled by 2^-e
+    before it is squared again, e the `np.frexp` exponent of its largest |re|
+    or |im| over all the arrays, and the norm scaled back by 2^e, so a finite
+    norm above about 1e154 stays finite. A power of two commutes exactly with
+    squaring, summing and `sqrt`, so a slice whose squares did not overflow
+    gets the same bits either way; the first pass only spares the common case
+    the scan for the peak. A zero or non-finite peak is left unscaled."""
+    with np.errstate(over="ignore"):
+        squares = sum(squared_norm(x, axis) for x in arrays)
+    if np.all(np.isfinite(squares)):
+        return np.sqrt(squares)[()]
+    peak = functools.reduce(np.maximum, (
+        np.max(np.maximum(np.abs(x.real), np.abs(x.imag)), axis=axis, initial=0.0)
+        for x in arrays))
+    e = np.where(np.isfinite(peak) & (peak > 0), np.frexp(peak)[1], 0)
+    down = np.ldexp(1.0, -e) if axis is None else np.expand_dims(np.ldexp(1.0, -e), axis)
+    return np.ldexp(np.sqrt(sum(squared_norm(x * down, axis) for x in arrays)), e)[()]
 
 
 def squared_norm(x: np.ndarray, axis=None):

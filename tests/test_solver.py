@@ -320,6 +320,30 @@ def test_accepted_root_sets_pass_their_own_backward_error(ctx, rng, monkeypatch)
     assert planted
 
 
+@pytest.mark.parametrize("N, L, seed", [(2, 6, 3), (2, 8, 1), (3, 4, 2), (4, 3, 1)])
+def test_solve_check_reads_the_error_each_set_was_accepted_on(monkeypatch, N, L, seed):
+    # `solve/*/sector*` yields `backward_errors` of the returned sets, which is,
+    # bit for bit, the error on which `solve_bethe` accepted each one: below
+    # TOL_ROOT, so the check fails only on a set changed after the solve, as
+    # in the planted-defect matrix, where it is the one family that fails
+    chain = cli.materialize(cli.RunConfig(N=N, L=L, seed=seed)).chains[0]
+    original = _ClearedEquations.backward_error
+    seen = []
+    monkeypatch.setattr(_ClearedEquations, "backward_error",
+                        lambda eqs, x: seen.append((x, original(eqs, x))) or seen[-1][1])
+    accepted = 0
+    for nbar in filter(sum, admissible_sectors(chain)):
+        seen.clear()
+        sets = [sol.params for sol in solve_bethe(chain, nbar)]
+        (x, err), = seen
+        scale = _unit_equations(chain, nbar)[1]
+        for params, checked in zip(sets, backward_errors(chain, nbar, sets)):
+            row = np.flatnonzero(np.all(x == np.concatenate(params.values) / scale, axis=1))[0]
+            assert checked == np.max(err[row]) < solver.TOL_ROOT
+        accepted += len(sets)
+    assert accepted == N ** L - 1
+
+
 def test_equal_twists_keep_the_counts_and_one_eigenbasis_serves_every_site():
     # kappa = 1, 1: degenerate weight blocks, whose eigenbasis at t0 must
     # still diagonalize the block at every site; the sectors past L/2 have
